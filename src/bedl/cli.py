@@ -16,10 +16,12 @@ import numpy as np
 
 from . import objectives as obj
 from .data import DataError, Dataset, SplitPlan, load_csv, load_idx, make_splits, standardize
-from .layers import LayerSpec
+from .layers import LayerSpec, build_network
 from .oracle import make_rng, sample_forward, sample_marginal_likelihood
 from .tensor import NumericsError
 from .train import (
+    EvalMetrics,
+    InitConfig,
     TrainConfig,
     TrainingDiverged,
     default_specs,
@@ -56,11 +58,12 @@ def _build_config(config_path, task, **overrides) -> TrainConfig:
     unknown = set(raw) - field_names
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    if "hyper" in raw and isinstance(raw["hyper"], dict):
-        raw["hyper"] = obj.HyperpriorConfig(**raw["hyper"])
     try:
+        for key, nested in (("hyper", obj.HyperpriorConfig), ("init", InitConfig)):
+            if isinstance(raw.get(key), dict):
+                raw[key] = nested(**raw[key])
         return TrainConfig(**raw)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
 
@@ -141,8 +144,8 @@ def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split
     """Evaluate a checkpoint on the test split (regression CSV) or on a
     full IDX dataset (classification)."""
     ckpt = load_checkpoint(checkpoint)
+    cfg = _build_config(None, ckpt.task, beta=beta, n_classes=n_classes)
     ds = _load_dataset(data, images, labels, ckpt.task, target_column)
-    cfg = TrainConfig(task=ckpt.task, beta=beta, n_classes=n_classes)
     if ckpt.task == "regression":
         tr_idx, te_idx = make_splits(ds.n, SplitPlan(split_index, seed=split_seed))
         ds_std, _ = standardize(ds, tr_idx)
@@ -164,7 +167,7 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, n_cla
     from .uncertainty import ecdf_auc
 
     ckpt = load_checkpoint(checkpoint)
-    cfg = TrainConfig(task="classification", n_classes=n_classes)
+    cfg = _build_config(None, "classification", n_classes=n_classes)
     in_ds = load_idx(in_images, in_labels)
     ood_ds = load_idx(ood_images, ood_labels)
     in_metrics = evaluate(ckpt, in_ds, cfg, eval_samples=eval_samples)
@@ -172,9 +175,7 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, n_cla
     values = {f"in_{k}": v for k, v in in_metrics.values.items()}
     values["ood_ecdf_auc"] = ecdf_auc(ood_entropy, n_classes)
     values["ood_mean_entropy"] = float(ood_entropy.mean())
-    cols = sorted(values)
-    click.echo(",".join(cols))
-    click.echo(",".join(f"{values[c]:.12g}" for c in cols))
+    click.echo(EvalMetrics("classification", values).csv(), nl=False)
 
 
 @cli.command("splits")
@@ -199,9 +200,6 @@ def splits_cmd(n, seed, n_splits):
 def verify_cmd(seed, n_samples, n_architectures):
     """Compare analytic moment propagation and marginal likelihoods
     against the brute-force sampling oracle; prints a CSV table."""
-    from .layers import build_network
-    from .train import default_specs
-
     click.echo("case,quantity,analytic,oracle,oracle_se")
     rng = np.random.default_rng(seed)
     for a in range(n_architectures):

@@ -30,10 +30,6 @@ class Dataset:
     features: np.ndarray  # (N, d) or (N, H, W, C)
     targets: np.ndarray  # (N,) regression floats or integer labels
     task: str  # "regression" | "classification"
-    feature_mean: np.ndarray | None = None
-    feature_std: np.ndarray | None = None
-    target_mean: float | None = None
-    target_std: float | None = None
     dropped_columns: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -212,16 +208,7 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
         y_out = ds.targets
         rec = StandardizeRecord(mu[keep], sd[keep], None, None, keep)
 
-    out = Dataset(
-        xs,
-        y_out,
-        task=ds.task,
-        feature_mean=mu[keep],
-        feature_std=sd[keep],
-        target_mean=rec.target_mean,
-        target_std=rec.target_std,
-    )
-    return out, rec
+    return Dataset(xs, y_out, task=ds.task), rec
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -99,65 +99,67 @@ class GaussianActivation:
             raise ValueError("activation mean/variance shape mismatch")
 
 
-def _check_input_var(h: GaussianActivation) -> None:
-    if np.any(h.var.data < 0.0):
+def _check_input_var(var: Tensor) -> None:
+    if np.any(var.data < 0.0):
         raise ValueError("negative input variance")
 
 
-def dense_moments(w: WeightDistribution, h: GaussianActivation) -> GaussianActivation:
+def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None) -> GaussianActivation:
     """Affine layer moments for Gaussian weights and independent Gaussian
-    inputs: E[f] = E[h] E[w], var[f] = E[w^2] var[h] + var[w] E[h]^2."""
-    _check_input_var(h)
+    inputs: E[f] = E[h] E[w], var[f] = E[w^2] var[h] + var[w] E[h]^2.
+    ``var=None`` is a deterministic input, whose var[h] term vanishes."""
     wvar = w.variance()
-    e_w2 = T.square(w.mean) + wvar
-    mean = T.matmul(h.mean, w.mean)
-    var = T.matmul(h.var, e_w2) + T.matmul(T.square(h.mean), wvar)
+    out_mean = T.matmul(mean, w.mean)
+    out_var = T.matmul(T.square(mean), wvar)
+    if var is not None:
+        _check_input_var(var)
+        out_var = T.matmul(var, T.square(w.mean) + wvar) + out_var
     if w.bias_mean is not None:
-        mean = mean + w.bias_mean
-        var = var + w.bias_variance()
-    return GaussianActivation(mean, var)
-
-
-def input_moments(w: WeightDistribution, x: Tensor) -> GaussianActivation:
-    """First-layer moments for a deterministic input: the input's second
-    central moment is zero, so var[f] = var[w] x^2."""
-    mean = T.matmul(x, w.mean)
-    var = T.matmul(T.square(x), w.variance())
-    if w.bias_mean is not None:
-        mean = mean + w.bias_mean
-        var = var + w.bias_variance()
-    return GaussianActivation(mean, var)
+        out_mean = out_mean + w.bias_mean
+        out_var = out_var + w.bias_variance()
+    return GaussianActivation(out_mean, out_var)
 
 
 def conv2d_moments(
-    w: WeightDistribution, h: GaussianActivation, kernel: int, stride: int
+    w: WeightDistribution, mean: Tensor, var: Tensor | None, kernel: int, stride: int
 ) -> GaussianActivation:
-    """Valid strided convolution moments; per output position the sums are
-    identical to dense_moments over the flattened receptive field.
+    """Valid strided convolution moments: dense_moments over the flattened
+    receptive field of every output position.
 
     Activations are laid out (N, H, W, C); weights (kernel*kernel*C_in, C_out).
     """
-    _check_input_var(h)
-    n, hh, ww, _ = h.mean.shape
-    oh = (hh - kernel) // stride + 1
-    ow = (ww - kernel) // stride + 1
-    cout = w.mean.shape[1]
+    n, hh, ww, _ = mean.shape
+    out_shape = (n, (hh - kernel) // stride + 1, (ww - kernel) // stride + 1, w.mean.shape[1])
 
-    pm = T.extract_patches(h.mean, kernel, stride)
-    pv = T.extract_patches(h.var, kernel, stride)
-    k = pm.shape[-1]
-    pm2 = T.reshape(pm, (n * oh * ow, k))
-    pv2 = T.reshape(pv, (n * oh * ow, k))
+    def patches(t: Tensor) -> Tensor:
+        p = T.extract_patches(t, kernel, stride)
+        return T.reshape(p, (-1, p.shape[-1]))
 
-    wvar = w.variance()
-    e_w2 = T.square(w.mean) + wvar
-    mean = T.matmul(pm2, w.mean)
-    var = T.matmul(pv2, e_w2) + T.matmul(T.square(pm2), wvar)
-    if w.bias_mean is not None:
-        mean = mean + w.bias_mean
-        var = var + w.bias_variance()
+    f = dense_moments(w, patches(mean), None if var is None else patches(var))
+    return GaussianActivation(T.reshape(f.mean, out_shape), T.reshape(f.var, out_shape))
+
+
+def _relu_core(f: GaussianActivation):
+    """Shared by the ReLU and ELU moments: the clamped variance, sigma,
+    r = mu/sigma, E[relu(f)] = mu*Phi(r) + sigma*pdf(r) and
+    E[relu(f)^2] = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r)."""
+    _check_input_var(f.var)
+    safe_var = T.clamp_min(f.var, SIGMA2_MIN)
+    sigma = T.sqrt(safe_var)
+    r = f.mean / sigma
+    cdf = T.normal_cdf(r)
+    pdf = T.normal_pdf(r)
+    first = f.mean * cdf + sigma * pdf
+    second = (T.square(f.mean) + safe_var) * cdf + f.mean * sigma * pdf
+    return safe_var, sigma, r, first, second
+
+
+def _moments_or_limit(f: GaussianActivation, det_mean: Tensor, mean_s: Tensor, var_s: Tensor):
+    """Units whose variance is below SIGMA2_MIN take the deterministic limit."""
+    det_mask = f.var.data < SIGMA2_MIN
     return GaussianActivation(
-        T.reshape(mean, (n, oh, ow, cout)), T.reshape(var, (n, oh, ow, cout))
+        T.where(det_mask, det_mean, mean_s),
+        T.where(det_mask, T.constant(np.zeros(f.var.shape)), var_s),
     )
 
 
@@ -168,19 +170,9 @@ def relu_moments(f: GaussianActivation) -> GaussianActivation:
     var = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r) - E^2.
     Degenerate variances fall back to the deterministic ReLU.
     """
-    _check_input_var(f)
-    det_mask = f.var.data < SIGMA2_MIN
-    safe_var = T.clamp_min(f.var, SIGMA2_MIN)
-    sigma = T.sqrt(safe_var)
-    r = f.mean / sigma
-    cdf = T.normal_cdf(r)
-    pdf = T.normal_pdf(r)
-    mean_s = f.mean * cdf + sigma * pdf
-    var_s = (T.square(f.mean) + safe_var) * cdf + f.mean * sigma * pdf - T.square(mean_s)
-    var_s = T.clamp_min(var_s, 0.0)
-    mean = T.where(det_mask, T.relu(f.mean), mean_s)
-    var = T.where(det_mask, T.constant(np.zeros(f.var.shape)), var_s)
-    return GaussianActivation(mean, var)
+    _, _, _, mean_s, second = _relu_core(f)
+    var_s = T.clamp_min(second - T.square(mean_s), 0.0)
+    return _moments_or_limit(f, T.relu(f.mean), mean_s, var_s)
 
 
 def elu_moments(f: GaussianActivation, alpha: float = 1.0) -> GaussianActivation:
@@ -190,19 +182,10 @@ def elu_moments(f: GaussianActivation, alpha: float = 1.0) -> GaussianActivation
     are evaluated through the scaled erfcx product, which never overflows
     (the effective exponent is -mu^2 / (2 sigma^2) <= 0).
     """
-    _check_input_var(f)
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    det_mask = f.var.data < SIGMA2_MIN
-    safe_var = T.clamp_min(f.var, SIGMA2_MIN)
-    sigma = T.sqrt(safe_var)
+    safe_var, sigma, r, relu_mean, relu_second = _relu_core(f)
     mu = f.mean
-    r = mu / sigma
-
-    cdf = T.normal_cdf(r)
-    pdf = T.normal_pdf(r)
-    relu_mean = mu * cdf + sigma * pdf
-    relu_second = (T.square(mu) + safe_var) * cdf + mu * sigma * pdf
 
     # exp(mu + s^2/2) Phi(-(mu + s^2)/sigma)
     t1 = T.exp_scaled_cdf(mu + 0.5 * safe_var, (mu + safe_var) / sigma)
@@ -214,10 +197,8 @@ def elu_moments(f: GaussianActivation, alpha: float = 1.0) -> GaussianActivation
     second_s = alpha * alpha * (t2 - 2.0 * t1 + cdf_neg) + relu_second
     var_s = T.clamp_min(second_s - T.square(mean_s), 0.0)
 
-    det_mean = T.where(f.mean.data > 0.0, f.mean, alpha * (T.exp(T.clamp_max(f.mean, 0.0)) - 1.0))
-    mean = T.where(det_mask, det_mean, mean_s)
-    var = T.where(det_mask, T.constant(np.zeros(f.var.shape)), var_s)
-    return GaussianActivation(mean, var)
+    det_mean = T.where(mu.data > 0.0, mu, alpha * (T.exp(T.clamp_max(mu, 0.0)) - 1.0))
+    return _moments_or_limit(f, det_mean, mean_s, var_s)
 
 
 def activation_moments(f: GaussianActivation, spec: LayerSpec) -> GaussianActivation:
@@ -226,6 +207,9 @@ def activation_moments(f: GaussianActivation, spec: LayerSpec) -> GaussianActiva
     if spec.activation == "elu":
         return elu_moments(f, spec.alpha)
     return f
+
+
+_INPUT_LAYOUT = {"dense": (2, "(N, d)"), "conv2d": (4, "(N, H, W, C)")}
 
 
 @dataclass
@@ -243,34 +227,23 @@ class MomentNetwork:
         """Propagate a deterministic input batch; returns final-layer
         pre-activation moments (the last spec's activation is applied only
         if it is not 'identity')."""
-        xt = x if isinstance(x, Tensor) else T.constant(np.asarray(x, dtype=np.float64))
-        h: GaussianActivation | None = None
-        for i, (spec, w) in enumerate(zip(self.specs, self.weights)):
-            if spec.kind == "dense":
-                if h is None:
-                    if xt.data.ndim != 2:
-                        raise ValueError("dense input must be (N, d)")
-                    h = input_moments(w, xt)
-                else:
-                    if h.mean.data.ndim == 4:  # conv -> dense flatten
-                        n = h.mean.shape[0]
-                        h = GaussianActivation(
-                            T.reshape(h.mean, (n, -1)), T.reshape(h.var, (n, -1))
-                        )
-                    h = dense_moments(w, h)
-            else:
-                if h is None:
-                    if xt.data.ndim != 4:
-                        raise ValueError("conv2d input must be (N, H, W, C)")
-                    zero_var = T.constant(np.zeros(xt.shape))
-                    h = conv2d_moments(
-                        w, GaussianActivation(xt, zero_var), spec.kernel, spec.stride
-                    )
-                else:
-                    h = conv2d_moments(w, h, spec.kernel, spec.stride)
-            h = activation_moments(h, spec)
-        if h is None:
+        if not (self.specs and self.weights):
             raise ValueError("network has no layers")
+        mean = x if isinstance(x, Tensor) else T.constant(np.asarray(x, dtype=np.float64))
+        var = None  # the input is deterministic
+        ndim, layout = _INPUT_LAYOUT[self.specs[0].kind]
+        if mean.data.ndim != ndim:
+            raise ValueError(f"{self.specs[0].kind} input must be {layout}")
+        for spec, w in zip(self.specs, self.weights):
+            if spec.kind == "conv2d":
+                h = conv2d_moments(w, mean, var, spec.kernel, spec.stride)
+            else:
+                if mean.data.ndim == 4:  # conv -> dense flatten
+                    n = mean.shape[0]
+                    mean, var = T.reshape(mean, (n, -1)), T.reshape(var, (n, -1))
+                h = dense_moments(w, mean, var)
+            h = activation_moments(h, spec)
+            mean, var = h.mean, h.var
         return h
 
 

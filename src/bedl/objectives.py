@@ -105,6 +105,14 @@ class ObjectiveReport:
 # -- marginal likelihoods ----------------------------------------------------
 
 
+def _latent_var(moments: GaussianActivation) -> Tensor:
+    """exp(m2 + s2^2/2): the mean over the weights of the head's latent
+    variance, where unit 2 carries its log."""
+    # Clamped exponent: arguments this large mean the run has diverged;
+    # keep the value finite so the caller can see it happen.
+    return T.exp(T.clamp_max(moments.mean[:, 1] + 0.5 * moments.var[:, 1], 60.0))
+
+
 def regression_log_marginal(
     moments: GaussianActivation, y: np.ndarray, cfg: RegressionHeadConfig
 ) -> Tensor:
@@ -113,15 +121,8 @@ def regression_log_marginal(
     if moments.mean.shape[1] != 2:
         raise ValueError("regression head expects 2 output units")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    m1 = moments.mean[:, 0]
-    s1sq = moments.var[:, 0]
-    m2 = moments.mean[:, 1]
-    s2sq = moments.var[:, 1]
-    # Clamped exponent: arguments this large mean the run has diverged;
-    # keep the value finite so the caller can see it happen.
-    latent_var = T.exp(T.clamp_max(m2 + 0.5 * s2sq, 60.0))
-    v = 1.0 / cfg.beta + s1sq + latent_var
-    resid = T.constant(y) - m1
+    v = 1.0 / cfg.beta + moments.var[:, 0] + _latent_var(moments)
+    resid = T.constant(y) - moments.mean[:, 0]
     return -0.5 * (LOG_2PI + T.log(v)) - T.square(resid) / (2.0 * v)
 
 
@@ -139,6 +140,24 @@ def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
     return y
 
 
+def _output_draws(
+    moments: GaussianActivation,
+    cfg: ClassificationHeadConfig,
+    rng: np.random.Generator | None,
+    eps: np.ndarray | None,
+) -> list[Tensor]:
+    """Reparameterized output samples f = m + s*eps, one per row of eps
+    (drawn from rng as (n_samples, N, C) when not given)."""
+    if np.any(moments.var.data < 0.0):
+        raise ValueError("negative output variance")
+    if eps is None:
+        if rng is None:
+            raise ValueError("need either rng or eps")
+        eps = rng.standard_normal((cfg.n_samples,) + moments.mean.shape)
+    s = T.sqrt(moments.var)
+    return [moments.mean + s * T.constant(e) for e in eps]
+
+
 def classification_log_marginal(
     moments: GaussianActivation,
     y_onehot: np.ndarray,
@@ -154,20 +173,9 @@ def classification_log_marginal(
     flow through both m and s.
     """
     y = _check_onehot(y_onehot, cfg.n_classes)
-    if np.any(moments.var.data < 0.0):
-        raise ValueError("negative output variance")
-    n, c = moments.mean.shape
-    if eps is None:
-        if rng is None:
-            raise ValueError("need either rng or eps")
-        eps = rng.standard_normal((cfg.n_samples, n, c))
-    s = T.sqrt(moments.var)
-    per_sample = []
-    for k in range(eps.shape[0]):
-        f = moments.mean + s * T.constant(eps[k])
-        per_sample.append(_log_class_prob(f, y, cfg.logit_clamp))
-    stacked = T.stack(per_sample, axis=0)
-    return T.logsumexp(stacked, axis=0) - math.log(eps.shape[0])
+    draws = _output_draws(moments, cfg, rng, eps)
+    stacked = T.stack([_log_class_prob(f, y, cfg.logit_clamp) for f in draws], axis=0)
+    return T.logsumexp(stacked, axis=0) - math.log(len(draws))
 
 
 # -- divergences -------------------------------------------------------------
@@ -204,12 +212,8 @@ def regression_kl(
 ) -> Tensor:
     """KL of the moment-matched latent N(m1, s1^2 + exp(m2 + s2^2/2))
     against the zero-mean prior with precision alpha_prior."""
-    m1 = moments.mean[:, 0]
-    s1sq = moments.var[:, 0]
-    m2 = moments.mean[:, 1]
-    s2sq = moments.var[:, 1]
-    q_var = s1sq + T.exp(T.clamp_max(m2 + 0.5 * s2sq, 60.0))
-    return kl_gaussian(m1, q_var, 0.0, 1.0 / pac.alpha_prior)
+    q_var = moments.var[:, 0] + _latent_var(moments)
+    return kl_gaussian(moments.mean[:, 0], q_var, 0.0, 1.0 / pac.alpha_prior)
 
 
 def classification_kl(
@@ -220,17 +224,10 @@ def classification_kl(
 ) -> Tensor:
     """Sampling estimate of the per-datum KL(Dir(alpha) || Dir(1)) under
     the output distribution, sharing the reparameterization of the head."""
-    n, c = moments.mean.shape
-    if eps is None:
-        if rng is None:
-            raise ValueError("need either rng or eps")
-        eps = rng.standard_normal((cfg.n_samples, n, c))
-    s = T.sqrt(moments.var)
-    terms = []
-    for k in range(eps.shape[0]):
-        f = moments.mean + s * T.constant(eps[k])
-        alpha = T.exp(T.clamp(f, -cfg.logit_clamp, cfg.logit_clamp))
-        terms.append(kl_dirichlet_uniform(alpha))
+    terms = [
+        kl_dirichlet_uniform(T.exp(T.clamp(f, -cfg.logit_clamp, cfg.logit_clamp)))
+        for f in _output_draws(moments, cfg, rng, eps)
+    ]
     return T.tmean(T.stack(terms, axis=0), axis=0)
 
 

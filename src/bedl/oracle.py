@@ -200,8 +200,6 @@ def gaussian_normality_probe(
 ) -> NormalityProbe:
     """Third/fourth standardized moments of the sampled outputs; both near
     zero when the moment-matching normality assumption is accurate."""
-    est = sample_forward(net, x, rng, n_samples)
-    # Re-sample once more for the standardized moments (cheap at probe scale).
     draws = draw_weights(net, rng, n_samples)
     f = deterministic_forward(net, np.asarray(x, dtype=np.float64), draws)
     mu = f.mean(axis=0)
@@ -212,7 +210,7 @@ def gaussian_normality_probe(
     return NormalityProbe(
         skewness=skew,
         excess_kurtosis=kurt,
-        skew_se=math.sqrt(6.0 / est.n_samples),
-        kurt_se=math.sqrt(24.0 / est.n_samples),
+        skew_se=math.sqrt(6.0 / n_samples),
+        kurt_se=math.sqrt(24.0 / n_samples),
         n_samples=n_samples,
     )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -20,6 +19,8 @@ from .uncertainty import decompose, ecdf_auc, test_error
 OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
 
 CHECKPOINT_MAGIC = b"BEDLCKP1"
+# Checkpoint arrays are named w{layer}.{field} after these WeightDistribution fields.
+_WEIGHT_FIELDS = ("mean", "log_var", "bias_mean", "bias_log_var")
 
 
 class TrainingDiverged(RuntimeError):
@@ -58,10 +59,26 @@ class TrainConfig:
     init: InitConfig = field(default_factory=InitConfig)
 
     def __post_init__(self):
+        """The one check of every setting, so that a bad one fails before
+        training starts; the head and PAC configs keep their own rules."""
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.learning_rate <= 0 or self.epochs < 1:
             raise ValueError("invalid optimizer settings")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.objective == "edl" and self.task != "classification":
+            raise ValueError("edl objective requires classification")
+        self.pac(1)
+        self.head()
+
+    def head(self) -> obj.RegressionHeadConfig | obj.ClassificationHeadConfig:
+        if self.task == "regression":
+            return obj.RegressionHeadConfig(beta=self.beta)
+        return obj.ClassificationHeadConfig(self.n_classes, self.mc_samples)
+
+    def pac(self, n_data: int) -> obj.PacConfig:
+        return obj.PacConfig(self.task, n_data, self.delta, self.alpha_prior, self.beta)
 
     def resolve_batch_size(self, n: int) -> int:
         if self.batch_size is not None:
@@ -102,49 +119,26 @@ class Adam:
 # -- checkpoint binary format -----------------------------------------------
 #
 # magic (8 bytes) | u32 header length | JSON header | float64 LE blobs.
-# The header lists layer specs, the array manifest in write order, the
-# optimizer state, the RNG state, and a config hash. Writing is fully
-# deterministic, so save -> load -> save is byte-identical.
+# The header lists the task, layer specs, the array manifest in write order
+# and the target standardization. Writing is fully deterministic, so
+# save -> load -> save is byte-identical. Header keys and arrays that are
+# not named here (older files also stored Adam and RNG state) are ignored.
 
 
 @dataclass
 class Checkpoint:
     version: int
     specs: list[LayerSpec]
-    arrays: dict[str, np.ndarray]  # weights + optimizer moments
-    adam_t: int
-    rng_state: dict
-    config_hash: str
+    arrays: dict[str, np.ndarray]  # weight means and log-variances
     task: str
     standardize: dict | None = None
 
     def build_network(self) -> MomentNetwork:
         weights = []
-        for i, spec in enumerate(self.specs):
-            mean = Parameter(self.arrays[f"w{i}.mean"].copy())
-            log_var = Parameter(self.arrays[f"w{i}.log_var"].copy())
-            if f"w{i}.bias_mean" in self.arrays:
-                weights.append(
-                    WeightDistribution(
-                        mean,
-                        log_var,
-                        Parameter(self.arrays[f"w{i}.bias_mean"].copy()),
-                        Parameter(self.arrays[f"w{i}.bias_log_var"].copy()),
-                    )
-                )
-            else:
-                weights.append(WeightDistribution(mean, log_var))
+        for i in range(len(self.specs)):
+            parts = (self.arrays.get(f"w{i}.{name}") for name in _WEIGHT_FIELDS)
+            weights.append(WeightDistribution(*(a if a is None else Parameter(a.copy()) for a in parts)))
         return MomentNetwork(self.specs, weights)
-
-
-def config_hash(cfg: TrainConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _jsonable_rng_state(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -154,9 +148,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "task": ckpt.task,
         "specs": [asdict(s) for s in ckpt.specs],
         "arrays": [{"name": n, "shape": list(ckpt.arrays[n].shape)} for n in names],
-        "adam_t": ckpt.adam_t,
-        "rng_state": ckpt.rng_state,
-        "config_hash": ckpt.config_hash,
         "standardize": ckpt.standardize,
     }
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -188,27 +179,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         version=header["version"],
         specs=[LayerSpec(**s) for s in header["specs"]],
         arrays=arrays,
-        adam_t=header["adam_t"],
-        rng_state=header["rng_state"],
-        config_hash=header["config_hash"],
         task=header["task"],
         standardize=header["standardize"],
     )
 
 
-def _snapshot(
-    net: MomentNetwork, adam: Adam, rng, cfg: TrainConfig, record: StandardizeRecord | None
-) -> Checkpoint:
-    arrays: dict[str, np.ndarray] = {}
-    for i, w in enumerate(net.weights):
-        arrays[f"w{i}.mean"] = w.mean.data.copy()
-        arrays[f"w{i}.log_var"] = w.log_var.data.copy()
-        if w.bias_mean is not None:
-            arrays[f"w{i}.bias_mean"] = w.bias_mean.data.copy()
-            arrays[f"w{i}.bias_log_var"] = w.bias_log_var.data.copy()
-    for i, (m, v) in enumerate(zip(adam.m, adam.v)):
-        arrays[f"adam.m{i}"] = m.copy()
-        arrays[f"adam.v{i}"] = v.copy()
+def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None) -> Checkpoint:
+    arrays = {
+        f"w{i}.{name}": getattr(w, name).data.copy()
+        for i, w in enumerate(net.weights)
+        for name in _WEIGHT_FIELDS
+        if getattr(w, name) is not None
+    }
     std = None
     if record is not None:
         std = {
@@ -219,9 +201,6 @@ def _snapshot(
         version=1,
         specs=net.specs,
         arrays=arrays,
-        adam_t=adam.t,
-        rng_state=_jsonable_rng_state(rng),
-        config_hash=config_hash(cfg),
         task=cfg.task,
         standardize=std,
     )
@@ -268,37 +247,30 @@ def _batch_objective(
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    n_data: int,
+    head: obj.RegressionHeadConfig | obj.ClassificationHeadConfig,
+    pac: obj.PacConfig,
     rng: np.random.Generator,
 ) -> obj.ObjectiveReport:
     if cfg.objective == "edl":
-        if cfg.task != "classification":
-            raise ValueError("edl objective requires classification")
         alpha = _edl_forward_alpha(net, x)
         return obj.edl_loss(alpha, one_hot(y, cfg.n_classes), cfg.beta_edl)
 
     moments = net.forward(x)
     if cfg.task == "regression":
-        head = obj.RegressionHeadConfig(beta=cfg.beta)
         lm = obj.regression_log_marginal(moments, y, head)
         if cfg.objective == "bedl+reg":
-            pac = obj.PacConfig("regression", n_data, cfg.delta, cfg.alpha_prior, cfg.beta)
             kl = obj.regression_kl(moments, head, pac)
             return obj.pac_objective(lm, kl, pac)
-        report = obj.bedl_objective(lm)
     else:
-        head = obj.ClassificationHeadConfig(cfg.n_classes, cfg.mc_samples)
-        y1h = one_hot(y, cfg.n_classes)
         eps = rng.standard_normal((cfg.mc_samples, len(x), cfg.n_classes))
-        lm = obj.classification_log_marginal(moments, y1h, head, eps=eps)
+        lm = obj.classification_log_marginal(moments, one_hot(y, cfg.n_classes), head, eps=eps)
         if cfg.objective == "bedl+reg":
-            pac = obj.PacConfig("classification", n_data, cfg.delta)
             kl = obj.classification_kl(moments, head, eps=eps)
             return obj.pac_objective(lm, kl, pac)
-        report = obj.bedl_objective(lm)
+    report = obj.bedl_objective(lm)
 
     if cfg.objective == "bedl-hyper":
-        penalty = obj.hyperprior_penalty(net.weights, cfg.hyper) * (1.0 / n_data)
+        penalty = obj.hyperprior_penalty(net.weights, cfg.hyper) * (1.0 / pac.n_data)
         total = report.total + penalty
         return obj.ObjectiveReport(
             total=total, nll=report.nll, regularizer=penalty.item()
@@ -328,6 +300,7 @@ def train(
     adam = Adam(net.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
     n = dataset.n
     batch = cfg.resolve_batch_size(n)
+    head, pac = cfg.head(), cfg.pac(n)
     metrics: list[dict] = []
     last_good: Checkpoint | None = None
 
@@ -340,7 +313,7 @@ def train(
             x = _prepare_features(dataset.features[idx], specs)
             y = dataset.targets[idx]
             try:
-                report = _batch_objective(net, x, y, cfg, n, rng)
+                report = _batch_objective(net, x, y, cfg, head, pac, rng)
                 adam.zero_grad()
                 report.total.backward()
                 adam.step()
@@ -360,7 +333,7 @@ def train(
                 "regularizer": reg / n_batches,
             }
         )
-        last_good = _snapshot(net, adam, rng, cfg, record)
+        last_good = _snapshot(net, cfg, record)
 
     return TrainResult(checkpoint=last_good, metrics=metrics)
 
@@ -380,6 +353,18 @@ class EvalMetrics:
         return f"{head}\n{row}\n"
 
 
+def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int, seed: int):
+    """The checkpoint's output moments on the whole dataset and, for
+    classification, their sampled predictive decomposition."""
+    if ckpt.task != cfg.task:
+        raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
+    moments = ckpt.build_network().forward(_prepare_features(dataset.features, ckpt.specs))
+    if cfg.task == "regression":
+        return moments, None
+    rng = np.random.default_rng(seed)
+    return moments, decompose(moments.mean.data, moments.var.data, n_samples=eval_samples, rng=rng)
+
+
 def evaluate(
     ckpt: Checkpoint,
     dataset: Dataset,
@@ -393,13 +378,9 @@ def evaluate(
     (applies the -log std_y correction recorded at standardization time).
     Classification: test error and the ECDF-AUC of predictive entropies.
     """
-    if ckpt.task != cfg.task:
-        raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
-    net = ckpt.build_network()
-    moments = net.forward(_prepare_features(dataset.features, ckpt.specs))
-    if cfg.task == "regression":
-        head = obj.RegressionHeadConfig(beta=cfg.beta)
-        lm = obj.regression_log_marginal(moments, dataset.targets, head)
+    moments, rep = _predict(ckpt, dataset, cfg, eval_samples, seed)
+    if rep is None:
+        lm = obj.regression_log_marginal(moments, dataset.targets, cfg.head())
         correction = 0.0
         if ckpt.standardize and ckpt.standardize.get("target_std"):
             correction = -math.log(ckpt.standardize["target_std"])
@@ -411,8 +392,6 @@ def evaluate(
         }
         return EvalMetrics("regression", values)
 
-    rng = np.random.default_rng(seed)
-    rep = decompose(moments.mean.data, moments.var.data, n_samples=eval_samples, rng=rng)
     values = {
         "test_error_pct": test_error(rep.predictive_mean, dataset.targets),
         "ecdf_auc": ecdf_auc(rep.entropy, cfg.n_classes),
@@ -424,8 +403,7 @@ def evaluate(
 def evaluate_entropies(
     ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int = 100, seed: int = 12345
 ) -> np.ndarray:
-    net = ckpt.build_network()
-    moments = net.forward(_prepare_features(dataset.features, ckpt.specs))
-    rng = np.random.default_rng(seed)
-    rep = decompose(moments.mean.data, moments.var.data, n_samples=eval_samples, rng=rng)
-    return rep.entropy
+    """Predictive entropies of a classification checkpoint, one per datum."""
+    if cfg.task != "classification":
+        raise ValueError(f"predictive entropies need task 'classification', not {cfg.task!r}")
+    return _predict(ckpt, dataset, cfg, eval_samples, seed)[1].entropy

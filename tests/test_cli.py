@@ -82,6 +82,49 @@ def test_unknown_config_key_is_usage_error(csv_file, tmp_path):
     assert "unknown config keys" in res.stderr
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(csv_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    res = run_cli("train", "--data", str(csv_file), "--epochs", "1", "--hidden", "4",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    return out / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("args,config,code", [
+    pytest.param(["--samples", "0", "--task", "classification"], None, 1, id="samples-0"),
+    pytest.param(["--batch", "0"], None, 1, id="batch-0"),
+    pytest.param(["--beta", "-1"], None, 1, id="beta-negative"),
+    pytest.param(["--delta", "2"], None, 1, id="delta-2"),
+    pytest.param(["--n-classes", "1", "--task", "classification"], None, 1, id="n-classes-1"),
+    pytest.param(["--objective", "edl"], None, 1, id="edl-regression"),
+    pytest.param([], {"init": {"log_var_mean": -8}}, 0, id="init-dict"),
+    pytest.param([], {"init": {"log_var_men": -8}}, 1, id="init-unknown-key"),
+    pytest.param([], {"hyper": {"a0": -1.0}}, 1, id="hyper-a0-negative"),
+    pytest.param(["eval", "--beta", "-1"], None, 1, id="eval-beta-negative"),
+])
+def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
+                                            args, config, code):
+    # every setting is checked when the config is built: a bad one is a
+    # usage error before training or scoring starts, never a traceback
+    out = tmp_path / "run"
+    if args[:1] == ["eval"]:
+        cmd = ["eval", "--data", str(csv_file), "--checkpoint", str(trained_checkpoint)] + args[1:]
+    else:
+        cmd = ["train", "--data", str(csv_file), "--epochs", "1", "--out", str(out)] + args
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        cmd += ["--config", str(tmp_path / "cfg.json")]
+    res = run_cli(*cmd)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code == 1:
+        assert res.stderr.startswith("error:"), res.stderr
+        assert not out.exists()
+    else:
+        assert (out / "checkpoint.bin").exists()
+
+
 def test_usage_error_exit_code():
     res = run_cli("train", "--no-such-flag")
     assert res.returncode == 1

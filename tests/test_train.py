@@ -1,8 +1,12 @@
+import dataclasses
+import importlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from bedl import tensor as T
-import importlib
 
 tr = importlib.import_module("bedl.train")
 from bedl.data import Dataset
@@ -30,10 +34,21 @@ def _blob_ds(n=100, seed=0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        tr.TrainConfig(objective="sgld")
-    with pytest.raises(ValueError):
-        tr.TrainConfig(learning_rate=-1.0)
+    # every setting is checked on construction, the head and PAC ones too
+    for kw in (
+        {"objective": "sgld"},
+        {"learning_rate": -1.0},
+        {"batch_size": 0},
+        {"beta": -1.0},
+        {"delta": 2.0},
+        {"alpha_prior": 0.0},
+        {"task": "ranking"},
+        {"objective": "edl"},
+        {"task": "classification", "mc_samples": 0},
+        {"task": "classification", "n_classes": 1},
+    ):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(**kw)
 
 
 def test_resolve_batch_size():
@@ -41,13 +56,6 @@ def test_resolve_batch_size():
     assert cfg.resolve_batch_size(500) == 500  # full batch below 2000
     assert cfg.resolve_batch_size(60000) == 128
     assert tr.TrainConfig(batch_size=32).resolve_batch_size(10) == 10
-
-
-def test_config_hash_changes_with_config():
-    a = tr.config_hash(tr.TrainConfig(seed=0))
-    b = tr.config_hash(tr.TrainConfig(seed=0))
-    c = tr.config_hash(tr.TrainConfig(seed=1))
-    assert a == b and a != c
 
 
 # -- adam --------------------------------------------------------------------
@@ -126,10 +134,43 @@ def test_checkpoint_rejects_garbage(tmp_path):
         tr.load_checkpoint(p)
 
 
+def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
+    # older checkpoints also stored Adam moments (arrays adam.m*/adam.v*)
+    # and the adam_t, rng_state and config_hash header keys; all are ignored
+    result, ds, cfg = _train_small()
+    ckpt = result.checkpoint
+    arrays = dict(ckpt.arrays)
+    for i, name in enumerate(sorted(ckpt.arrays)):
+        arrays[f"adam.m{i}"] = np.full_like(ckpt.arrays[name], 0.5)
+        arrays[f"adam.v{i}"] = np.full_like(ckpt.arrays[name], 0.25)
+    names = sorted(arrays)
+    header = {
+        "version": 1,
+        "task": ckpt.task,
+        "specs": [dataclasses.asdict(s) for s in ckpt.specs],
+        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
+        "adam_t": 6,
+        "rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"inc": 2**100 + 1, "state": 2**120 + 7}},
+        "config_hash": "0123456789abcdef",
+        "standardize": ckpt.standardize,
+    }
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"BEDLCKP1" + struct.pack("<I", len(hb)) + hb
+                     + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
+    loaded = tr.load_checkpoint(path)
+    assert loaded.specs == ckpt.specs and loaded.task == ckpt.task
+    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(ckpt, ds, cfg).values
+
+
 def test_evaluate_task_mismatch():
     result, _, _ = _train_small()
+    for fn in (tr.evaluate, tr.evaluate_entropies):
+        with pytest.raises(ValueError, match="task"):
+            fn(result.checkpoint, _blob_ds(), tr.TrainConfig(task="classification"))
     with pytest.raises(ValueError, match="task"):
-        tr.evaluate(result.checkpoint, _blob_ds(), tr.TrainConfig(task="classification"))
+        tr.evaluate_entropies(result.checkpoint, _regression_ds(), tr.TrainConfig())
 
 
 # -- training behaviour ------------------------------------------------------
