@@ -167,6 +167,8 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, n_cla
     from .uncertainty import ecdf_auc
 
     ckpt = load_checkpoint(checkpoint)
+    if ckpt.task != "classification":
+        raise click.UsageError(f"ood-eval needs a classification checkpoint, not {ckpt.task!r}")
     cfg = _build_config(None, "classification", n_classes=n_classes)
     in_ds = load_idx(in_images, in_labels)
     ood_ds = load_idx(ood_images, ood_labels)

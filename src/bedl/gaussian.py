@@ -1,0 +1,43 @@
+"""Gaussian numpy kernels shared by the tensor ops, the closed-form moment
+ops and evaluation, so that each formula is written once."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import special
+
+SQRT2 = math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF via erf."""
+    return 0.5 * (1.0 + special.erf(x / SQRT2))
+
+
+def pdf(x: np.ndarray) -> np.ndarray:
+    return INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def exp_scaled_cdf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(a) * Phi(-b), computed without overflow.
+
+    For b > 0 uses exp(a)*Phi(-b) = 0.5*erfcx(b/sqrt(2))*exp(a - b^2/2),
+    which stays finite whenever a - b^2/2 is bounded, even when exp(a)
+    alone would overflow. For b <= 0 erfcx itself overflows, but there
+    Phi(-b) is in [0.5, 1] and the naive product is safe.
+    """
+    bpos = b > 0.0
+    scaled = 0.5 * special.erfcx(np.where(bpos, b, 0.0) / SQRT2) * np.exp(
+        np.where(bpos, a - 0.5 * b * b, 0.0)
+    )
+    naive = 0.5 * np.exp(np.where(bpos, 0.0, a)) * special.erfc(np.where(bpos, 0.0, b) / SQRT2)
+    return np.where(bpos, scaled, naive)
+
+
+def output_draws(mean: np.ndarray, var: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Reparameterized draws f = mean + sqrt(var) * eps, one per leading row
+    of eps: (S, N, C) for eps of that shape and (N, C) moments."""
+    return mean + np.sqrt(var) * eps

@@ -3,8 +3,9 @@
 Each weight carries a mean and a log-variance. Pre-activation means and
 variances are propagated in closed form (diagonal covariance only), and
 ReLU/ELU activations are pushed through via their analytic Gaussian
-moments. The whole pass is differentiable with respect to every weight
-mean and log-variance.
+moments, in the diagonal scheme of Gast & Roth (arXiv:1805.11327). Each
+moment is one tape node whose gradient is closed form too, so the pass is
+differentiable with respect to every weight mean and log-variance.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gaussian as G
 from . import tensor as T
 from .tensor import Parameter, Tensor
 
@@ -80,12 +82,6 @@ class WeightDistribution:
             ps += [self.bias_mean, self.bias_log_var]
         return ps
 
-    def variance(self) -> Tensor:
-        return T.exp(self.log_var)
-
-    def bias_variance(self) -> Tensor:
-        return T.exp(self.bias_log_var)
-
 
 @dataclass
 class GaussianActivation:
@@ -99,25 +95,49 @@ class GaussianActivation:
             raise ValueError("activation mean/variance shape mismatch")
 
 
-def _check_input_var(var: Tensor) -> None:
-    if np.any(var.data < 0.0):
+def _check_input_var(var: np.ndarray) -> None:
+    if np.any(var < 0.0):
         raise ValueError("negative input variance")
 
 
 def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None) -> GaussianActivation:
     """Affine layer moments for Gaussian weights and independent Gaussian
     inputs: E[f] = E[h] E[w], var[f] = E[w^2] var[h] + var[w] E[h]^2.
-    ``var=None`` is a deterministic input, whose var[h] term vanishes."""
-    wvar = w.variance()
-    out_mean = T.matmul(mean, w.mean)
-    out_var = T.matmul(T.square(mean), wvar)
+    ``var=None`` is a deterministic input, whose var[h] term vanishes.
+    One mean node and one variance node."""
+    h, wm = mean.data, w.mean.data
+    if h.ndim != 2 or h.shape[1] != wm.shape[0]:
+        raise ValueError(f"dense layer expects (N, {wm.shape[0]}) input, got {h.shape}")
+    wvar = np.exp(w.log_var.data)
+    h2 = h * h
+    out_mean = h @ wm
+    out_var = h2 @ wvar
     if var is not None:
-        _check_input_var(var)
-        out_var = T.matmul(var, T.square(w.mean) + wvar) + out_var
-    if w.bias_mean is not None:
-        out_mean = out_mean + w.bias_mean
-        out_var = out_var + w.bias_variance()
-    return GaussianActivation(out_mean, out_var)
+        _check_input_var(var.data)
+        w2 = wm * wm + wvar  # E[w^2]
+        out_var = var.data @ w2 + out_var
+    bias = w.bias_mean is not None
+    if bias:
+        bvar = np.exp(w.bias_log_var.data)
+        out_mean = out_mean + w.bias_mean.data
+        out_var = out_var + bvar
+
+    def mean_vjp(g):
+        return (g @ wm.T if mean.requires_grad else None), h.T @ g, g.sum(axis=0) if bias else None
+
+    def var_vjp(g):
+        g_mean = g @ wvar.T * 2.0 * h if mean.requires_grad else None
+        g_bias = g.sum(axis=0) * bvar if bias else None
+        if var is None:
+            return g_mean, None, None, h2.T @ g * wvar, g_bias
+        vg = var.data.T @ g
+        g_var = g @ w2.T if var.requires_grad else None
+        return g_mean, g_var, vg * 2.0 * wm, (h2.T @ g + vg) * wvar, g_bias
+
+    return GaussianActivation(
+        T.fused(out_mean, (mean, w.mean, w.bias_mean), mean_vjp, "dense_moments"),
+        T.fused(out_var, (mean, var, w.mean, w.log_var, w.bias_log_var), var_vjp, "dense_moments"),
+    )
 
 
 def conv2d_moments(
@@ -139,40 +159,66 @@ def conv2d_moments(
     return GaussianActivation(T.reshape(f.mean, out_shape), T.reshape(f.var, out_shape))
 
 
-def _relu_core(f: GaussianActivation):
+def _relu_core(mean: np.ndarray, var: np.ndarray):
     """Shared by the ReLU and ELU moments: the clamped variance, sigma,
-    r = mu/sigma, E[relu(f)] = mu*Phi(r) + sigma*pdf(r) and
+    r = mu/sigma, Phi(r), pdf(r), E[relu(f)] = mu*Phi(r) + sigma*pdf(r) and
     E[relu(f)^2] = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r)."""
-    _check_input_var(f.var)
-    safe_var = T.clamp_min(f.var, SIGMA2_MIN)
-    sigma = T.sqrt(safe_var)
-    r = f.mean / sigma
-    cdf = T.normal_cdf(r)
-    pdf = T.normal_pdf(r)
-    first = f.mean * cdf + sigma * pdf
-    second = (T.square(f.mean) + safe_var) * cdf + f.mean * sigma * pdf
-    return safe_var, sigma, r, first, second
+    _check_input_var(var)
+    safe_var = np.maximum(var, SIGMA2_MIN)
+    sigma = np.sqrt(safe_var)
+    r = mean / sigma
+    cdf, pdf = G.cdf(r), G.pdf(r)
+    first = mean * cdf + sigma * pdf
+    second = (mean * mean + safe_var) * cdf + mean * sigma * pdf
+    return safe_var, sigma, r, cdf, pdf, first, second
 
 
-def _moments_or_limit(f: GaussianActivation, det_mean: Tensor, mean_s: Tensor, var_s: Tensor):
-    """Units whose variance is below SIGMA2_MIN take the deterministic limit."""
-    det_mask = f.var.data < SIGMA2_MIN
-    return GaussianActivation(
-        T.where(det_mask, det_mean, mean_s),
-        T.where(det_mask, T.constant(np.zeros(f.var.shape)), var_s),
-    )
+def _activation_nodes(f: GaussianActivation, first, second, det_mean, partials, op: str):
+    """The mean and variance nodes of an activation a(f) with E = E[a(f)]
+    and E2 = E[a(f)^2]. ``partials()`` gives, elementwise, the slope of a at
+    mu for the deterministic limit, then dE/dmu, dE/dsigma^2, dE2/dmu and
+    dE2/dsigma^2; var = E2 - E^2 takes dE2 - 2E dE. It runs only in the
+    backward pass, so evaluation computes no partials.
+
+    Units whose variance is below SIGMA2_MIN take the deterministic limit
+    (a(mu), variance 0). The variance floor and the clamp of var at 0 pass
+    no gradient, as does the limit's variance."""
+    det = f.var.data < SIGMA2_MIN
+    spread = second - first * first
+    above_floor = f.var.data > SIGMA2_MIN
+    out_mean = np.where(det, det_mean, first)
+    out_var = np.where(det, 0.0, np.maximum(spread, 0.0))
+
+    def mean_vjp(g):
+        slope, e_mu, e_s2, _, _ = partials()
+        return g * np.where(det, slope, e_mu), g * np.where(above_floor, e_s2, 0.0)
+
+    def var_vjp(g):
+        _, e_mu, e_s2, e2_mu, e2_s2 = partials()
+        g = np.where(det | (spread <= 0.0), 0.0, g)
+        return (g * (e2_mu - 2.0 * first * e_mu),
+                g * np.where(above_floor, e2_s2 - 2.0 * first * e_s2, 0.0))
+
+    parents = (f.mean, f.var)
+    return GaussianActivation(T.fused(out_mean, parents, mean_vjp, op),
+                              T.fused(out_var, parents, var_vjp, op))
 
 
 def relu_moments(f: GaussianActivation) -> GaussianActivation:
     """Closed-form mean/variance of max(0, f) for Gaussian f.
 
     With r = mu/sigma: E = mu*Phi(r) + sigma*pdf(r),
-    var = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r) - E^2.
+    var = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r) - E^2, with gradients
+    dE/dmu = Phi(r), dE/dsigma^2 = pdf(r)/(2 sigma), dvar/dmu = 2E(1 - Phi(r))
+    and dvar/dsigma^2 = Phi(r) - E pdf(r)/sigma.
     Degenerate variances fall back to the deterministic ReLU.
     """
-    _, _, _, mean_s, second = _relu_core(f)
-    var_s = T.clamp_min(second - T.square(mean_s), 0.0)
-    return _moments_or_limit(f, T.relu(f.mean), mean_s, var_s)
+    mu = f.mean.data
+    _, sigma, _, cdf, pdf, first, second = _relu_core(mu, f.var.data)
+    return _activation_nodes(
+        f, first, second, np.maximum(mu, 0.0),
+        lambda: (mu > 0.0, cdf, 0.5 * pdf / sigma, 2.0 * first, cdf), "relu_moments",
+    )
 
 
 def elu_moments(f: GaussianActivation, alpha: float = 1.0) -> GaussianActivation:
@@ -180,25 +226,36 @@ def elu_moments(f: GaussianActivation, alpha: float = 1.0) -> GaussianActivation
 
     The negative branch contributes terms of the form exp(a)*Phi(-b) that
     are evaluated through the scaled erfcx product, which never overflows
-    (the effective exponent is -mu^2 / (2 sigma^2) <= 0).
+    (the effective exponent is -mu^2 / (2 sigma^2) <= 0). With
+    t1 = E[exp(f); f < 0] and t2 = E[exp(2f); f < 0], Stein's lemma gives
+    dE/dmu = Phi(r) + alpha t1, dE/dsigma^2 = (alpha t1 + (1 - alpha) pdf(r)/sigma)/2,
+    dE2/dmu = 2 E[relu(f)] + 2 alpha^2 (t2 - t1) and
+    dE2/dsigma^2 = Phi(r) + alpha^2 (2 t2 - t1).
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    safe_var, sigma, r, relu_mean, relu_second = _relu_core(f)
-    mu = f.mean
-
+    mu = f.mean.data
+    safe_var, sigma, r, cdf, pdf, relu_mean, relu_second = _relu_core(mu, f.var.data)
     # exp(mu + s^2/2) Phi(-(mu + s^2)/sigma)
-    t1 = T.exp_scaled_cdf(mu + 0.5 * safe_var, (mu + safe_var) / sigma)
+    t1 = G.exp_scaled_cdf(mu + 0.5 * safe_var, (mu + safe_var) / sigma)
     # exp(2 mu + 2 s^2) Phi(-(mu + 2 s^2)/sigma)
-    t2 = T.exp_scaled_cdf(2.0 * mu + 2.0 * safe_var, (mu + 2.0 * safe_var) / sigma)
-    cdf_neg = T.normal_cdf(-r)
-
-    mean_s = alpha * (t1 - cdf_neg) + relu_mean
-    second_s = alpha * alpha * (t2 - 2.0 * t1 + cdf_neg) + relu_second
-    var_s = T.clamp_min(second_s - T.square(mean_s), 0.0)
-
-    det_mean = T.where(mu.data > 0.0, mu, alpha * (T.exp(T.clamp_max(mu, 0.0)) - 1.0))
-    return _moments_or_limit(f, det_mean, mean_s, var_s)
+    t2 = G.exp_scaled_cdf(2.0 * mu + 2.0 * safe_var, (mu + 2.0 * safe_var) / sigma)
+    cdf_neg = G.cdf(-r)
+    a2 = alpha * alpha
+    first = alpha * (t1 - cdf_neg) + relu_mean
+    second = a2 * (t2 - 2.0 * t1 + cdf_neg) + relu_second
+    exp_neg = np.exp(np.minimum(mu, 0.0))
+    return _activation_nodes(
+        f, first, second, np.where(mu > 0.0, mu, alpha * (exp_neg - 1.0)),
+        lambda: (
+            np.where(mu > 0.0, 1.0, alpha * exp_neg),
+            cdf + alpha * t1,
+            0.5 * (alpha * t1 + (1.0 - alpha) * pdf / sigma),
+            2.0 * relu_mean + 2.0 * a2 * (t2 - t1),
+            cdf + a2 * (2.0 * t2 - t1),
+        ),
+        "elu_moments",
+    )
 
 
 def activation_moments(f: GaussianActivation, spec: LayerSpec) -> GaussianActivation:

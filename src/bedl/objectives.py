@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gaussian as G
 from . import tensor as T
 from .layers import GaussianActivation, WeightDistribution
 from .tensor import Tensor
@@ -105,30 +106,55 @@ class ObjectiveReport:
 # -- marginal likelihoods ----------------------------------------------------
 
 
-def _latent_var(moments: GaussianActivation) -> Tensor:
+def _latent_var(mean: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(m2 + s2^2/2): the mean over the weights of the head's latent
-    variance, where unit 2 carries its log."""
+    variance, where unit 2 carries its log; and its derivative in m2, which
+    is twice that in s2^2."""
+    arg = mean[:, 1] + 0.5 * var[:, 1]
     # Clamped exponent: arguments this large mean the run has diverged;
-    # keep the value finite so the caller can see it happen.
-    return T.exp(T.clamp_max(moments.mean[:, 1] + 0.5 * moments.var[:, 1], 60.0))
+    # keep the value finite so the caller can see it happen. The clamp
+    # passes no gradient.
+    value = np.exp(np.minimum(arg, 60.0))
+    return value, np.where(arg < 60.0, value, 0.0)
+
+
+def _head_node(moments: GaussianActivation, value, d_mean, d_var, d_latent, op: str) -> Tensor:
+    """One node for a per-datum value of the regression head's latent
+    N(m1, s1^2 + latent variance): d_mean and d_var are its partials in m1
+    and in that total variance, d_latent the latent variance's in m2."""
+
+    def vjp(g):
+        g_var = g * d_var
+        g_m2 = g_var * d_latent
+        return np.stack([g * d_mean, g_m2], axis=1), np.stack([g_var, 0.5 * g_m2], axis=1)
+
+    return T.fused(value, (moments.mean, moments.var), vjp, op)
 
 
 def regression_log_marginal(
     moments: GaussianActivation, y: np.ndarray, cfg: RegressionHeadConfig
 ) -> Tensor:
     """Per-datum log marginal likelihood of the heteroscedastic Gaussian
-    head: N(y | m1, 1/beta + s1^2 + exp(m2 + s2^2/2)). Sampling-free."""
+    head: N(y | m1, 1/beta + s1^2 + exp(m2 + s2^2/2)). Sampling-free; one
+    tape node."""
     if moments.mean.shape[1] != 2:
         raise ValueError("regression head expects 2 output units")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    v = 1.0 / cfg.beta + moments.var[:, 0] + _latent_var(moments)
-    resid = T.constant(y) - moments.mean[:, 0]
-    return -0.5 * (LOG_2PI + T.log(v)) - T.square(resid) / (2.0 * v)
+    mean, var = moments.mean.data, moments.var.data
+    latent, d_latent = _latent_var(mean, var)
+    v = 1.0 / cfg.beta + var[:, 0] + latent
+    if np.any(v <= 0.0):
+        raise ValueError("log of non-positive input")
+    resid = y - mean[:, 0]
+    sq = resid * resid
+    value = -0.5 * (LOG_2PI + np.log(v)) - sq / (2.0 * v)
+    return _head_node(moments, value, resid / v, (sq / v - 1.0) / (2.0 * v), d_latent,
+                      "regression_log_marginal")
 
 
 def _log_class_prob(f: Tensor, y_onehot: np.ndarray, clamp: float) -> Tensor:
     fc = T.clamp(f, -clamp, clamp)
-    return T.tsum(fc * T.constant(y_onehot), axis=1) - T.logsumexp(fc, axis=1)
+    return T.tsum(fc * T.constant(y_onehot), axis=-1) - T.logsumexp(fc, axis=-1)
 
 
 def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
@@ -145,17 +171,22 @@ def _output_draws(
     cfg: ClassificationHeadConfig,
     rng: np.random.Generator | None,
     eps: np.ndarray | None,
-) -> list[Tensor]:
-    """Reparameterized output samples f = m + s*eps, one per row of eps
-    (drawn from rng as (n_samples, N, C) when not given)."""
-    if np.any(moments.var.data < 0.0):
+) -> Tensor:
+    """Reparameterized output samples f = m + s*eps as one (S, N, C) node,
+    one sample per row of eps (drawn from rng as (n_samples, N, C) when not
+    given)."""
+    mean, var = moments.mean.data, moments.var.data
+    if np.any(var < 0.0):
         raise ValueError("negative output variance")
     if eps is None:
         if rng is None:
             raise ValueError("need either rng or eps")
-        eps = rng.standard_normal((cfg.n_samples,) + moments.mean.shape)
-    s = T.sqrt(moments.var)
-    return [moments.mean + s * T.constant(e) for e in eps]
+        eps = rng.standard_normal((cfg.n_samples,) + mean.shape)
+
+    def vjp(g):
+        return g.sum(axis=0), (g * eps).sum(axis=0) * 0.5 / np.sqrt(var)
+
+    return T.fused(G.output_draws(mean, var, eps), (moments.mean, moments.var), vjp, "output_draws")
 
 
 def classification_log_marginal(
@@ -174,34 +205,43 @@ def classification_log_marginal(
     """
     y = _check_onehot(y_onehot, cfg.n_classes)
     draws = _output_draws(moments, cfg, rng, eps)
-    stacked = T.stack([_log_class_prob(f, y, cfg.logit_clamp) for f in draws], axis=0)
-    return T.logsumexp(stacked, axis=0) - math.log(len(draws))
+    log_p = _log_class_prob(draws, y, cfg.logit_clamp)  # (S, N)
+    return T.logsumexp(log_p, axis=0) - math.log(draws.shape[0])
 
 
 # -- divergences -------------------------------------------------------------
 
 
 def kl_dirichlet_uniform(alpha: Tensor) -> Tensor:
-    """Per-datum KL(Dir(alpha) || Dir(1,...,1)) for alpha of shape (N, C)."""
+    """Per-datum KL(Dir(alpha) || Dir(1,...,1)) for alpha of shape (..., C)."""
     if np.any(alpha.data <= 0.0):
         raise ValueError("Dirichlet strengths must be positive")
-    c = alpha.shape[1]
-    alpha0 = T.tsum(alpha, axis=1, keepdims=True)
-    term = T.tsum((alpha - 1.0) * (T.digamma(alpha) - T.digamma(alpha0)), axis=1)
+    c = alpha.shape[-1]
+    alpha0 = T.tsum(alpha, axis=-1, keepdims=True)
+    term = T.tsum((alpha - 1.0) * (T.digamma(alpha) - T.digamma(alpha0)), axis=-1)
     return (
-        T.lgamma(alpha0[:, 0])
-        - T.tsum(T.lgamma(alpha), axis=1)
+        T.lgamma(alpha0[..., 0])
+        - T.tsum(T.lgamma(alpha), axis=-1)
         - math.lgamma(c)
         + term
     )
 
 
-def kl_gaussian(q_mean: Tensor, q_var: Tensor, p_mean: float, p_var: float) -> Tensor:
-    """KL(N(q_mean, q_var) || N(p_mean, p_var)) elementwise."""
-    if p_var <= 0 or np.any(q_var.data <= 0.0):
+def _kl_gaussian(q_mean: np.ndarray, q_var: np.ndarray, p_mean: float, p_var: float):
+    """KL(N(q_mean, q_var) || N(p_mean, p_var)) elementwise, with its
+    partials in q_mean and q_var."""
+    if p_var <= 0 or np.any(q_var <= 0.0):
         raise ValueError("variances must be positive")
     ratio = q_var * (1.0 / p_var)
-    return 0.5 * (-T.log(ratio) + ratio + T.square(q_mean - p_mean) * (1.0 / p_var) - 1.0)
+    diff = q_mean - p_mean
+    value = 0.5 * (-np.log(ratio) + ratio + diff * diff * (1.0 / p_var) - 1.0)
+    return value, diff * (1.0 / p_var), 0.5 * (1.0 / p_var - 1.0 / q_var)
+
+
+def kl_gaussian(q_mean: Tensor, q_var: Tensor, p_mean: float, p_var: float) -> Tensor:
+    """KL(N(q_mean, q_var) || N(p_mean, p_var)) elementwise."""
+    value, d_mean, d_var = _kl_gaussian(q_mean.data, q_var.data, p_mean, p_var)
+    return T.fused(value, (q_mean, q_var), lambda g: (g * d_mean, g * d_var), "kl_gaussian")
 
 
 # -- per-datum KL terms used by the PAC regularizer -------------------------
@@ -211,9 +251,11 @@ def regression_kl(
     moments: GaussianActivation, head: RegressionHeadConfig, pac: PacConfig
 ) -> Tensor:
     """KL of the moment-matched latent N(m1, s1^2 + exp(m2 + s2^2/2))
-    against the zero-mean prior with precision alpha_prior."""
-    q_var = moments.var[:, 0] + _latent_var(moments)
-    return kl_gaussian(moments.mean[:, 0], q_var, 0.0, 1.0 / pac.alpha_prior)
+    against the zero-mean prior with precision alpha_prior; one tape node."""
+    mean, var = moments.mean.data, moments.var.data
+    latent, d_latent = _latent_var(mean, var)
+    value, d_mean, d_var = _kl_gaussian(mean[:, 0], var[:, 0] + latent, 0.0, 1.0 / pac.alpha_prior)
+    return _head_node(moments, value, d_mean, d_var, d_latent, "regression_kl")
 
 
 def classification_kl(
@@ -224,11 +266,9 @@ def classification_kl(
 ) -> Tensor:
     """Sampling estimate of the per-datum KL(Dir(alpha) || Dir(1)) under
     the output distribution, sharing the reparameterization of the head."""
-    terms = [
-        kl_dirichlet_uniform(T.exp(T.clamp(f, -cfg.logit_clamp, cfg.logit_clamp)))
-        for f in _output_draws(moments, cfg, rng, eps)
-    ]
-    return T.tmean(T.stack(terms, axis=0), axis=0)
+    draws = _output_draws(moments, cfg, rng, eps)
+    alpha = T.exp(T.clamp(draws, -cfg.logit_clamp, cfg.logit_clamp))
+    return T.tmean(kl_dirichlet_uniform(alpha), axis=0)
 
 
 # -- objectives --------------------------------------------------------------
@@ -247,18 +287,28 @@ def pac_objective(
 
     KL(Q||P) over the dataset is estimated from the batch as N times the
     batch mean of the per-datum KL; the likelihood bound enters as a
-    constant inside the sqrt.
+    constant inside the sqrt. One tape node.
     """
-    nll = T.tmean(-log_marginals)
-    kl_total = cfg.n_data * T.tmean(kl_per_datum)
+    lm, kl = log_marginals.data, kl_per_datum.data
+    if lm.size == 0 or kl.size == 0:
+        raise ValueError("mean over empty axis")
+    nll = (-lm).sum() * (1.0 / lm.size)
+    kl_total = cfg.n_data * (kl.sum() * (1.0 / kl.size))
     inner = (kl_total - math.log(cfg.delta)) * (1.0 / cfg.n_data) + cfg.likelihood_bound
-    bound = T.sqrt(inner)
-    total = nll + bound
+    if inner < 0.0:
+        raise ValueError("sqrt of negative input")
+    bound = np.sqrt(inner)
+
+    def vjp(g):
+        g_kl = g * 0.5 / bound * (1.0 / cfg.n_data) * cfg.n_data * (1.0 / kl.size)
+        return np.full(lm.shape, -(g * (1.0 / lm.size))), np.full(kl.shape, g_kl)
+
+    total = T.fused(nll + bound, (log_marginals, kl_per_datum), vjp, "pac_objective")
     return ObjectiveReport(
         total=total,
-        nll=nll.item(),
-        regularizer=bound.item(),
-        extra={"kl_estimate": kl_total.item()},
+        nll=float(nll),
+        regularizer=float(bound),
+        extra={"kl_estimate": float(kl_total)},
     )
 
 

@@ -7,18 +7,17 @@ requires them. Tapes are single-use: a second ``backward()`` on the same
 root raises.
 
 Every op validates that its result is finite and raises NumericsError
-otherwise, so NaN/inf never propagate silently.
+otherwise, so NaN/inf never propagate silently. Besides the elementwise
+ops, ``fused`` turns any closed-form function with a hand-written gradient
+into a single tape node.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import special
 
-SQRT2 = math.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+from . import gaussian as G
 
 
 class NumericsError(ArithmeticError):
@@ -26,7 +25,7 @@ class NumericsError(ArithmeticError):
 
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericsError(f"non-finite result in op '{op}'")
     return data
 
@@ -73,8 +72,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: ops such as add hand the same array to several parents
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -167,6 +168,24 @@ def constant(x) -> Tensor:
 def _make(data, parents, backward_fn, op):
     _check_finite(data, op)
     return Tensor(data, _parents=parents, _backward_fn=backward_fn)
+
+
+def fused(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
+    """One tape node for a closed-form op: ``data`` is its value and
+    ``vjp(g)`` returns one gradient per entry of ``parents`` (None for no
+    gradient). A parent may be None for an absent operand. When no parent
+    requires a gradient, no closure is recorded."""
+    _check_finite(data, op)
+    live = [p is not None and p.requires_grad for p in parents]
+    if not any(live):
+        return Tensor(data)
+
+    def bw(g):
+        for p, needed, grad in zip(parents, live, vjp(g)):
+            if needed and grad is not None:
+                p._accumulate(grad)
+
+    return Tensor(data, _parents=tuple(p for p, n in zip(parents, live) if n), _backward_fn=bw)
 
 
 # -- elementwise arithmetic --------------------------------------------------
@@ -321,16 +340,16 @@ def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 def normal_cdf(a: Tensor) -> Tensor:
     """Standard normal CDF via erf; derivative is the pdf."""
-    out_data = 0.5 * (1.0 + special.erf(a.data / SQRT2))
+    out_data = G.cdf(a.data)
 
     def bw(g):
-        a._accumulate(g * INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data))
+        a._accumulate(g * G.pdf(a.data))
 
     return _make(out_data, (a,), bw, "normal_cdf")
 
 
 def normal_pdf(a: Tensor) -> Tensor:
-    out_data = INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
+    out_data = G.pdf(a.data)
 
     def bw(g):
         a._accumulate(g * (-a.data) * out_data)
@@ -339,29 +358,16 @@ def normal_pdf(a: Tensor) -> Tensor:
 
 
 def exp_scaled_cdf(a: Tensor, b: Tensor) -> Tensor:
-    """exp(a) * Phi(-b), computed without overflow.
-
-    For b > 0 uses exp(a)*Phi(-b) = 0.5*erfcx(b/sqrt(2))*exp(a - b^2/2),
-    which stays finite whenever a - b^2/2 is bounded, even when exp(a)
-    alone would overflow. For b <= 0 erfcx itself overflows, but there
-    Phi(-b) is in [0.5, 1] and the naive product is safe.
-    Partials: d/da = value; d/db = -exp(a)*pdf(b).
-    """
-    expo = a.data - 0.5 * b.data * b.data
-    bpos = b.data > 0.0
-    scaled = 0.5 * special.erfcx(np.where(bpos, b.data, 0.0) / SQRT2) * np.exp(
-        np.where(bpos, expo, 0.0)
-    )
-    naive = 0.5 * np.exp(np.where(bpos, 0.0, a.data)) * special.erfc(
-        np.where(bpos, 0.0, b.data) / SQRT2
-    )
-    out_data = np.where(bpos, scaled, naive)
+    """exp(a) * Phi(-b) without overflow (see ``gaussian.exp_scaled_cdf``).
+    Partials: d/da = value; d/db = -exp(a)*pdf(b)."""
+    out_data = G.exp_scaled_cdf(a.data, b.data)
 
     def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * out_data, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * INV_SQRT_2PI * np.exp(expo), b.data.shape))
+            expo = a.data - 0.5 * b.data * b.data
+            b._accumulate(_unbroadcast(-g * G.INV_SQRT_2PI * np.exp(expo), b.data.shape))
 
     return _make(out_data, (a, b), bw, "exp_scaled_cdf")
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from . import objectives as obj
 from .data import Dataset, StandardizeRecord, one_hot
 from .layers import LayerSpec, MomentNetwork, Parameter, WeightDistribution, build_network
-from .tensor import NumericsError
+from .tensor import NumericsError, Tensor
 from .uncertainty import decompose, ecdf_auc, test_error
 
 OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
@@ -61,6 +62,7 @@ class TrainConfig:
     def __post_init__(self):
         """The one check of every setting, so that a bad one fails before
         training starts; the head and PAC configs keep their own rules."""
+        _check_types(self)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.learning_rate <= 0 or self.epochs < 1:
@@ -86,6 +88,27 @@ class TrainConfig:
         return n if n < 2000 else 128
 
 
+def _check_types(cfg) -> None:
+    """Each field of a config dataclass holds its annotated type: integers
+    (not bools or floats) for int fields, any real number but a bool for
+    float fields, the nested config classes for nested configs."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in ("int", "int | None"):
+            ok = (value is None and f.type != "int") or (
+                isinstance(value, numbers.Integral) and not isinstance(value, bool))
+        elif f.type == "float":
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        elif f.type == "str":
+            ok = isinstance(value, str)
+        else:
+            ok = isinstance(value, type(f.default_factory()))
+            if ok:
+                _check_types(value)
+        if not ok:
+            raise TypeError(f"{f.name} must be {f.type}, not {type(value).__name__} {value!r}")
+
+
 # -- Adam --------------------------------------------------------------------
 
 
@@ -103,12 +126,15 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericsError(f"non-finite gradient in parameter {i}")
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1**self.t)
-            vhat = self.v[i] / (1 - b2**self.t)
+            m, v = self.m[i], self.v[i]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1**self.t)
+            vhat = v / (1 - b2**self.t)
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def zero_grad(self) -> None:
@@ -134,10 +160,12 @@ class Checkpoint:
     standardize: dict | None = None
 
     def build_network(self) -> MomentNetwork:
+        """The network for evaluation: plain tensors that record no tape
+        (a checkpoint cannot resume training)."""
         weights = []
         for i in range(len(self.specs)):
             parts = (self.arrays.get(f"w{i}.{name}") for name in _WEIGHT_FIELDS)
-            weights.append(WeightDistribution(*(a if a is None else Parameter(a.copy()) for a in parts)))
+            weights.append(WeightDistribution(*(a if a is None else Tensor(a) for a in parts)))
         return MomentNetwork(self.specs, weights)
 
 

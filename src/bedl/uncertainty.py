@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian import output_draws
+
 
 @dataclass
 class UncertaintyReport:
@@ -47,7 +49,7 @@ def decompose(
     if rng is None:
         rng = np.random.default_rng(0)
     eps = rng.standard_normal((n_samples,) + mean.shape)
-    p = _softmax(mean[None] + np.sqrt(var)[None] * eps)  # (S, N, C)
+    p = _softmax(output_draws(mean, var, eps))  # (S, N, C)
     pred = p.mean(axis=0)
     epistemic = p.var(axis=0)
     aleatoric = (p * (1.0 - p)).mean(axis=0)

@@ -102,6 +102,9 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"init": {"log_var_men": -8}}, 1, id="init-unknown-key"),
     pytest.param([], {"hyper": {"a0": -1.0}}, 1, id="hyper-a0-negative"),
     pytest.param(["eval", "--beta", "-1"], None, 1, id="eval-beta-negative"),
+    pytest.param([], {"epochs": 1.5}, 1, id="epochs-float"),
+    pytest.param([], {"init": 5}, 1, id="init-int"),
+    pytest.param([], {"batch_size": "32"}, 1, id="batch-string"),
 ])
 def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
                                             args, config, code):
@@ -111,7 +114,9 @@ def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_p
     if args[:1] == ["eval"]:
         cmd = ["eval", "--data", str(csv_file), "--checkpoint", str(trained_checkpoint)] + args[1:]
     else:
-        cmd = ["train", "--data", str(csv_file), "--epochs", "1", "--out", str(out)] + args
+        cmd = ["train", "--data", str(csv_file), "--out", str(out)] + args
+        if "epochs" not in (config or {}):  # a flag would override the file's value
+            cmd += ["--epochs", "1"]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         cmd += ["--config", str(tmp_path / "cfg.json")]
@@ -123,6 +128,15 @@ def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_p
         assert not out.exists()
     else:
         assert (out / "checkpoint.bin").exists()
+
+
+def test_ood_eval_of_regression_checkpoint_is_usage_error(csv_file, trained_checkpoint):
+    # the task check comes before any image file is read
+    res = run_cli("ood-eval", "--checkpoint", str(trained_checkpoint),
+                  *[a for flag in ("--in-images", "--in-labels", "--ood-images", "--ood-labels")
+                    for a in (flag, str(csv_file))])
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
 def test_usage_error_exit_code():

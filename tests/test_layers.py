@@ -144,6 +144,54 @@ def test_forward_is_differentiable_end_to_end():
     check_grads(f, net.parameters(), rel_tol=1e-5)
 
 
+def _weighted_moments(out: L.GaussianActivation):
+    # a scalar that depends on every output mean and variance differently
+    r = np.random.default_rng(out.mean.size)
+    return (T.tsum(out.mean * r.normal(size=out.mean.shape))
+            + T.tsum(out.var * r.normal(size=out.var.shape)))
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("input_var", [True, False])
+def test_dense_moments_gradcheck(input_var, bias):
+    w = _weights(3, 2, log_var=-1.0, bias=bias)
+    mean = T.Parameter(rng.normal(size=(4, 3)))
+    var = T.Parameter(rng.uniform(0.1, 1.0, size=(4, 3))) if input_var else None
+    params = w.parameters() + [mean] + ([var] if input_var else [])
+    check_grads(lambda: _weighted_moments(L.dense_moments(w, mean, var)), params, rel_tol=1e-6)
+
+
+def test_conv2d_moments_gradcheck():
+    w = _weights(2 * 2 * 2, 3, log_var=-1.0)
+    mean = T.Parameter(rng.normal(size=(2, 5, 5, 2)))
+    var = T.Parameter(rng.uniform(0.1, 1.0, size=(2, 5, 5, 2)))
+
+    def f():
+        return _weighted_moments(L.conv2d_moments(w, mean, var, kernel=2, stride=2))
+
+    check_grads(f, w.parameters() + [mean, var], rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("act", ["relu", "elu"])
+def test_activation_moments_gradcheck(act):
+    # ordinary units; units at the SIGMA2_MIN fallback (log-variance -40
+    # stays below the floor under the finite-difference step); and, for
+    # ReLU, units far below 0 where E[a^2] - E^2 is clamped at 0
+    mu = T.Parameter(np.array([[-1.2, 0.0, 0.4, 2.5, 0.7, -0.3, -60.0, -45.0]]))
+    log_var = T.Parameter(np.array([[0.3, -1.0, -2.0, 0.5, -40.0, -40.0, -3.0, 0.0]]))
+
+    def f():
+        g = L.GaussianActivation(mu, T.exp(log_var))
+        out = L.relu_moments(g) if act == "relu" else L.elu_moments(g, alpha=0.7)
+        return _weighted_moments(out)
+
+    check_grads(f, [mu, log_var], rel_tol=1e-5)
+    assert log_var.grad[0, 4] == 0.0 and log_var.grad[0, 5] == 0.0
+    if act == "relu":
+        out = L.relu_moments(L.GaussianActivation(mu, T.exp(log_var)))
+        assert out.var.data[0, 6] == 0.0 and out.var.data[0, 7] == 0.0
+
+
 def test_init_weights_statistics():
     spec = L.LayerSpec("dense", fan_in=400, fan_out=300, activation="relu")
     w = L.init_weights(spec, np.random.default_rng(3))

@@ -235,3 +235,58 @@ def test_hyperprior_gradcheck():
         return O.hyperprior_penalty(net.weights, cfg)
 
     check_grads(f, net.parameters(), rel_tol=1e-5)
+
+
+def test_regression_head_gradcheck_past_exponent_clamp():
+    # datum 2 has m2 + s2^2/2 > 60: its latent variance is held at exp(60)
+    # and passes no gradient to m2 or s2^2 (without the clamp, dL/dm2 is
+    # about -0.5 there)
+    mean = T.Parameter(np.array([[0.3, -1.0], [1.2, 0.5], [-0.4, 61.0]]))
+    log_var = T.Parameter(np.array([[-2.0, -1.0], [-1.0, -3.0], [-2.0, -1.0]]))
+    y = np.array([0.5, 0.0, 1.0])
+    head = O.RegressionHeadConfig(beta=100.0)
+
+    def f():
+        mm = L.GaussianActivation(mean, T.exp(log_var))
+        return T.tsum(O.regression_log_marginal(mm, y, head) * np.array([1.0, -0.7, 0.4]))
+
+    check_grads(f, [mean, log_var], rel_tol=1e-5)
+    assert mean.grad[2, 1] == 0.0 and log_var.grad[2, 1] == 0.0
+
+
+def test_regression_kl_and_pac_gradcheck():
+    mean = T.Parameter(np.array([[0.3, -1.0], [1.2, 0.5], [-0.4, 0.2]]))
+    log_var = T.Parameter(np.array([[-2.0, -1.0], [-1.0, -3.0], [-2.0, -1.0]]))
+    y = np.array([0.5, 0.0, 1.0])
+    head = O.RegressionHeadConfig(beta=100.0)
+    pac = O.PacConfig("regression", n_data=30, alpha_prior=2.0)
+
+    def f():
+        mm = L.GaussianActivation(mean, T.exp(log_var))
+        kl = O.regression_kl(mm, head, pac)
+        lm = O.regression_log_marginal(mm, y, head)
+        return O.pac_objective(lm, kl, pac).total + T.tsum(kl * np.array([0.3, -0.2, 0.1]))
+
+    check_grads(f, [mean, log_var], rel_tol=1e-5)
+
+
+def test_batched_classification_head_and_kl_gradcheck():
+    # the S draws are one (S, N, C) node. Datum 0 sits past the logit clamp
+    # in the head only: its KL, with alpha = exp(30), loses to cancellation
+    # far more than the finite-difference step
+    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=4)
+    mean = T.Parameter(np.vstack([[40.0, 0.1, -0.2], rng.normal(size=(4, 3))]))
+    log_var = T.Parameter(np.vstack([[-6.0, -1.0, -1.0], rng.uniform(-2.0, 0.0, size=(4, 3))]))
+    y = np.eye(3)[[0, 1, 2, 0, 1]]
+    eps = np.random.default_rng(8).standard_normal((4, 5, 3))
+    pac = O.PacConfig("classification", n_data=50)
+
+    def f():
+        var = T.exp(log_var)
+        lm = O.classification_log_marginal(L.GaussianActivation(mean, var), y, cfg, eps=eps)
+        kl = O.classification_kl(L.GaussianActivation(mean[1:], var[1:]), cfg, eps=eps[:, 1:])
+        assert lm.shape == (5,) and kl.shape == (4,)
+        return O.pac_objective(lm[1:], kl, pac).total + T.tsum(lm * np.linspace(-1.0, 1.0, 5))
+
+    check_grads(f, [mean, log_var], rel_tol=1e-5)
+    assert mean.grad[0, 0] == 0.0

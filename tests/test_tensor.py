@@ -173,3 +173,29 @@ def test_diamond_graph_gradient():
     z = T.square(p)
     (T.tsum(z + 3.0 * z)).backward()
     np.testing.assert_allclose(p.grad, [12.0])
+
+
+def test_first_gradient_is_copied():
+    # add hands one gradient array to both parents; a's later gradient
+    # must not leak into b's through a shared array
+    for order in (0, 1):
+        a = T.Parameter(np.array([1.0, 2.0]))
+        b = T.Parameter(np.array([3.0, 4.0]))
+        terms = [a + b, 3.0 * a]
+        T.tsum(terms[order] + terms[1 - order]).backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_fused_node():
+    p = T.Parameter(np.array([0.5, 2.0]))
+    c = T.constant(np.array([1.0, -1.0]))
+    out = T.fused(p.data * c.data, (p, None, c), lambda g: (g * c.data, None, None), "prod")
+    assert out._parents == (p,)
+    T.tsum(out).backward()
+    np.testing.assert_array_equal(p.grad, c.data)
+    # no parent requires a gradient: a plain tensor, no closure recorded
+    plain = T.fused(2.0 * c.data, (c,), lambda g: (g * 2.0,), "double")
+    assert plain._backward_fn is None and plain._parents == () and not plain.requires_grad
+    with pytest.raises(T.NumericsError):
+        T.fused(np.array([np.inf]), (p,), lambda g: (g,), "bad")

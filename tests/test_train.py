@@ -10,7 +10,7 @@ from bedl import tensor as T
 
 tr = importlib.import_module("bedl.train")
 from bedl.data import Dataset
-from bedl.layers import LayerSpec
+from bedl.layers import LayerSpec, build_network
 
 rng = np.random.default_rng(61)
 
@@ -51,6 +51,24 @@ def test_config_validation():
             tr.TrainConfig(**kw)
 
 
+def test_config_types():
+    # integer fields take no floats or bools, float fields take ints, and
+    # the nested configs must be their classes
+    for kw in (
+        {"epochs": 1.5},
+        {"seed": True},
+        {"batch_size": "32"},
+        {"learning_rate": "0.1"},
+        {"init": 5},
+        {"hyper": {"a0": 2.0}},
+        {"init": tr.InitConfig(log_var_mean="-8")},
+    ):
+        with pytest.raises(TypeError):
+            tr.TrainConfig(**kw)
+    cfg = tr.TrainConfig(learning_rate=1, beta=50, epochs=np.int64(3), batch_size=None)
+    assert cfg.learning_rate == 1 and cfg.epochs == 3
+
+
 def test_resolve_batch_size():
     cfg = tr.TrainConfig()
     assert cfg.resolve_batch_size(500) == 500  # full batch below 2000
@@ -86,6 +104,24 @@ def test_adam_minimizes_quadratic():
         p.grad = 2.0 * p.data
         adam.step()
     assert abs(p.data[0]) < 0.05
+
+
+def test_adam_updates_match_the_reference_formula():
+    # m and v are updated in place, in the arithmetic order of
+    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, so results are bitwise equal
+    r = np.random.default_rng(3)
+    p = T.Parameter(r.normal(size=5))
+    ref = p.data.copy()
+    adam = tr.Adam([p], lr=0.01)
+    m = v = np.zeros(5)
+    for t in range(1, 6):
+        g = r.normal(size=5)
+        p.grad = g
+        adam.step()
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        ref -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        np.testing.assert_array_equal(p.data, ref)
 
 
 def test_adam_rejects_nonfinite_gradient():
@@ -173,7 +209,33 @@ def test_evaluate_task_mismatch():
         tr.evaluate_entropies(result.checkpoint, _regression_ds(), tr.TrainConfig())
 
 
+def test_evaluation_builds_no_tape():
+    for task in ("regression", "classification"):
+        result, ds, cfg = _train_small(task=task, epochs=1)
+        moments, _ = tr._predict(result.checkpoint, ds, cfg, eval_samples=10, seed=0)
+        for t in (moments.mean, moments.var):
+            assert t._parents == () and t._backward_fn is None and not t.requires_grad
+
+
 # -- training behaviour ------------------------------------------------------
+
+
+def test_regression_step_tape_is_small():
+    # every moment op is one closed-form node: a 13-50-2 bedl+reg batch
+    # objective is 8 parameters, a mean and a variance node per layer and
+    # activation, the head, its KL and the PAC total (17 nodes)
+    specs = tr.default_specs("regression", 13, hidden=50)
+    net = build_network(specs, np.random.default_rng(0))
+    cfg = tr.TrainConfig(objective="bedl+reg", batch_size=32)
+    x, y = rng.normal(size=(32, 13)), rng.normal(size=32)
+    report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(455), np.random.default_rng(1))
+    seen, todo = {id(report.total)}, [report.total]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    assert len(seen) <= 20
 
 
 def test_training_is_bitwise_deterministic():
