@@ -96,7 +96,7 @@ def _with(options):
 @click.option("--delta", type=float)
 @click.option("--beta", type=float)
 @click.option("--samples", "mc_samples", type=int)
-@click.option("--hidden", type=int, default=50, show_default=True)
+@click.option("--hidden", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--n-classes", type=int)
 @click.option("--split-index", type=int, default=0, show_default=True)
 @click.option("--split-seed", type=int, default=0, show_default=True)

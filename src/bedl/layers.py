@@ -49,8 +49,10 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ("relu", "elu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.kind == "conv2d" and self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        sizes = ((self.fan_in, self.fan_out) if self.kind == "dense" else
+                 (self.in_channels, self.out_channels, self.kernel, self.stride))
+        if min(sizes) < 1:
+            raise ValueError(f"{self.kind} layer sizes and stride must be >= 1")
 
     @property
     def weight_shape(self) -> tuple:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import gaussian as G
 from . import tensor as T
@@ -152,11 +153,6 @@ def regression_log_marginal(
                       "regression_log_marginal")
 
 
-def _log_class_prob(f: Tensor, y_onehot: np.ndarray, clamp: float) -> Tensor:
-    fc = T.clamp(f, -clamp, clamp)
-    return T.tsum(fc * T.constant(y_onehot), axis=-1) - T.logsumexp(fc, axis=-1)
-
-
 def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
     y = np.asarray(y_onehot, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != n_classes:
@@ -166,15 +162,10 @@ def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
     return y
 
 
-def _output_draws(
-    moments: GaussianActivation,
-    cfg: ClassificationHeadConfig,
-    rng: np.random.Generator | None,
-    eps: np.ndarray | None,
-) -> Tensor:
-    """Reparameterized output samples f = m + s*eps as one (S, N, C) node,
-    one sample per row of eps (drawn from rng as (n_samples, N, C) when not
-    given)."""
+def _clamped_draws(moments: GaussianActivation, cfg: ClassificationHeadConfig, rng, eps):
+    """Output samples f = m + s*eps clamped at +-logit_clamp, (S, N, C) for
+    eps drawn from rng as (n_samples, N, C) when not given; and the chain
+    rule from a gradient in f to those in (m, s^2), zero past the clamp."""
     mean, var = moments.mean.data, moments.var.data
     if np.any(var < 0.0):
         raise ValueError("negative output variance")
@@ -182,49 +173,97 @@ def _output_draws(
         if rng is None:
             raise ValueError("need either rng or eps")
         eps = rng.standard_normal((cfg.n_samples,) + mean.shape)
+    if eps.shape[0] < 1:
+        raise ValueError("need at least one output draw")
+    f = G.output_draws(mean, var, eps)
+    inside = (f > -cfg.logit_clamp) & (f < cfg.logit_clamp)
 
-    def vjp(g):
+    def chain(g):
+        g = g * inside
         return g.sum(axis=0), (g * eps).sum(axis=0) * 0.5 / np.sqrt(var)
 
-    return T.fused(G.output_draws(mean, var, eps), (moments.mean, moments.var), vjp, "output_draws")
+    return np.clip(f, -cfg.logit_clamp, cfg.logit_clamp), chain
 
 
 def classification_log_marginal(
-    moments: GaussianActivation,
-    y_onehot: np.ndarray,
-    cfg: ClassificationHeadConfig,
-    rng: np.random.Generator | None = None,
-    eps: np.ndarray | None = None,
+    moments: GaussianActivation, y_onehot: np.ndarray, cfg: ClassificationHeadConfig,
+    rng: np.random.Generator | None = None, eps: np.ndarray | None = None,
 ) -> Tensor:
     """Per-datum log marginal likelihood of the Dirichlet-categorical head.
 
     Draws S reparameterized output samples f = m + s*eps, maps them to
     Dirichlet strengths alpha = exp(f), and averages the implied class
-    probability alpha_y / alpha_0 inside the log via logsumexp. Gradients
-    flow through both m and s.
+    probability p_s = alpha_y / alpha_0 inside the log via logsumexp. One
+    tape node: with w_s the softmax over S of log p_s, the gradient in f_s
+    is w_s (y - softmax(f_s)), chained through both m and s.
     """
     y = _check_onehot(y_onehot, cfg.n_classes)
-    draws = _output_draws(moments, cfg, rng, eps)
-    log_p = _log_class_prob(draws, y, cfg.logit_clamp)  # (S, N)
-    return T.logsumexp(log_p, axis=0) - math.log(draws.shape[0])
+    f, chain = _clamped_draws(moments, cfg, rng, eps)
+    top = f.max(axis=-1, keepdims=True)
+    shifted = np.exp(f - top)
+    total = shifted.sum(axis=-1, keepdims=True)
+    log_p = (f * y).sum(axis=-1) - (top + np.log(total))[..., 0]  # (S, N)
+    top_s = log_p.max(axis=0, keepdims=True)
+    shifted_s = np.exp(log_p - top_s)
+    total_s = shifted_s.sum(axis=0, keepdims=True)
+    value = (top_s + np.log(total_s))[0] - math.log(f.shape[0])
+
+    def vjp(g):
+        g_lp = (g * (shifted_s / total_s))[..., None]
+        return chain(g_lp * y - g_lp * (shifted / total))
+
+    return T.fused(value, (moments.mean, moments.var), vjp, "classification_log_marginal")
 
 
 # -- divergences -------------------------------------------------------------
 
+_KL_ASYMPTOTIC = 1e6  # strengths above this use the series in _kl_dirichlet
 
-def kl_dirichlet_uniform(alpha: Tensor) -> Tensor:
-    """Per-datum KL(Dir(alpha) || Dir(1,...,1)) for alpha of shape (..., C)."""
-    if np.any(alpha.data <= 0.0):
+
+def _kl_dirichlet(alpha: np.ndarray):
+    """KL(Dir(alpha) || Dir(1,...,1)) over the last axis, and a function
+    giving its gradient dKL/dalpha_i = (alpha_i - 1) psi'(alpha_i)
+    - (alpha_0 - C) psi'(alpha_0), so that the trigamma runs only in the
+    backward pass.
+
+    The plain forms lose three digits to cancellation at the logit clamp
+    (a strength of e^30). So with m the largest strength and r the sum of
+    the others, lgamma(alpha_0) - lgamma(m) - lgamma(r) is -betaln(m, r),
+    and for alpha_i > 1e6 psi(alpha_i) - psi(alpha_0) and the gradient
+    come from asymptotic series in alpha_i and alpha_0 = alpha_i + r_i."""
+    if np.any(alpha <= 0.0):
         raise ValueError("Dirichlet strengths must be positive")
     c = alpha.shape[-1]
-    alpha0 = T.tsum(alpha, axis=-1, keepdims=True)
-    term = T.tsum((alpha - 1.0) * (T.digamma(alpha) - T.digamma(alpha0)), axis=-1)
-    return (
-        T.lgamma(alpha0[..., 0])
-        - T.tsum(T.lgamma(alpha), axis=-1)
-        - math.lgamma(c)
-        + term
-    )
+    top = alpha.argmax(axis=-1)[..., None]
+    is_top = np.arange(c) == top
+    m = np.take_along_axis(alpha, top, axis=-1)
+    lg_rest = np.where(is_top, 0.0, special.gammaln(alpha)).sum(axis=-1, keepdims=True)
+    r_top = np.where(is_top, 0.0, alpha).sum(axis=-1, keepdims=True)
+    alpha0 = m + r_top
+    r = np.where(is_top, r_top, alpha0 - alpha)
+    big = alpha > _KL_ASYMPTOTIC
+    # the series' arguments, equal to alpha and alpha0 wherever they are used
+    a_s = np.maximum(alpha, _KL_ASYMPTOTIC)
+    a0_s = a_s + r
+    q = (r / a_s) * (1.0 + a_s / a0_s) / (a_s * a0_s)  # 1/alpha^2 - 1/alpha0^2
+    dig = np.where(big, -np.log1p(r / a_s) - r / (2.0 * a_s * a0_s) - q / 12.0,
+                   special.digamma(alpha) - special.digamma(alpha0))
+    log_beta = special.betaln(m, r_top) - special.gammaln(r_top) + lg_rest  # log B(alpha)
+    value = ((alpha - 1.0) * dig).sum(axis=-1) - math.lgamma(c) - log_beta[..., 0]
+
+    def grad():
+        tri, tri0 = special.polygamma(1, alpha), special.polygamma(1, alpha0)
+        series = r / (2.0 * a_s * a0_s) + q / 6.0 - tri + c * tri0
+        return np.where(big, series, (alpha - 1.0) * tri - (alpha0 - c) * tri0)
+
+    return value, grad
+
+
+def kl_dirichlet_uniform(alpha: Tensor) -> Tensor:
+    """Per-datum KL(Dir(alpha) || Dir(1,...,1)) for alpha of shape (..., C);
+    one tape node."""
+    value, grad = _kl_dirichlet(alpha.data)
+    return T.fused(value, (alpha,), lambda g: (g[..., None] * grad(),), "kl_dirichlet_uniform")
 
 
 def _kl_gaussian(q_mean: np.ndarray, q_var: np.ndarray, p_mean: float, p_var: float):
@@ -259,30 +298,42 @@ def regression_kl(
 
 
 def classification_kl(
-    moments: GaussianActivation,
-    cfg: ClassificationHeadConfig,
-    rng: np.random.Generator | None = None,
-    eps: np.ndarray | None = None,
+    moments: GaussianActivation, cfg: ClassificationHeadConfig,
+    rng: np.random.Generator | None = None, eps: np.ndarray | None = None,
 ) -> Tensor:
     """Sampling estimate of the per-datum KL(Dir(alpha) || Dir(1)) under
-    the output distribution, sharing the reparameterization of the head."""
-    draws = _output_draws(moments, cfg, rng, eps)
-    alpha = T.exp(T.clamp(draws, -cfg.logit_clamp, cfg.logit_clamp))
-    return T.tmean(kl_dirichlet_uniform(alpha), axis=0)
+    the output distribution, sharing the reparameterization of the head;
+    one tape node."""
+    f, chain = _clamped_draws(moments, cfg, rng, eps)
+    alpha = np.exp(f)
+    kl, grad = _kl_dirichlet(alpha)
+    scale = 1.0 / f.shape[0]
+
+    def vjp(g):
+        return chain(np.broadcast_to(g * scale, kl.shape)[..., None] * grad() * alpha)
+
+    return T.fused(kl.sum(axis=0) * scale, (moments.mean, moments.var), vjp, "classification_kl")
 
 
 # -- objectives --------------------------------------------------------------
 
 
+def _batch_mean(x: np.ndarray) -> float:
+    if x.size == 0:
+        raise ValueError("mean over empty axis")
+    return x.sum() * (1.0 / x.size)
+
+
 def bedl_objective(log_marginals: Tensor) -> ObjectiveReport:
-    """Mean negative log marginal likelihood over the batch."""
-    nll = T.tmean(-log_marginals)
-    return ObjectiveReport(total=nll, nll=nll.item(), regularizer=0.0)
+    """Mean negative log marginal likelihood over the batch; one tape node."""
+    lm = log_marginals.data
+    nll = _batch_mean(-lm)
+    total = T.fused(nll, (log_marginals,), lambda g: (np.full(lm.shape, -(g * (1.0 / lm.size))),),
+                    "bedl_objective")
+    return ObjectiveReport(total=total, nll=float(nll), regularizer=0.0)
 
 
-def pac_objective(
-    log_marginals: Tensor, kl_per_datum: Tensor, cfg: PacConfig
-) -> ObjectiveReport:
+def pac_objective(log_marginals: Tensor, kl_per_datum: Tensor, cfg: PacConfig) -> ObjectiveReport:
     """Mean negative log marginal plus the square-root complexity term.
 
     KL(Q||P) over the dataset is estimated from the batch as N times the
@@ -290,10 +341,8 @@ def pac_objective(
     constant inside the sqrt. One tape node.
     """
     lm, kl = log_marginals.data, kl_per_datum.data
-    if lm.size == 0 or kl.size == 0:
-        raise ValueError("mean over empty axis")
-    nll = (-lm).sum() * (1.0 / lm.size)
-    kl_total = cfg.n_data * (kl.sum() * (1.0 / kl.size))
+    nll = _batch_mean(-lm)
+    kl_total = cfg.n_data * _batch_mean(kl)
     inner = (kl_total - math.log(cfg.delta)) * (1.0 / cfg.n_data) + cfg.likelihood_bound
     if inner < 0.0:
         raise ValueError("sqrt of negative input")
@@ -304,53 +353,63 @@ def pac_objective(
         return np.full(lm.shape, -(g * (1.0 / lm.size))), np.full(kl.shape, g_kl)
 
     total = T.fused(nll + bound, (log_marginals, kl_per_datum), vjp, "pac_objective")
-    return ObjectiveReport(
-        total=total,
-        nll=float(nll),
-        regularizer=float(bound),
-        extra={"kl_estimate": float(kl_total)},
-    )
+    return ObjectiveReport(total, float(nll), float(bound), {"kl_estimate": float(kl_total)})
+
+
+def evidential_alpha(f: Tensor) -> Tensor:
+    """Evidential Dirichlet strengths relu(f) + 1, with gradient 0 at the
+    kink; one tape node."""
+    return T.fused(np.maximum(f.data, 0.0) + 1.0, (f,), lambda g: (g * (f.data > 0.0),),
+                   "evidential_alpha")
 
 
 def edl_loss(alpha: Tensor, y_onehot: np.ndarray, beta_edl: float = 100.0) -> ObjectiveReport:
     """Deterministic evidential baseline: expected sum of squares between
     the one-hot target and the Dirichlet-distributed class probabilities,
-    plus KL against the uniform Dirichlet. Batch mean."""
-    if np.any(alpha.data <= 0.0):
-        raise ValueError("Dirichlet strengths must be positive")
+    plus KL against the uniform Dirichlet. Batch mean; one tape node."""
+    a = alpha.data
+    kl, kl_grad = _kl_dirichlet(a)
     y = _check_onehot(y_onehot, alpha.shape[1])
-    alpha0 = T.tsum(alpha, axis=1, keepdims=True)
-    p = alpha / alpha0
-    var = p * (1.0 - p) / (alpha0 + 1.0)
-    sq = T.tsum(T.square(T.constant(y) - p) + var, axis=1)
-    fit = T.tmean(0.5 * beta_edl * sq)
-    kl = T.tmean(kl_dirichlet_uniform(alpha))
-    total = fit + kl
-    return ObjectiveReport(total=total, nll=fit.item(), regularizer=kl.item())
+    a0 = a.sum(axis=1, keepdims=True)
+    p = a / a0
+    spread = p * (1.0 - p) / (a0 + 1.0)
+    resid = y - p
+    fit = _batch_mean(0.5 * beta_edl * (resid * resid + spread).sum(axis=1))
+    kl_mean = _batch_mean(kl)
+
+    def vjp(g):
+        # partials in p at fixed alpha0, chained through p = alpha/alpha0 and 1/(alpha0 + 1)
+        d_p = (1.0 - 2.0 * p) / (a0 + 1.0) - 2.0 * resid
+        d_fit = ((d_p - (p * d_p).sum(axis=1, keepdims=True)) / a0
+                 - spread.sum(axis=1, keepdims=True) / (a0 + 1.0))
+        return ((g * (1.0 / len(a))) * (0.5 * beta_edl * d_fit + kl_grad()),)
+
+    total = T.fused(fit + kl_mean, (alpha,), vjp, "edl_loss")
+    return ObjectiveReport(total=total, nll=float(fit), regularizer=float(kl_mean))
 
 
-def hyperprior_penalty(
-    weights: list[WeightDistribution], cfg: HyperpriorConfig
-) -> Tensor:
+def hyperprior_penalty(weights: list[WeightDistribution], cfg: HyperpriorConfig) -> Tensor:
     """Negative log hyperprior density over all weight hyperparameters:
-    N(mu | 0, 1/alpha0) on means, InvGamma(a0, b0) on variances."""
-    total: Tensor | None = None
+    N(mu | 0, 1/alpha0) on means, InvGamma(a0, b0) on variances. One tape
+    node, with gradient alpha0 mu in the means and (a0 + 1) - b0 / sigma^2
+    in the log-variances."""
+    pairs = [pair for w in weights for pair in ((w.mean, w.log_var), (w.bias_mean, w.bias_log_var))
+             if pair[0] is not None]
+    if not pairs:
+        raise ValueError("no weights given")
     log_norm_mu = 0.5 * (math.log(cfg.alpha0) - LOG_2PI)
     log_norm_var = cfg.a0 * math.log(cfg.b0) - math.lgamma(cfg.a0)
-    for w in weights:
-        for mean, log_var in ((w.mean, w.log_var), (w.bias_mean, w.bias_log_var)):
-            if mean is None:
-                continue
-            n = mean.size
-            lp_mu = n * log_norm_mu - 0.5 * cfg.alpha0 * T.tsum(T.square(mean))
-            # log InvGamma(sigma^2) with sigma^2 = exp(log_var)
-            lp_var = (
-                n * log_norm_var
-                - (cfg.a0 + 1.0) * T.tsum(log_var)
-                - cfg.b0 * T.tsum(T.exp(-log_var))
-            )
-            piece = -(lp_mu + lp_var)
-            total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError("no weights given")
-    return total
+    total = 0.0
+    for mean, log_var in pairs:
+        n = mean.size
+        lp_mu = n * log_norm_mu - 0.5 * cfg.alpha0 * (mean.data * mean.data).sum()
+        # log InvGamma(sigma^2) with sigma^2 = exp(log_var)
+        lp_var = (n * log_norm_var - (cfg.a0 + 1.0) * log_var.data.sum()
+                  - cfg.b0 * np.exp(-log_var.data).sum())
+        total += -(lp_mu + lp_var)
+
+    def vjp(g):
+        return [grad for mean, log_var in pairs for grad in (
+            g * cfg.alpha0 * mean.data, g * ((cfg.a0 + 1.0) - cfg.b0 * np.exp(-log_var.data)))]
+
+    return T.fused(total, tuple(t for pair in pairs for t in pair), vjp, "hyperprior_penalty")

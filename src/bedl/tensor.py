@@ -7,17 +7,17 @@ requires them. Tapes are single-use: a second ``backward()`` on the same
 root raises.
 
 Every op validates that its result is finite and raises NumericsError
-otherwise, so NaN/inf never propagate silently. Besides the elementwise
-ops, ``fused`` turns any closed-form function with a hand-written gradient
-into a single tape node.
+otherwise, so NaN/inf never propagate silently. Every differentiable op of
+the model (each layer moment, likelihood head and objective) is one
+``fused`` node: a closed-form value with a hand-written gradient. Of the
+few ops here, reshape and extract_patches serve the conv path; add, mul,
+exp, log, tsum and take, with ``+``, ``*`` and ``[]``, are glue for
+composing fused nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
-
-from . import gaussian as G
 
 
 class NumericsError(ArithmeticError):
@@ -119,29 +119,11 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     def __rmul__(self, other):
         return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -203,18 +185,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bw, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), bw, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
@@ -227,36 +197,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bw, "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(b.data == 0.0):
-        raise ZeroDivisionError("division by zero in tensor op")
-    out_data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out_data, (a, b), bw, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accumulate(-g)
-
-    return _make(-a.data, (a,), bw, "neg")
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-    out = _make(out_data, (a,), None, "exp")
 
     def bw(g):
         a._accumulate(g * out_data)
 
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return _make(out_data, (a,), bw, "exp")
 
 
 def log(a: Tensor) -> Tensor:
@@ -270,147 +217,7 @@ def log(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw, "log")
 
 
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0.0):
-        raise ValueError("sqrt of negative input")
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        a._accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, (a,), bw, "sqrt")
-
-
-def square(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accumulate(g * 2.0 * a.data)
-
-    return _make(a.data * a.data, (a,), bw, "square")
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0) with subgradient 0 at the kink."""
-    mask = a.data > 0.0
-
-    def bw(g):
-        a._accumulate(g * mask)
-
-    return _make(np.maximum(a.data, 0.0), (a,), bw, "relu")
-
-
-def clamp_min(a: Tensor, low: float) -> Tensor:
-    mask = a.data > low
-
-    def bw(g):
-        a._accumulate(g * mask)
-
-    return _make(np.maximum(a.data, low), (a,), bw, "clamp_min")
-
-
-def clamp_max(a: Tensor, high: float) -> Tensor:
-    mask = a.data < high
-
-    def bw(g):
-        a._accumulate(g * mask)
-
-    return _make(np.minimum(a.data, high), (a,), bw, "clamp_max")
-
-
-def clamp(a: Tensor, low: float, high: float) -> Tensor:
-    return clamp_max(clamp_min(a, low), high)
-
-
-def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select on a constant boolean mask; gradients are routed
-    to the selected branch only."""
-    mask = np.asarray(mask, dtype=bool)
-    out_data = np.where(mask, a.data, b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(mask, g, 0.0), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.where(mask, 0.0, g), b.data.shape))
-
-    return _make(out_data, (a, b), bw, "where")
-
-
-# -- gaussian special functions ---------------------------------------------
-
-
-def normal_cdf(a: Tensor) -> Tensor:
-    """Standard normal CDF via erf; derivative is the pdf."""
-    out_data = G.cdf(a.data)
-
-    def bw(g):
-        a._accumulate(g * G.pdf(a.data))
-
-    return _make(out_data, (a,), bw, "normal_cdf")
-
-
-def normal_pdf(a: Tensor) -> Tensor:
-    out_data = G.pdf(a.data)
-
-    def bw(g):
-        a._accumulate(g * (-a.data) * out_data)
-
-    return _make(out_data, (a,), bw, "normal_pdf")
-
-
-def exp_scaled_cdf(a: Tensor, b: Tensor) -> Tensor:
-    """exp(a) * Phi(-b) without overflow (see ``gaussian.exp_scaled_cdf``).
-    Partials: d/da = value; d/db = -exp(a)*pdf(b)."""
-    out_data = G.exp_scaled_cdf(a.data, b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * out_data, a.data.shape))
-        if b.requires_grad:
-            expo = a.data - 0.5 * b.data * b.data
-            b._accumulate(_unbroadcast(-g * G.INV_SQRT_2PI * np.exp(expo), b.data.shape))
-
-    return _make(out_data, (a, b), bw, "exp_scaled_cdf")
-
-
-def lgamma(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("lgamma requires positive input")
-    out_data = special.gammaln(a.data)
-
-    def bw(g):
-        a._accumulate(g * special.digamma(a.data))
-
-    return _make(out_data, (a,), bw, "lgamma")
-
-
-def digamma(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("digamma requires positive input")
-    out_data = special.digamma(a.data)
-
-    def bw(g):
-        a._accumulate(g * special.polygamma(1, a.data))
-
-    return _make(out_data, (a,), bw, "digamma")
-
-
-# -- linear algebra and structure -------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), bw, "matmul")
+# -- structure ---------------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -430,17 +237,6 @@ def take(a: Tensor, idx) -> Tensor:
         a._accumulate(full)
 
     return _make(np.array(out_data, copy=True), (a,), bw, "take")
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(np.take(g, i, axis=axis))
-
-    return _make(out_data, tuple(tensors), bw, "stack")
 
 
 def extract_patches(a: Tensor, kernel: int, stride: int) -> Tensor:
@@ -487,31 +283,3 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             a._accumulate(np.broadcast_to(ge, a.data.shape).copy())
 
     return _make(out_data, (a,), bw, "sum")
-
-
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    if n == 0:
-        raise ValueError("mean over empty axis")
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def logsumexp(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Max-shifted logsumexp; finite for inputs up to ~1e308 in magnitude."""
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out_full = m + np.log(total)
-    out_data = out_full if keepdims or axis is None else np.squeeze(out_full, axis=axis)
-    if axis is None:
-        out_data = out_data.reshape(())
-    softmax = shifted / total
-
-    def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape) * softmax)
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge, a.data.shape) * softmax)
-
-    return _make(out_data, (a,), bw, "logsumexp")

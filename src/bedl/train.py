@@ -71,6 +71,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.objective == "edl" and self.task != "classification":
             raise ValueError("edl objective requires classification")
+        mean, var = self.init.log_var_mean, self.init.log_var_var
+        if not (math.isfinite(mean) and mean < np.log(np.finfo(float).max) and 0 <= var < math.inf):
+            raise ValueError("init needs a finite log_var_var >= 0 and exp(log_var_mean) finite")
         self.pac(1)
         self.head()
 
@@ -254,15 +257,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _edl_forward_alpha(net: MomentNetwork, x: np.ndarray):
-    """Deterministic evidential strengths: ReLU evidence + 1 on the mean
-    output of the net (weight variances ignored by the baseline)."""
-    from . import tensor as T
-
-    moments = net.forward(x)
-    return T.relu(moments.mean) + 1.0
-
-
 def _prepare_features(x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
     """Flatten image batches when the first layer is dense."""
     if specs[0].kind == "dense" and x.ndim > 2:
@@ -280,7 +274,8 @@ def _batch_objective(
     rng: np.random.Generator,
 ) -> obj.ObjectiveReport:
     if cfg.objective == "edl":
-        alpha = _edl_forward_alpha(net, x)
+        # ReLU evidence + 1 on the mean output: the baseline ignores weight variances
+        alpha = obj.evidential_alpha(net.forward(x).mean)
         return obj.edl_loss(alpha, one_hot(y, cfg.n_classes), cfg.beta_edl)
 
     moments = net.forward(x)

@@ -105,6 +105,9 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"epochs": 1.5}, 1, id="epochs-float"),
     pytest.param([], {"init": 5}, 1, id="init-int"),
     pytest.param([], {"batch_size": "32"}, 1, id="batch-string"),
+    pytest.param([], {"init": {"log_var_var": -1}}, 1, id="init-negative-variance"),
+    pytest.param([], {"init": {"log_var_mean": 800}}, 1, id="init-exp-overflow"),
+    pytest.param(["--hidden", "0"], None, 1, id="hidden-0"),
 ])
 def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
                                             args, config, code):

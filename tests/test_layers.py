@@ -208,3 +208,9 @@ def test_spec_validation():
         L.LayerSpec("dense", fan_in=2, fan_out=2, activation="tanh")
     with pytest.raises(ValueError):
         L.LayerSpec("conv2d", in_channels=1, out_channels=1, kernel=3, stride=0)
+    for bad in ({"kind": "dense", "fan_in": 2, "fan_out": 0},
+                {"kind": "dense", "fan_in": -1, "fan_out": 2},
+                {"kind": "conv2d", "in_channels": 1, "out_channels": 1, "kernel": 0},
+                {"kind": "conv2d", "in_channels": 0, "out_channels": 1, "kernel": 3}):
+        with pytest.raises(ValueError):
+            L.LayerSpec(**bad)

@@ -117,6 +117,47 @@ def test_kl_dirichlet_uniform_vs_numeric_integral():
     np.testing.assert_allclose(out, kl, atol=1e-8)
 
 
+def _kl_dirichlet_mpmath(mpmath, alpha) -> float:
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(x)) for x in alpha]
+        a0 = sum(a)
+        kl = mpmath.loggamma(a0) - sum(mpmath.loggamma(x) for x in a) - mpmath.loggamma(len(a))
+        kl += sum((x - 1) * (mpmath.digamma(x) - mpmath.digamma(a0)) for x in a)
+        return float(kl)
+
+
+def test_kl_dirichlet_uniform_at_the_logit_clamp_vs_mpmath():
+    # one strength at e^30, the largest the clamped head produces: the
+    # lgamma and digamma terms are near 3e14 each, and plain float64
+    # differences of them lose three digits (57.4645 for the first case)
+    mpmath = pytest.importorskip("mpmath")
+    cases = [np.exp([30.0, 0.1, -0.2])]
+    r = np.random.default_rng(12)
+    for c in (2, 3, 5, 10, 10):
+        f = r.uniform(-30.0, 10.0, size=c)
+        f[r.integers(c)] = 30.0
+        cases.append(np.exp(f))
+    for alpha in cases:
+        out = O.kl_dirichlet_uniform(T.constant(alpha[None])).data[0]
+        np.testing.assert_allclose(out, _kl_dirichlet_mpmath(mpmath, alpha), rtol=1e-11)
+    np.testing.assert_allclose(O.kl_dirichlet_uniform(T.constant(cases[0][None])).data[0],
+                               57.42407974, rtol=1e-9)
+
+
+def test_kl_dirichlet_uniform_gradcheck():
+    # in log-strengths, as the head uses it. Rows 1 and 3 have a strength
+    # above 1e6, whose digamma difference and gradient come from the series;
+    # each is over 1e6 times the rest, where betaln(m, r) is accurate too
+    log_alpha = T.Parameter(np.log([[0.3, 1.7, 4.0], [1.5e6, 0.8, 0.3], [1.0, 1.0, 1.0],
+                                    [np.exp(20.0), 2.0, 0.01]]))
+
+    def f():
+        kl = O.kl_dirichlet_uniform(T.exp(log_alpha))
+        return T.tsum(kl * np.array([1.0, -0.5, 0.7, 0.4]))
+
+    check_grads(f, [log_alpha], rel_tol=1e-6)
+
+
 def test_kl_gaussian_identity_and_value():
     zero = O.kl_gaussian(T.constant(np.array([0.5])), T.constant(np.array([2.0])), 0.5, 2.0)
     np.testing.assert_allclose(zero.data, 0.0, atol=1e-12)
@@ -289,4 +330,21 @@ def test_batched_classification_head_and_kl_gradcheck():
         return O.pac_objective(lm[1:], kl, pac).total + T.tsum(lm * np.linspace(-1.0, 1.0, 5))
 
     check_grads(f, [mean, log_var], rel_tol=1e-5)
+    assert mean.grad[0, 0] == 0.0
+
+
+def test_classification_kl_gradcheck_at_the_logit_clamp():
+    # datum 0 sits past the logit clamp and enters the KL, whose value
+    # must be accurate to far below the finite-difference step there
+    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=4)
+    r = np.random.default_rng(9)
+    mean = T.Parameter(np.vstack([[40.0, 0.1, -0.2], r.normal(size=(2, 3))]))
+    log_var = T.Parameter(np.vstack([[-6.0, -1.0, -1.0], r.uniform(-2.0, 0.0, size=(2, 3))]))
+    eps = r.standard_normal((4, 3, 3))
+
+    def f():
+        kl = O.classification_kl(L.GaussianActivation(mean, T.exp(log_var)), cfg, eps=eps)
+        return T.tsum(kl * np.array([1.0, -0.6, 0.3]))
+
+    check_grads(f, [mean, log_var], rel_tol=1e-6)
     assert mean.grad[0, 0] == 0.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
+from bedl import gaussian as G
 from bedl import tensor as T
 
 from conftest import check_grads
@@ -19,31 +20,33 @@ def test_forward_values_match_numpy():
     ta, tb = T.constant(a), T.constant(b)
     np.testing.assert_allclose((ta + tb).data, a + b)
     np.testing.assert_allclose((ta * tb).data, a * b)
-    np.testing.assert_allclose((ta / tb).data, a / b)
     np.testing.assert_allclose(T.exp(ta).data, np.exp(a))
     np.testing.assert_allclose(T.log(tb).data, np.log(b))
-    np.testing.assert_allclose(T.logsumexp(ta, axis=1).data, special.logsumexp(a, axis=1))
-    np.testing.assert_allclose(T.normal_cdf(ta).data, stats.norm.cdf(a), atol=1e-14)
-    np.testing.assert_allclose(T.normal_pdf(ta).data, stats.norm.pdf(a), atol=1e-14)
-    np.testing.assert_allclose(T.lgamma(tb).data, special.gammaln(b))
-    np.testing.assert_allclose(T.digamma(tb).data, special.digamma(b))
+    np.testing.assert_allclose(T.tsum(ta, axis=1).data, a.sum(axis=1))
+    np.testing.assert_allclose(ta[1:, 2].data, a[1:, 2])
+
+
+def test_gaussian_cdf_pdf_match_scipy():
+    x = rng.normal(size=(3, 4)) * 3.0
+    np.testing.assert_allclose(G.cdf(x), stats.norm.cdf(x), atol=1e-14)
+    np.testing.assert_allclose(G.pdf(x), stats.norm.pdf(x), atol=1e-14)
 
 
 def test_exp_scaled_cdf_matches_definition():
     # exp(a) * Phi(-b), checked where the naive form is still finite
-    a = T.constant(np.array([0.5, -2.0, 3.0]))
-    b = T.constant(np.array([1.0, -1.5, 4.0]))
-    out = T.exp_scaled_cdf(a, b)
-    np.testing.assert_allclose(out.data, np.exp(a.data) * stats.norm.cdf(-b.data), rtol=1e-12)
+    a = np.array([0.5, -2.0, 3.0])
+    b = np.array([1.0, -1.5, 4.0])
+    out = G.exp_scaled_cdf(a, b)
+    np.testing.assert_allclose(out, np.exp(a) * stats.norm.cdf(-b), rtol=1e-12)
 
 
 def test_exp_scaled_cdf_no_overflow():
     # elu-moment regime: a huge but a - b^2/2 <= 0
-    out = T.exp_scaled_cdf(T.constant(500.0), T.constant(40.0))
-    assert np.isfinite(out.data)
+    out = G.exp_scaled_cdf(np.array(500.0), np.array(40.0))
+    assert np.isfinite(out)
     # log of exp(500)*Phi(-40) via log of Mills-ratio form
     expected = 500.0 + stats.norm.logcdf(-40.0)
-    np.testing.assert_allclose(np.log(out.data), expected, rtol=1e-10)
+    np.testing.assert_allclose(np.log(out), expected, rtol=1e-10)
 
 
 def test_composite_gradcheck():
@@ -51,22 +54,10 @@ def test_composite_gradcheck():
     q = _param((3, 4))
 
     def f():
-        z = T.exp(0.3 * p) * T.normal_cdf(q) + T.square(p - q) / (T.square(q) + 1.0)
-        return T.tsum(T.log(z + 2.0)) + T.logsumexp(p + q)
+        z = T.exp(0.3 * p) * q * q + p * (q + 1.0)
+        return T.tsum(T.log(z * z + 2.0)) + T.tsum(T.exp(p + q))
 
     check_grads(f, [p, q], rel_tol=1e-6)
-
-
-def test_special_fn_gradcheck():
-    p = T.Parameter(np.array([0.7, 1.9, 3.1]))
-    q = T.Parameter(np.array([-0.4, 0.2, 1.1]))
-
-    def f():
-        return T.tsum(
-            T.lgamma(p) + T.digamma(p) + T.normal_pdf(q) + T.exp_scaled_cdf(q, p)
-        )
-
-    check_grads(f, [p, q], rel_tol=1e-5)
 
 
 def test_broadcast_gradcheck():
@@ -74,22 +65,22 @@ def test_broadcast_gradcheck():
     q = T.Parameter(rng.normal(size=(3, 1)))
 
     def f():
-        return T.tsum(T.square(p * q + p - q))
+        z = p * q + p + q * -1.0
+        return T.tsum(z * z)
 
     check_grads(f, [p, q], rel_tol=1e-6)
 
 
-def test_matmul_reshape_take_stack_gradcheck():
+def test_reshape_take_gradcheck():
     p = _param((3, 4))
-    q = _param((4, 2))
 
     def f():
-        z = T.matmul(p, q)  # (3, 2)
-        z = T.reshape(z, (2, 3))
-        z = T.stack([z[0], z[1] * 2.0], axis=0)
-        return T.tmean(T.square(z))
+        z = T.reshape(p, (2, 6))
+        w = z[0] * 2.0 + z[1]  # integer indices
+        band = z[:, 1:4]  # slices
+        return T.tsum(w * w) + T.tsum(band * band)
 
-    check_grads(f, [p, q], rel_tol=1e-6)
+    check_grads(f, [p], rel_tol=1e-6)
 
 
 def test_extract_patches_matches_manual_conv():
@@ -109,38 +100,17 @@ def test_extract_patches_gradcheck():
     p = _param((1, 4, 4, 2))
 
     def f():
-        return T.tsum(T.square(T.extract_patches(p, kernel=3, stride=1)))
+        z = T.extract_patches(p, kernel=3, stride=1)
+        return T.tsum(z * z)
 
     check_grads(f, [p], rel_tol=1e-6)
-
-
-def test_where_clamp_gradients_route_correctly():
-    p = T.Parameter(np.array([-2.0, -0.5, 0.5, 2.0]))
-    out = T.tsum(T.where(p.data > 0, T.square(p), T.exp(p)))
-    out.backward()
-    expected = np.where(p.data > 0, 2 * p.data, np.exp(p.data))
-    np.testing.assert_allclose(p.grad, expected)
-
-    p2 = T.Parameter(np.array([-2.0, 0.3, 5.0]))
-    T.tsum(T.clamp(p2, -1.0, 1.0)).backward()
-    np.testing.assert_allclose(p2.grad, [0.0, 1.0, 0.0])
-
-
-def test_logsumexp_is_stable():
-    big = T.constant(np.array([1000.0, 1000.0 + np.log(2.0)]))
-    np.testing.assert_allclose(T.logsumexp(big).data, 1000.0 + np.log(3.0))
-
-
-def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        T.constant(1.0) / T.constant(0.0)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         T.log(T.constant(-1.0))
     with pytest.raises(ValueError):
-        T.sqrt(T.constant(-1.0))
+        T.log(T.constant(0.0))
 
 
 def test_nonfinite_result_raises_numerics_error():
@@ -152,7 +122,7 @@ def test_backward_requires_scalar_and_single_use():
     p = _param((3,))
     out = T.tsum(p)
     with pytest.raises(ValueError):
-        T.square(p).backward()  # non-scalar root
+        (p * p).backward()  # non-scalar root
     out.backward()
     with pytest.raises(RuntimeError):
         out.backward()
@@ -160,8 +130,8 @@ def test_backward_requires_scalar_and_single_use():
 
 def test_grad_accumulates_across_tapes_until_zeroed():
     p = T.Parameter(np.array([2.0]))
-    T.tsum(T.square(p)).backward()
-    T.tsum(T.square(p)).backward()
+    T.tsum(p * p).backward()
+    T.tsum(p * p).backward()
     np.testing.assert_allclose(p.grad, [8.0])
     p.zero_grad()
     assert p.grad is None
@@ -170,7 +140,7 @@ def test_grad_accumulates_across_tapes_until_zeroed():
 def test_diamond_graph_gradient():
     # y = x*x reused on both branches: d/dx (x^2 + 3x^2) = 8x
     p = T.Parameter(np.array([1.5]))
-    z = T.square(p)
+    z = p * p
     (T.tsum(z + 3.0 * z)).backward()
     np.testing.assert_allclose(p.grad, [12.0])
 

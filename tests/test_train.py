@@ -12,6 +12,8 @@ tr = importlib.import_module("bedl.train")
 from bedl.data import Dataset
 from bedl.layers import LayerSpec, build_network
 
+from conftest import check_grads
+
 rng = np.random.default_rng(61)
 
 
@@ -49,6 +51,11 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             tr.TrainConfig(**kw)
+    # the initial log-variances must be drawable and their exp finite
+    for kw in ({"log_var_var": -1.0}, {"log_var_mean": 800.0}, {"log_var_mean": float("nan")},
+               {"log_var_var": float("inf")}):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(init=tr.InitConfig(**kw))
 
 
 def test_config_types():
@@ -220,6 +227,16 @@ def test_evaluation_builds_no_tape():
 # -- training behaviour ------------------------------------------------------
 
 
+def _tape_nodes(root) -> int:
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
 def test_regression_step_tape_is_small():
     # every moment op is one closed-form node: a 13-50-2 bedl+reg batch
     # objective is 8 parameters, a mean and a variance node per layer and
@@ -229,13 +246,38 @@ def test_regression_step_tape_is_small():
     cfg = tr.TrainConfig(objective="bedl+reg", batch_size=32)
     x, y = rng.normal(size=(32, 13)), rng.normal(size=32)
     report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(455), np.random.default_rng(1))
-    seen, todo = {id(report.total)}, [report.total]
-    while todo:
-        for p in todo.pop()._parents:
-            if p.requires_grad and id(p) not in seen:
-                seen.add(id(p))
-                todo.append(p)
-    assert len(seen) <= 20
+    assert _tape_nodes(report.total) <= 20
+
+
+def test_classification_step_tape_is_small():
+    # the sampled head and its Dirichlet KL are one node each too, so a
+    # 784-256-10 bedl+reg batch objective has the same 17 nodes
+    specs = tr.default_specs("classification", 784, hidden=256)
+    net = build_network(specs, np.random.default_rng(0))
+    cfg = tr.TrainConfig(objective="bedl+reg", task="classification", batch_size=16)
+    x, y = rng.normal(size=(16, 784)), rng.integers(0, 10, size=16)
+    report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(500), np.random.default_rng(1))
+    assert _tape_nodes(report.total) <= 20
+
+
+@pytest.mark.parametrize("objective", ["edl", "bedl-hyper"])
+def test_classification_batch_objective_gradcheck(objective):
+    # the evidential loss with its relu(f) + 1 strengths, and the
+    # hyperprior penalty added to the sampled head, as training builds them.
+    # An ELU hidden layer, as in criterion 3: a ReLU unit that is off leaves
+    # gradients near 1e-7, whose finite differences are mostly roundoff
+    specs = [LayerSpec("dense", fan_in=2, fan_out=4, activation="elu"),
+             LayerSpec("dense", fan_in=4, fan_out=3, activation="identity")]
+    net = build_network(specs, np.random.default_rng(2), log_var_mean=-2.0, log_var_var=0.1)
+    cfg = tr.TrainConfig(objective=objective, task="classification", n_classes=3, mc_samples=3)
+    data = np.random.default_rng(3)
+    x, y = data.normal(size=(5, 2)), data.integers(0, 3, size=5)
+
+    def f():
+        eps_rng = np.random.default_rng(4)
+        return tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(50), eps_rng).total
+
+    check_grads(f, net.parameters(), rel_tol=1e-4)
 
 
 def test_training_is_bitwise_deterministic():
@@ -244,6 +286,13 @@ def test_training_is_bitwise_deterministic():
     assert r1.metrics_csv() == r2.metrics_csv()
     for name in r1.checkpoint.arrays:
         np.testing.assert_array_equal(r1.checkpoint.arrays[name], r2.checkpoint.arrays[name])
+
+
+@pytest.mark.parametrize("objective", ["bedl", "bedl+reg", "bedl-hyper", "edl"])
+def test_every_classification_objective_is_deterministic(objective):
+    r1, _, _ = _train_small(objective=objective, task="classification", epochs=2)
+    r2, _, _ = _train_small(objective=objective, task="classification", epochs=2)
+    assert r1.metrics_csv() == r2.metrics_csv()
 
 
 def test_metrics_csv_shape():
