@@ -138,7 +138,7 @@ def train_cmd(
 @click.option("--split-seed", type=int, default=0, show_default=True)
 @click.option("--beta", type=float, default=100.0, show_default=True)
 @click.option("--n-classes", type=int, default=10, show_default=True)
-@click.option("--eval-samples", type=int, default=100, show_default=True)
+@click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
 def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split_seed,
              beta, n_classes, eval_samples):
     """Evaluate a checkpoint on the test split (regression CSV) or on a
@@ -161,7 +161,7 @@ def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split
 @click.option("--ood-images", type=click.Path(exists=True), required=True)
 @click.option("--ood-labels", type=click.Path(exists=True), required=True)
 @click.option("--n-classes", type=int, default=10, show_default=True)
-@click.option("--eval-samples", type=int, default=100, show_default=True)
+@click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
 def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, n_classes, eval_samples):
     """In-domain test metrics plus out-of-domain entropy metrics."""
     from .uncertainty import ecdf_auc

@@ -38,6 +38,7 @@ def exp_scaled_cdf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def output_draws(mean: np.ndarray, var: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Reparameterized draws f = mean + sqrt(var) * eps, one per leading row
-    of eps: (S, N, C) for eps of that shape and (N, C) moments."""
+    """Reparameterized draws f = mean + sqrt(var) * eps, broadcast over the
+    sample axis of eps: (S, N, C) eps with (N, C) moments in training,
+    (N, S, C) eps with (N, 1, C) moments in evaluation."""
     return mean + np.sqrt(var) * eps

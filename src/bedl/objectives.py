@@ -252,7 +252,8 @@ def _kl_dirichlet(alpha: np.ndarray):
     value = ((alpha - 1.0) * dig).sum(axis=-1) - math.lgamma(c) - log_beta[..., 0]
 
     def grad():
-        tri, tri0 = special.polygamma(1, alpha), special.polygamma(1, alpha0)
+        # trigamma: zeta(2, .) gives the bits of polygamma(1, .) in less time
+        tri, tri0 = special.zeta(2, alpha), special.zeta(2, alpha0)
         series = r / (2.0 * a_s * a0_s) + q / 6.0 - tri + c * tri0
         return np.where(big, series, (alpha - 1.0) * tri - (alpha0 - c) * tri0)
 

@@ -12,12 +12,17 @@ from pathlib import Path
 import numpy as np
 
 from . import objectives as obj
-from .data import Dataset, StandardizeRecord, one_hot
-from .layers import LayerSpec, MomentNetwork, Parameter, WeightDistribution, build_network
+from .data import DataError, Dataset, StandardizeRecord, one_hot
+from .layers import (GaussianActivation, LayerSpec, MomentNetwork, Parameter,
+                     WeightDistribution, build_network)
 from .tensor import NumericsError, Tensor
-from .uncertainty import decompose, ecdf_auc, test_error
+from .uncertainty import UncertaintyReport, decompose, ecdf_auc, test_error
 
 OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
+
+# Rows per forward pass and decompose call in evaluation. Memory is
+# O(EVAL_CHUNK * eval_samples * C) instead of O(N * eval_samples * C).
+EVAL_CHUNK = 64
 
 CHECKPOINT_MAGIC = b"BEDLCKP1"
 # Checkpoint arrays are named w{layer}.{field} after these WeightDistribution fields.
@@ -191,24 +196,46 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    """Read a checkpoint file; a malformed one is a DataError."""
+    try:
+        return _parse_checkpoint(Path(path).read_bytes())
+    except (AttributeError, KeyError, TypeError, ValueError, struct.error) as exc:
+        raise DataError(f"{path} is not a valid checkpoint: {exc}") from exc
+
+
+def _parse_checkpoint(raw: bytes) -> Checkpoint:
     if raw[:8] != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file")
+        raise ValueError("bad magic")
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + hlen])
     if header["version"] != 1:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
+        raise ValueError(f"unsupported version {header['version']}")
     offset = 12 + hlen
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset + 8 * count > len(raw):
+            raise ValueError("arrays shorter than the manifest")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays[entry["name"]] = arr.astype(np.float64)
         offset += 8 * count
+    if offset != len(raw):
+        raise ValueError(f"{len(raw) - offset} bytes after the last array")
+    specs = [LayerSpec(**s) for s in header["specs"]]
+    for i, spec in enumerate(specs):
+        shapes = [spec.weight_shape] * 2 + [(spec.n_out,)] * (2 if spec.bias else 0)
+        for name, shape in zip(_WEIGHT_FIELDS, shapes):
+            if arrays[f"w{i}.{name}"].shape != shape:
+                raise ValueError(f"w{i}.{name} does not have the shape {shape} of layer {i}")
+    if header["task"] not in ("regression", "classification") or not specs:
+        raise ValueError("no task or no layers")
+    std = header["standardize"]
+    if std is not None and not 0 < (std.get("target_std") or 1.0) < math.inf:
+        raise ValueError("target_std must be positive")
     return Checkpoint(
         version=header["version"],
-        specs=[LayerSpec(**s) for s in header["specs"]],
+        specs=specs,
         arrays=arrays,
         task=header["task"],
         standardize=header["standardize"],
@@ -376,16 +403,49 @@ class EvalMetrics:
         return f"{head}\n{row}\n"
 
 
+def _check_features(x: np.ndarray, specs: list[LayerSpec]) -> None:
+    """Data that does not fit the checkpoint's layers is a data error:
+    walk the per-row shape of ``x`` through the specs."""
+    if len(x) == 0:
+        raise DataError("no rows to evaluate")
+    shape = x.shape[1:]
+    for i, spec in enumerate(specs):
+        if spec.kind == "conv2d":
+            k = spec.kernel
+            fits = len(shape) == 3 and shape[2] == spec.in_channels and min(shape[:2]) >= k
+            shape = tuple((d - k) // spec.stride + 1 for d in shape[:2]) + (spec.out_channels,)
+        else:
+            fits = math.prod(shape) == spec.fan_in
+            shape = (spec.fan_out,)
+        if not fits:
+            raise DataError(f"rows of shape {x.shape[1:]} do not fit the checkpoint's "
+                            f"layer {i} ({spec.kind})")
+
+
 def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int, seed: int):
-    """The checkpoint's output moments on the whole dataset and, for
-    classification, their sampled predictive decomposition."""
+    """The checkpoint's output moments on the dataset and, for
+    classification, their sampled predictive decomposition.
+
+    Rows go through the forward pass and ``decompose`` EVAL_CHUNK at a time
+    with one rng, so memory does not grow with the dataset; ``decompose``
+    draws row by row, so no value depends on the chunk size."""
     if ckpt.task != cfg.task:
         raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
-    moments = ckpt.build_network().forward(_prepare_features(dataset.features, ckpt.specs))
-    if cfg.task == "regression":
+    x = _prepare_features(dataset.features, ckpt.specs)
+    _check_features(x, ckpt.specs)
+    net, rng = ckpt.build_network(), np.random.default_rng(seed)
+    parts, reports = [], []
+    for start in range(0, len(x), EVAL_CHUNK):
+        m = net.forward(x[start : start + EVAL_CHUNK])
+        parts.append((m.mean.data, m.var.data))
+        if cfg.task == "classification":
+            reports.append(decompose(m.mean.data, m.var.data, n_samples=eval_samples, rng=rng))
+    mean, var = (np.concatenate(a) for a in zip(*parts))
+    moments = GaussianActivation(Tensor(mean), Tensor(var))
+    if not reports:
         return moments, None
-    rng = np.random.default_rng(seed)
-    return moments, decompose(moments.mean.data, moments.var.data, n_samples=eval_samples, rng=rng)
+    return moments, UncertaintyReport(
+        *(np.concatenate([getattr(r, f.name) for r in reports]) for f in fields(UncertaintyReport)))
 
 
 def evaluate(

@@ -39,7 +39,12 @@ def decompose(
     """Sample network outputs f ~ N(mean, var), map each draw to class
     probabilities p = alpha/alpha_0 (softmax of f), and split the
     predictive variance into epistemic (variance of p across draws) and
-    aleatoric (mean of p(1-p)) parts."""
+    aleatoric (mean of p(1-p)) parts.
+
+    The standard normals are drawn in (N, S, C) order, row by row, so
+    calls on consecutive row chunks with one rng give exactly the numbers
+    of one call on all rows; evaluation streams its rows in fixed chunks
+    through here and relies on that."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     mean = np.asarray(mean, dtype=np.float64)
@@ -48,11 +53,11 @@ def decompose(
         raise ValueError("degenerate moments")
     if rng is None:
         rng = np.random.default_rng(0)
-    eps = rng.standard_normal((n_samples,) + mean.shape)
-    p = _softmax(output_draws(mean, var, eps))  # (S, N, C)
-    pred = p.mean(axis=0)
-    epistemic = p.var(axis=0)
-    aleatoric = (p * (1.0 - p)).mean(axis=0)
+    eps = rng.standard_normal((len(mean), n_samples) + mean.shape[1:])
+    p = _softmax(output_draws(mean[:, None], var[:, None], eps))  # (N, S, C)
+    pred = p.mean(axis=1)
+    epistemic = p.var(axis=1)
+    aleatoric = (p * (1.0 - p)).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(pred > 0, pred * np.log(pred), 0.0)
     entropy = -plogp.sum(axis=-1)

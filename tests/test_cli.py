@@ -108,6 +108,7 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"init": {"log_var_var": -1}}, 1, id="init-negative-variance"),
     pytest.param([], {"init": {"log_var_mean": 800}}, 1, id="init-exp-overflow"),
     pytest.param(["--hidden", "0"], None, 1, id="hidden-0"),
+    pytest.param(["eval", "--eval-samples", "1"], None, 1, id="eval-samples-1"),
 ])
 def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
                                             args, config, code):
@@ -133,11 +134,14 @@ def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_p
         assert (out / "checkpoint.bin").exists()
 
 
+def _ood_inputs(path):
+    return [a for flag in ("--in-images", "--in-labels", "--ood-images", "--ood-labels")
+            for a in (flag, str(path))]
+
+
 def test_ood_eval_of_regression_checkpoint_is_usage_error(csv_file, trained_checkpoint):
     # the task check comes before any image file is read
-    res = run_cli("ood-eval", "--checkpoint", str(trained_checkpoint),
-                  *[a for flag in ("--in-images", "--in-labels", "--ood-images", "--ood-labels")
-                    for a in (flag, str(csv_file))])
+    res = run_cli("ood-eval", "--checkpoint", str(trained_checkpoint), *_ood_inputs(csv_file))
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
@@ -153,6 +157,34 @@ def test_data_error_exit_code(tmp_path):
     res = run_cli("train", "--data", str(bad), "--out", str(tmp_path / "o"))
     assert res.returncode == 2
     assert "data error" in res.stderr
+
+
+def test_truncated_or_padded_checkpoint_is_data_error(csv_file, trained_checkpoint, tmp_path,
+                                                      monkeypatch, capsys):
+    # cut in the magic, the header or the arrays, or one byte past the end;
+    # cli.main runs in this process, so an unmapped exception fails the test
+    from bedl import cli
+
+    raw = trained_checkpoint.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for body in [raw[:n] for n in range(0, len(raw), 64)] + [raw + b"\0"]:
+        bad.write_bytes(body)
+        for cmd in (["eval", "--data", str(csv_file)], ["ood-eval", *_ood_inputs(csv_file)]):
+            monkeypatch.setattr(sys, "argv", ["bedl", *cmd, "--checkpoint", str(bad)])
+            with pytest.raises(SystemExit) as info:
+                cli.main()
+            err = capsys.readouterr().err
+            assert info.value.code == 2 and err.startswith("data error:"), (len(body), cmd[0], err)
+            assert "Traceback" not in err
+
+
+def test_eval_on_data_of_another_width_is_data_error(csv_file, trained_checkpoint, tmp_path):
+    wide = tmp_path / "wide.csv"
+    rows = csv_file.read_text().splitlines()
+    wide.write_text("\n".join(f"{r.split(',', 1)[0]},{r}" for r in rows) + "\n")
+    res = run_cli("eval", "--data", str(wide), "--checkpoint", str(trained_checkpoint))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("data error:") and "Traceback" not in res.stderr
 
 
 def test_numerical_failure_exit_code(csv_file, tmp_path):
@@ -232,3 +264,18 @@ def test_ood_eval_subcommand(tmp_path):
     record = dict(zip(head.split(","), map(float, row.split(","))))
     assert {"in_test_error_pct", "in_ecdf_auc", "ood_ecdf_auc", "ood_mean_entropy"} <= set(record)
     assert record["in_test_error_pct"] < 50.0
+
+    # OOD images of another size than the checkpoint's input are a data
+    # error, and fewer than 2 eval samples a usage error
+    write_idx(tmp_path / "small-img.idx", 0x803, (n, 5, 5), ood[:, :5, :5].tobytes())
+    for ood_images, extra, code, prefix in (("small-img.idx", [], 2, "data error:"),
+                                            ("ood-img.idx", ["--eval-samples", "1"], 1, "error:")):
+        res = run_cli("ood-eval", "--checkpoint", str(out / "checkpoint.bin"),
+                      *(a for flag, name in (("--in-images", "tr-img.idx"),
+                                             ("--in-labels", "tr-lab.idx"),
+                                             ("--ood-images", ood_images),
+                                             ("--ood-labels", "ood-lab.idx"))
+                        for a in (flag, str(tmp_path / name))),
+                      "--n-classes", "2", *extra)
+        assert res.returncode == code, res.stderr
+        assert res.stderr.startswith(prefix) and "Traceback" not in res.stderr

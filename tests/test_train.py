@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from bedl import tensor as T
 
 tr = importlib.import_module("bedl.train")
-from bedl.data import Dataset
+from bedl.data import DataError, Dataset
 from bedl.layers import LayerSpec, build_network
+from bedl.uncertainty import decompose
 
 from conftest import check_grads
 
@@ -173,7 +175,7 @@ def test_checkpoint_roundtrip_preserves_evaluation(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         tr.load_checkpoint(p)
 
 
@@ -222,6 +224,121 @@ def test_evaluation_builds_no_tape():
         moments, _ = tr._predict(result.checkpoint, ds, cfg, eval_samples=10, seed=0)
         for t in (moments.mean, moments.var):
             assert t._parents == () and t._backward_fn is None and not t.requires_grad
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda h: h.pop("task"), id="no-task"),
+    pytest.param(lambda h: h.update(version=2), id="version-2"),
+    pytest.param(lambda h: h.update(arrays=5), id="arrays-not-a-list"),
+    pytest.param(lambda h: h["specs"][0].update(fan_in=4), id="spec-array-mismatch"),
+    pytest.param(lambda h: h["specs"][0].update(kind="lstm"), id="unknown-layer"),
+    pytest.param(lambda h: h.update(standardize={"target_std": -1.0}), id="negative-target-std"),
+])
+def test_malformed_checkpoint_header_is_data_error(tmp_path, bad):
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    bad(header)
+    hb = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
+    with pytest.raises(DataError):
+        tr.load_checkpoint(path)
+
+
+# A conv net on 9x9 single-channel images: conv 3x3 -> 7x7x4, conv 3x3
+# stride 2 -> 3x3x3, dense -> 3 classes.
+_CONV_SPECS = [
+    LayerSpec("conv2d", in_channels=1, out_channels=4, kernel=3, activation="relu"),
+    LayerSpec("conv2d", in_channels=4, out_channels=3, kernel=3, stride=2, activation="relu"),
+    LayerSpec("dense", fan_in=27, fan_out=3),
+]
+
+
+def test_data_that_does_not_fit_the_checkpoint_is_data_error():
+    dense = _train_small(epochs=1)[0].checkpoint  # 3 features
+    conv = tr._snapshot(build_network(_CONV_SPECS, np.random.default_rng(0)),
+                        tr.TrainConfig(task="classification"), None)
+    r = np.random.default_rng(0)
+    for ckpt, x in ((dense, r.normal(size=(10, 4))),  # one feature too many
+                    (dense, r.normal(size=(0, 3))),  # no rows
+                    (conv, r.normal(size=(10, 9, 9, 2))),  # one channel too many
+                    (conv, r.normal(size=(10, 11, 11, 1))),  # too wide for the dense layer
+                    (conv, r.normal(size=(10, 2, 2, 1))),  # smaller than the kernel
+                    (conv, r.normal(size=(10, 81)))):  # not images
+        ds = Dataset(x, np.zeros(len(x), dtype=int), task=ckpt.task)
+        with pytest.raises(DataError):
+            tr.evaluate(ckpt, ds, tr.TrainConfig(task=ckpt.task, n_classes=3))
+
+
+def test_decompose_over_row_chunks_equals_one_call():
+    # decompose draws its normals row by row, so chunks of rows with one
+    # rng give the numbers of one call, bit for bit
+    r = np.random.default_rng(5)
+    mean, var = r.normal(size=(1000, 10)), r.uniform(0.0, 3.0, size=(1000, 10))
+    whole = decompose(mean, var, n_samples=20, rng=np.random.default_rng(9))
+    for bounds in ([0, 300, 600, 850, 1000], list(range(1001))):
+        rng_ = np.random.default_rng(9)
+        parts = [decompose(mean[a:b], var[a:b], n_samples=20, rng=rng_)
+                 for a, b in zip(bounds, bounds[1:])]
+        for f in dataclasses.fields(whole):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, f.name) for p in parts]), getattr(whole, f.name))
+
+
+@pytest.mark.parametrize("net", ["dense", "conv"])
+def test_evaluation_does_not_depend_on_the_chunk_size(monkeypatch, net):
+    # one-row (gemv) and multi-row (gemm) BLAS calls round differently in
+    # the last bits, so the chunk sizes agree to a relative 1e-12, not bitwise
+    r = np.random.default_rng(6)
+    if net == "dense":
+        result, ds, cfg = _train_small(task="classification", epochs=2)
+        ckpt = result.checkpoint
+    else:
+        cfg = tr.TrainConfig(task="classification", n_classes=3)
+        net_ = build_network(_CONV_SPECS, r, log_var_mean=-3.0, log_var_var=0.1)
+        ckpt = tr._snapshot(net_, cfg, None)
+        ds = Dataset(r.normal(size=(50, 9, 9, 1)), r.integers(0, 3, size=50), "classification")
+    runs = []
+    for chunk in (1, 7, ds.n):
+        monkeypatch.setattr(tr, "EVAL_CHUNK", chunk)
+        runs.append((tr.evaluate(ckpt, ds, cfg, eval_samples=30).values,
+                     tr.evaluate_entropies(ckpt, ds, cfg, eval_samples=30)))
+    for values, entropies in runs[:-1]:
+        assert values.keys() == runs[-1][0].keys()
+        for k in values:
+            assert values[k] == pytest.approx(runs[-1][0][k], rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(entropies, runs[-1][1], rtol=1e-12, atol=0.0)
+
+
+def test_regression_evaluation_does_not_depend_on_the_chunk_size(monkeypatch):
+    result, ds, cfg = _train_small(epochs=2)
+    runs = []
+    for chunk in (1, 7, ds.n):
+        monkeypatch.setattr(tr, "EVAL_CHUNK", chunk)
+        runs.append(tr.evaluate(result.checkpoint, ds, cfg).values)
+    for values in runs[:-1]:
+        for k in values:
+            assert values[k] == pytest.approx(runs[-1][k], rel=1e-12, abs=0.0)
+
+
+def test_evaluation_memory_does_not_grow_with_the_dataset():
+    # 4,096 rows through a 784-256-10 net with 100 samples: one pass over
+    # all rows allocates about 160 MB, fixed row chunks about 5 MB
+    specs = tr.default_specs("classification", 784, hidden=256)
+    cfg = tr.TrainConfig(task="classification")
+    ckpt = tr._snapshot(build_network(specs, np.random.default_rng(0)), cfg, None)
+    r = np.random.default_rng(1)
+    ds = Dataset(r.normal(size=(4096, 784)), r.integers(0, 10, size=4096), "classification")
+    tracemalloc.start()
+    try:
+        tr.evaluate(ckpt, ds, cfg, eval_samples=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 # -- training behaviour ------------------------------------------------------
