@@ -181,7 +181,7 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, n_cla
 
 
 @cli.command("splits")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=10), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--splits", "n_splits", type=int, default=20, show_default=True)
 def splits_cmd(n, seed, n_splits):

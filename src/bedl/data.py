@@ -152,7 +152,7 @@ def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic shuffled split: first ceil(train_fraction * n)
     indices train, rest test."""
     if n < 10:
-        raise ValueError("need at least 10 data points to split")
+        raise DataError(f"need at least 10 data points to split, got {n}")
     rng = np.random.default_rng([plan.seed, plan.split_index])
     perm = rng.permutation(n)
     n_train = int(np.ceil(plan.train_fraction * n))

@@ -102,63 +102,96 @@ def _check_input_var(var: np.ndarray) -> None:
         raise ValueError("negative input variance")
 
 
-def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None) -> GaussianActivation:
-    """Affine layer moments for Gaussian weights and independent Gaussian
-    inputs: E[f] = E[h] E[w], var[f] = E[w^2] var[h] + var[w] E[h]^2.
-    ``var=None`` is a deterministic input, whose var[h] term vanishes.
-    One mean node and one variance node."""
-    h, wm = mean.data, w.mean.data
-    if h.ndim != 2 or h.shape[1] != wm.shape[0]:
-        raise ValueError(f"dense layer expects (N, {wm.shape[0]}) input, got {h.shape}")
+def _affine_nodes(w, mean, var, h, v, op, out_shape=None, fold=None) -> GaussianActivation:
+    """One mean and one variance node of E[f] = E[h] E[w] and var[f] = E[w^2]
+    var[h] + var[w] E[h]^2 over the rows of input means h and variances v
+    (None: a deterministic input). A conv layer gives one receptive field per
+    row, its output shape, and ``fold``: the input gradient g @ w.T col2im'd."""
+    wm = w.mean.data
     wvar = np.exp(w.log_var.data)
     h2 = h * h
     out_mean = h @ wm
     out_var = h2 @ wvar
-    if var is not None:
+    if v is not None:
         _check_input_var(var.data)
         w2 = wm * wm + wvar  # E[w^2]
-        out_var = var.data @ w2 + out_var
+        out_var = v @ w2 + out_var
     bias = w.bias_mean is not None
     if bias:
         bvar = np.exp(w.bias_log_var.data)
         out_mean = out_mean + w.bias_mean.data
         out_var = out_var + bvar
+    if fold is not None:
+        out_mean, out_var = out_mean.reshape(out_shape), out_var.reshape(out_shape)
+    back = fold or (lambda g, w_: g @ w_.T)
 
     def mean_vjp(g):
-        return (g @ wm.T if mean.requires_grad else None), h.T @ g, g.sum(axis=0) if bias else None
+        if fold is not None:
+            g = g.reshape(len(h), -1)
+        return (back(g, wm) if mean.requires_grad else None), h.T @ g, g.sum(0) if bias else None
 
     def var_vjp(g):
-        g_mean = g @ wvar.T * 2.0 * h if mean.requires_grad else None
+        if fold is not None:
+            g = g.reshape(len(h), -1)
+        g_mean = back(g, wvar) * 2.0 * mean.data if mean.requires_grad else None
         g_bias = g.sum(axis=0) * bvar if bias else None
-        if var is None:
+        if v is None:
             return g_mean, None, None, h2.T @ g * wvar, g_bias
-        vg = var.data.T @ g
-        g_var = g @ w2.T if var.requires_grad else None
+        vg = v.T @ g
+        g_var = back(g, w2) if var.requires_grad else None
         return g_mean, g_var, vg * 2.0 * wm, (h2.T @ g + vg) * wvar, g_bias
 
     return GaussianActivation(
-        T.fused(out_mean, (mean, w.mean, w.bias_mean), mean_vjp, "dense_moments"),
-        T.fused(out_var, (mean, var, w.mean, w.log_var, w.bias_log_var), var_vjp, "dense_moments"),
+        T.fused(out_mean, (mean, w.mean, w.bias_mean), mean_vjp, op),
+        T.fused(out_var, (mean, var, w.mean, w.log_var, w.bias_log_var), var_vjp, op),
     )
+
+
+def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None) -> GaussianActivation:
+    """Affine layer moments of an (N, fan_in) input; see _affine_nodes."""
+    h = mean.data
+    if h.ndim != 2 or h.shape[1] != w.mean.shape[0]:
+        raise ValueError(f"dense layer expects (N, {w.mean.shape[0]}) input, got {h.shape}")
+    return _affine_nodes(w, mean, var, h, None if var is None else var.data, "dense_moments")
+
+
+def _receptive_fields(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Im2col of a valid strided convolution, one copy of a strided view:
+    (N, H, W, C) -> (N*OH*OW, kernel*kernel*C) in (ki, kj, c) order."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(1, 2))
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)  # (N, OH, OW, ki, kj, C)
+    return win.reshape(-1, kernel * kernel * x.shape[3])
+
+
+def _fold_receptive_fields(g, w, shape, kernel, stride) -> np.ndarray:
+    """col2im of the receptive-field gradient g @ w.T into the (N, H, W, C)
+    input, one kernel row (kernel*C contiguous inputs) of one output column at
+    a time, so that matrix is never formed; inputs sum terms in (ki, kj) order."""
+    n, hh, ww, c = shape
+    oh, ow = (hh - kernel) // stride + 1, (ww - kernel) // stride + 1
+    g_cols = g.reshape(n, oh, ow, -1).transpose(2, 0, 1, 3).reshape(ow, n * oh, -1)
+    w_rows = w.reshape(kernel, kernel * c, -1)
+    full = np.zeros((n, hh, ww * c))
+    for ki in range(kernel):
+        rows, w_t = full[:, ki : ki + stride * oh : stride], w_rows[ki].T
+        for j in reversed(range(ow)):  # kj rises as j falls
+            lo = j * stride * c
+            rows[:, :, lo : lo + kernel * c] += (g_cols[j] @ w_t).reshape(n, oh, -1)
+    return full.reshape(shape)
 
 
 def conv2d_moments(
     w: WeightDistribution, mean: Tensor, var: Tensor | None, kernel: int, stride: int
 ) -> GaussianActivation:
-    """Valid strided convolution moments: dense_moments over the flattened
-    receptive field of every output position.
-
-    Activations are laid out (N, H, W, C); weights (kernel*kernel*C_in, C_out).
-    """
+    """Valid strided convolution moments: the affine moments of every
+    receptive field, which are built inside the two nodes and never taped.
+    Activations are laid out (N, H, W, C); weights (kernel*kernel*C_in, C_out)."""
     n, hh, ww, _ = mean.shape
     out_shape = (n, (hh - kernel) // stride + 1, (ww - kernel) // stride + 1, w.mean.shape[1])
-
-    def patches(t: Tensor) -> Tensor:
-        p = T.extract_patches(t, kernel, stride)
-        return T.reshape(p, (-1, p.shape[-1]))
-
-    f = dense_moments(w, patches(mean), None if var is None else patches(var))
-    return GaussianActivation(T.reshape(f.mean, out_shape), T.reshape(f.var, out_shape))
+    v = None if var is None else _receptive_fields(var.data, kernel, stride)
+    h = _receptive_fields(mean.data, kernel, stride)
+    return _affine_nodes(w, mean, var, h, v, "conv2d_moments", out_shape,
+                         lambda g, w_: _fold_receptive_fields(g, w_, mean.shape, kernel, stride))
 
 
 def _relu_core(mean: np.ndarray, var: np.ndarray):

@@ -9,10 +9,10 @@ root raises.
 Every op validates that its result is finite and raises NumericsError
 otherwise, so NaN/inf never propagate silently. Every differentiable op of
 the model (each layer moment, likelihood head and objective) is one
-``fused`` node: a closed-form value with a hand-written gradient. Of the
-few ops here, reshape and extract_patches serve the conv path; add, mul,
-exp, log, tsum and take, with ``+``, ``*`` and ``[]``, are glue for
-composing fused nodes.
+``fused`` node: a closed-form value with a hand-written gradient; conv
+layers build their receptive fields inside theirs. reshape flattens conv
+activations for a dense layer; add, mul, exp, log, tsum and take, with
+``+``, ``*`` and ``[]``, are glue for composing fused nodes.
 """
 
 from __future__ import annotations
@@ -239,36 +239,6 @@ def take(a: Tensor, idx) -> Tensor:
     return _make(np.array(out_data, copy=True), (a,), bw, "take")
 
 
-def extract_patches(a: Tensor, kernel: int, stride: int) -> Tensor:
-    """Im2col for valid (unpadded) convolution.
-
-    Input (N, H, W, C) -> output (N, OH, OW, kernel*kernel*C), where each
-    output position holds its receptive field flattened in (ki, kj, c) order.
-    """
-    n, h, w, c = a.data.shape
-    if kernel > h or kernel > w:
-        raise ValueError("kernel larger than input")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    cols = []
-    for ki in range(kernel):
-        for kj in range(kernel):
-            cols.append(a.data[:, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride, :])
-    out_data = np.concatenate(cols, axis=3)
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        for slot in range(kernel * kernel):
-            ki, kj = divmod(slot, kernel)
-            gslice = g[..., slot * c : (slot + 1) * c]
-            full[:, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride, :] += gslice
-        a._accumulate(full)
-
-    return _make(out_data, (a,), bw, "extract_patches")
-
-
 # -- reductions --------------------------------------------------------------
 
 
@@ -276,10 +246,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge, a.data.shape).copy())
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(ge, a.data.shape).copy())
 
     return _make(out_data, (a,), bw, "sum")

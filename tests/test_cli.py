@@ -159,6 +159,28 @@ def test_data_error_exit_code(tmp_path):
     assert "data error" in res.stderr
 
 
+def test_regression_csv_too_small_to_split_is_data_error(trained_checkpoint, tmp_path,
+                                                         monkeypatch, capsys):
+    # cli.main runs in this process, so an unmapped exception fails the test
+    from bedl import cli
+
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("".join(f"{i},{i * i % 7},{0.5 * i}\n" for i in range(9)))
+    for cmd in (["train", "--data", str(tiny), "--epochs", "1", "--out", str(tmp_path / "o")],
+                ["eval", "--data", str(tiny), "--checkpoint", str(trained_checkpoint)]):
+        monkeypatch.setattr(sys, "argv", ["bedl", *cmd])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and err.startswith("data error:"), (cmd[0], err)
+        assert "at least 10 data points" in err
+    assert not (tmp_path / "o").exists()
+    monkeypatch.setattr(sys, "argv", ["bedl", "splits", "--n", "9"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 1 and capsys.readouterr().err.startswith("error:")
+
+
 def test_truncated_or_padded_checkpoint_is_data_error(csv_file, trained_checkpoint, tmp_path,
                                                       monkeypatch, capsys):
     # cut in the magic, the header or the arrays, or one byte past the end;

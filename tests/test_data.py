@@ -141,7 +141,7 @@ def test_make_splits_partition_and_determinism():
 def test_make_splits_ceil_and_validation():
     tr, te = make_splits(15, SplitPlan(0))
     assert len(tr) == 14 and len(te) == 1  # ceil(0.9 * 15)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         make_splits(5, SplitPlan(0))
     with pytest.raises(ValueError):
         SplitPlan(0, train_fraction=1.5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bedl import layers as L
+from bedl import oracle
 from bedl import tensor as T
 from bedl.oracle import make_rng, sample_forward
 
@@ -161,15 +162,50 @@ def test_dense_moments_gradcheck(input_var, bias):
     check_grads(lambda: _weighted_moments(L.dense_moments(w, mean, var)), params, rel_tol=1e-6)
 
 
-def test_conv2d_moments_gradcheck():
-    w = _weights(2 * 2 * 2, 3, log_var=-1.0)
-    mean = T.Parameter(rng.normal(size=(2, 5, 5, 2)))
-    var = T.Parameter(rng.uniform(0.1, 1.0, size=(2, 5, 5, 2)))
+@pytest.mark.parametrize(
+    "kernel,stride,size,input_var",
+    [(2, 2, (5, 5), True),  # windows that never overlap
+     (3, 1, (5, 5), True),  # overlapping windows: col2im sums several terms per input
+     (3, 2, (6, 7), True),  # the last input row lies in no window
+     (3, 1, (5, 6), False)],  # a first layer: deterministic input
+    ids=["k2-s2", "k3-s1", "k3-s2-edge", "first-layer"],
+)
+def test_conv2d_moments_gradcheck(kernel, stride, size, input_var):
+    w = _weights(kernel * kernel * 2, 3, log_var=-1.0)
+    mean = T.Parameter(rng.normal(size=(2, *size, 2)))
+    var = T.Parameter(rng.uniform(0.1, 1.0, size=(2, *size, 2))) if input_var else None
 
     def f():
-        return _weighted_moments(L.conv2d_moments(w, mean, var, kernel=2, stride=2))
+        return _weighted_moments(L.conv2d_moments(w, mean, var, kernel=kernel, stride=stride))
 
-    check_grads(f, w.parameters() + [mean, var], rel_tol=1e-6)
+    check_grads(f, w.parameters() + [mean] + ([var] if input_var else []), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kernel,stride,size",
+    [(2, 2, (5, 5)), (3, 1, (5, 5)), (3, 2, (6, 7)), (5, 2, (9, 8)), (1, 1, (3, 4))],
+    ids=["k2-s2", "k3-s1", "k3-s2-edge", "k5-s2", "k1-s1"],
+)
+def test_receptive_fields_match_oracle_patches(kernel, stride, size):
+    x = rng.normal(size=(2, *size, 3))
+    fields = L._receptive_fields(x, kernel, stride)
+    ref = oracle._conv_patches(x, kernel, stride)  # (N, OH, OW, kernel*kernel*C)
+    np.testing.assert_array_equal(fields, ref.reshape(-1, kernel * kernel * 3))
+
+
+@pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (2, 3)], ids=["k3-s1", "k3-s2", "k2-s3"])
+def test_receptive_fields_fold_gradcheck(kernel, stride):
+    # the fold is the vjp of x -> receptive_fields(x) @ w, including inputs
+    # in several windows and inputs in none
+    p = T.Parameter(rng.normal(size=(2, 6, 7, 2)))
+    w = rng.normal(size=(kernel * kernel * 2, 3))
+
+    def f():
+        z = T.fused(L._receptive_fields(p.data, kernel, stride) @ w, (p,),
+                    lambda g: (L._fold_receptive_fields(g, w, p.shape, kernel, stride),), "conv")
+        return T.tsum(z * z)
+
+    check_grads(f, [p], rel_tol=1e-6)
 
 
 @pytest.mark.parametrize("act", ["relu", "elu"])

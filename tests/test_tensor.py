@@ -83,29 +83,6 @@ def test_reshape_take_gradcheck():
     check_grads(f, [p], rel_tol=1e-6)
 
 
-def test_extract_patches_matches_manual_conv():
-    x = rng.normal(size=(2, 5, 5, 3))
-    patches = T.extract_patches(T.constant(x), kernel=2, stride=2).data
-    assert patches.shape == (2, 2, 2, 12)
-    manual = x[0, 2:4, 2:4, :].reshape(-1)
-    # layout: kernel positions blocked, channels fastest
-    np.testing.assert_allclose(
-        patches[0, 1, 1],
-        np.concatenate([x[0, 2 + i, 2 + j, :] for i in range(2) for j in range(2)]),
-    )
-    assert manual.size == patches.shape[-1]
-
-
-def test_extract_patches_gradcheck():
-    p = _param((1, 4, 4, 2))
-
-    def f():
-        z = T.extract_patches(p, kernel=3, stride=1)
-        return T.tsum(z * z)
-
-    check_grads(f, [p], rel_tol=1e-6)
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         T.log(T.constant(-1.0))
