@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +20,6 @@ from .oracle import make_rng, sample_forward, sample_marginal_likelihood
 from .tensor import NumericsError
 from .train import (
     EvalMetrics,
-    InitConfig,
     TrainConfig,
     TrainingDiverged,
     default_specs,
@@ -47,22 +45,12 @@ def _load_dataset(data, images, labels, task, target_column) -> Dataset:
 
 
 def _build_config(config_path, task, **overrides) -> TrainConfig:
-    raw = {}
-    if config_path is not None:
-        raw = json.loads(Path(config_path).read_text())
-    raw["task"] = task
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-    field_names = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(raw) - field_names
-    if unknown:
-        raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+    """The JSON config file, if any, with the task and the flags that were
+    given on top; a file that is not a JSON object is a usage error too."""
     try:
-        for key, nested in (("hyper", obj.HyperpriorConfig), ("init", InitConfig)):
-            if isinstance(raw.get(key), dict):
-                raw[key] = nested(**raw[key])
-        return TrainConfig(**raw)
+        raw = json.loads(Path(config_path).read_text()) if config_path is not None else {}
+        flags = {key: value for key, value in overrides.items() if value is not None}
+        return TrainConfig.from_dict({**raw, "task": task, **flags})
     except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -72,6 +60,12 @@ common_data_options = [
     click.option("--images", type=click.Path(exists=True), help="IDX image file"),
     click.option("--labels", type=click.Path(exists=True), help="IDX label file"),
     click.option("--target-column", type=int, default=-1, show_default=True),
+]
+
+# which rows of a regression CSV are the train and test split
+split_options = [
+    click.option("--split-index", type=click.IntRange(min=0), default=0, show_default=True),
+    click.option("--split-seed", type=click.IntRange(min=0), default=0, show_default=True),
 ]
 
 
@@ -98,8 +92,7 @@ def _with(options):
 @click.option("--samples", "mc_samples", type=int)
 @click.option("--hidden", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--n-classes", type=int)
-@click.option("--split-index", type=int, default=0, show_default=True)
-@click.option("--split-seed", type=int, default=0, show_default=True)
+@_with(split_options)
 @click.option("--limit", type=int, default=None, help="Use only the first N training points")
 @click.option("--out", type=click.Path(), required=True, help="Results directory")
 def train_cmd(
@@ -134,23 +127,19 @@ def train_cmd(
 @cli.command("eval")
 @_with(common_data_options)
 @click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--split-index", type=int, default=0, show_default=True)
-@click.option("--split-seed", type=int, default=0, show_default=True)
-@click.option("--beta", type=float, default=100.0, show_default=True)
-@click.option("--n-classes", type=int, default=10, show_default=True)
+@_with(split_options)
 @click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
 def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split_seed,
-             beta, n_classes, eval_samples):
-    """Evaluate a checkpoint on the test split (regression CSV) or on a
-    full IDX dataset (classification)."""
+             eval_samples):
+    """Evaluate a checkpoint, under the config it was trained with, on the
+    test split (regression CSV) or on a full IDX dataset (classification)."""
     ckpt = load_checkpoint(checkpoint)
-    cfg = _build_config(None, ckpt.task, beta=beta, n_classes=n_classes)
     ds = _load_dataset(data, images, labels, ckpt.task, target_column)
     if ckpt.task == "regression":
         tr_idx, te_idx = make_splits(ds.n, SplitPlan(split_index, seed=split_seed))
         ds_std, _ = standardize(ds, tr_idx)
         ds = ds_std.subset(te_idx)
-    metrics = evaluate(ckpt, ds, cfg, eval_samples=eval_samples)
+    metrics = evaluate(ckpt, ds, ckpt.config, eval_samples=eval_samples)
     click.echo(metrics.csv(), nl=False)
 
 
@@ -160,29 +149,28 @@ def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split
 @click.option("--in-labels", type=click.Path(exists=True), required=True)
 @click.option("--ood-images", type=click.Path(exists=True), required=True)
 @click.option("--ood-labels", type=click.Path(exists=True), required=True)
-@click.option("--n-classes", type=int, default=10, show_default=True)
 @click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
-def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, n_classes, eval_samples):
-    """In-domain test metrics plus out-of-domain entropy metrics."""
+def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, eval_samples):
+    """In-domain test metrics plus out-of-domain entropy metrics, under the
+    checkpoint's own config."""
     from .uncertainty import ecdf_auc
 
     ckpt = load_checkpoint(checkpoint)
     if ckpt.task != "classification":
         raise click.UsageError(f"ood-eval needs a classification checkpoint, not {ckpt.task!r}")
-    cfg = _build_config(None, "classification", n_classes=n_classes)
     in_ds = load_idx(in_images, in_labels)
     ood_ds = load_idx(ood_images, ood_labels)
-    in_metrics = evaluate(ckpt, in_ds, cfg, eval_samples=eval_samples)
-    ood_entropy = evaluate_entropies(ckpt, ood_ds, cfg, eval_samples=eval_samples)
+    in_metrics = evaluate(ckpt, in_ds, ckpt.config, eval_samples=eval_samples)
+    ood_entropy = evaluate_entropies(ckpt, ood_ds, ckpt.config, eval_samples=eval_samples)
     values = {f"in_{k}": v for k, v in in_metrics.values.items()}
-    values["ood_ecdf_auc"] = ecdf_auc(ood_entropy, n_classes)
+    values["ood_ecdf_auc"] = ecdf_auc(ood_entropy, ckpt.specs[-1].n_out)
     values["ood_mean_entropy"] = float(ood_entropy.mean())
     click.echo(EvalMetrics("classification", values).csv(), nl=False)
 
 
 @cli.command("splits")
 @click.option("--n", type=click.IntRange(min=10), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--splits", "n_splits", type=int, default=20, show_default=True)
 def splits_cmd(n, seed, n_splits):
     """Print the train/test index assignment for each split as CSV."""

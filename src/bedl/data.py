@@ -167,19 +167,6 @@ class StandardizeRecord:
     target_std: float | None
     kept_columns: np.ndarray
 
-    def inverse_targets(self, y_std: np.ndarray) -> np.ndarray:
-        if self.target_std is None:
-            return y_std
-        return y_std * self.target_std + self.target_mean
-
-    @property
-    def loglik_correction(self) -> float:
-        """Additive per-datum correction taking standardized-unit
-        log-likelihoods back to original target units."""
-        if self.target_std is None:
-            return 0.0
-        return -float(np.log(self.target_std))
-
 
 def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, StandardizeRecord]:
     """Z-score features (and regression targets) by train-split statistics.

@@ -21,6 +21,7 @@ from .layers import GaussianActivation, WeightDistribution
 from .tensor import Tensor
 
 LOG_2PI = math.log(2.0 * math.pi)
+LOGIT_CLAMP = 30.0  # sampled logits are clamped to +-30 so that exp(f) stays finite
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class RegressionHeadConfig:
 class ClassificationHeadConfig:
     n_classes: int = 10
     n_samples: int = 5
-    logit_clamp: float = 30.0
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -163,7 +163,7 @@ def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _clamped_draws(moments: GaussianActivation, cfg: ClassificationHeadConfig, rng, eps):
-    """Output samples f = m + s*eps clamped at +-logit_clamp, (S, N, C) for
+    """Output samples f = m + s*eps clamped at +-LOGIT_CLAMP, (S, N, C) for
     eps drawn from rng as (n_samples, N, C) when not given; and the chain
     rule from a gradient in f to those in (m, s^2), zero past the clamp."""
     mean, var = moments.mean.data, moments.var.data
@@ -176,13 +176,13 @@ def _clamped_draws(moments: GaussianActivation, cfg: ClassificationHeadConfig, r
     if eps.shape[0] < 1:
         raise ValueError("need at least one output draw")
     f = G.output_draws(mean, var, eps)
-    inside = (f > -cfg.logit_clamp) & (f < cfg.logit_clamp)
+    inside = (f > -LOGIT_CLAMP) & (f < LOGIT_CLAMP)
 
     def chain(g):
         g = g * inside
         return g.sum(axis=0), (g * eps).sum(axis=0) * 0.5 / np.sqrt(var)
 
-    return np.clip(f, -cfg.logit_clamp, cfg.logit_clamp), chain
+    return np.clip(f, -LOGIT_CLAMP, LOGIT_CLAMP), chain
 
 
 def classification_log_marginal(

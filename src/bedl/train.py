@@ -25,6 +25,7 @@ OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
 EVAL_CHUNK = 64
 
 CHECKPOINT_MAGIC = b"BEDLCKP1"
+CHECKPOINT_VERSION = 2
 # Checkpoint arrays are named w{layer}.{field} after these WeightDistribution fields.
 _WEIGHT_FIELDS = ("mean", "log_var", "bias_mean", "bias_log_var")
 
@@ -74,6 +75,8 @@ class TrainConfig:
             raise ValueError("invalid optimizer settings")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.objective == "edl" and self.task != "classification":
             raise ValueError("edl objective requires classification")
         mean, var = self.init.log_var_mean, self.init.log_var_var
@@ -81,6 +84,18 @@ class TrainConfig:
             raise ValueError("init needs a finite log_var_var >= 0 and exp(log_var_mean) finite")
         self.pac(1)
         self.head()
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> TrainConfig:
+        """The config that plain JSON values describe, as in a ``--config``
+        file or a checkpoint header: nested dicts build the hyperprior and
+        init configs, and a key that names no field is a ValueError."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        nested = {"hyper": obj.HyperpriorConfig, "init": InitConfig}
+        return cls(**{key: nested[key](**value) if key in nested and isinstance(value, dict)
+                      else value for key, value in raw.items()})
 
     def head(self) -> obj.RegressionHeadConfig | obj.ClassificationHeadConfig:
         if self.task == "regression":
@@ -153,19 +168,23 @@ class Adam:
 # -- checkpoint binary format -----------------------------------------------
 #
 # magic (8 bytes) | u32 header length | JSON header | float64 LE blobs.
-# The header lists the task, layer specs, the array manifest in write order
-# and the target standardization. Writing is fully deterministic, so
-# save -> load -> save is byte-identical. Header keys and arrays that are
-# not named here (older files also stored Adam and RNG state) are ignored.
+# The version 2 header holds the TrainConfig, the layer specs, the array
+# manifest in write order and the train-split std of regression targets.
+# Writing is fully deterministic, so save -> load -> save is byte-identical.
+# Header keys and arrays not named here are ignored; other versions are
+# rejected.
 
 
 @dataclass
 class Checkpoint:
-    version: int
+    config: TrainConfig  # the one source of the task, beta and head at evaluation
     specs: list[LayerSpec]
     arrays: dict[str, np.ndarray]  # weight means and log-variances
-    task: str
-    standardize: dict | None = None
+    target_std: float | None = None  # train-split std of regression targets
+
+    @property
+    def task(self) -> str:
+        return self.config.task
 
     def build_network(self) -> MomentNetwork:
         """The network for evaluation: plain tensors that record no tape
@@ -180,13 +199,14 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     names = sorted(ckpt.arrays)
     header = {
-        "version": ckpt.version,
-        "task": ckpt.task,
+        "version": CHECKPOINT_VERSION,
+        "config": asdict(ckpt.config),
         "specs": [asdict(s) for s in ckpt.specs],
         "arrays": [{"name": n, "shape": list(ckpt.arrays[n].shape)} for n in names],
-        "standardize": ckpt.standardize,
+        "target_std": ckpt.target_std,
     }
-    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    # a config or spec may hold numpy scalars: json writes the numbers they hold
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":"), default=np.generic.item).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(hb)))
@@ -208,8 +228,9 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         raise ValueError("bad magic")
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + hlen])
-    if header["version"] != 1:
-        raise ValueError(f"unsupported version {header['version']}")
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"version {header['version']} checkpoints are not supported, "
+                         f"only version {CHECKPOINT_VERSION}")
     offset = 12 + hlen
     arrays = {}
     for entry in header["arrays"]:
@@ -228,18 +249,16 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         for name, shape in zip(_WEIGHT_FIELDS, shapes):
             if arrays[f"w{i}.{name}"].shape != shape:
                 raise ValueError(f"w{i}.{name} does not have the shape {shape} of layer {i}")
-    if header["task"] not in ("regression", "classification") or not specs:
-        raise ValueError("no task or no layers")
-    std = header["standardize"]
-    if std is not None and not 0 < (std.get("target_std") or 1.0) < math.inf:
+    if not specs:
+        raise ValueError("no layers")
+    target_std = header["target_std"]
+    if target_std is not None and not 0 < target_std < math.inf:
         raise ValueError("target_std must be positive")
-    return Checkpoint(
-        version=header["version"],
-        specs=specs,
-        arrays=arrays,
-        task=header["task"],
-        standardize=header["standardize"],
-    )
+    # a saved config names every field: a default must not stand in for the trained value
+    missing = {f.name for f in fields(TrainConfig)} - set(header["config"])
+    if missing:
+        raise ValueError(f"config lacks {sorted(missing)}")
+    return Checkpoint(TrainConfig.from_dict(header["config"]), specs, arrays, target_std)
 
 
 def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None) -> Checkpoint:
@@ -249,19 +268,7 @@ def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | 
         for name in _WEIGHT_FIELDS
         if getattr(w, name) is not None
     }
-    std = None
-    if record is not None:
-        std = {
-            "target_mean": record.target_mean,
-            "target_std": record.target_std,
-        }
-    return Checkpoint(
-        version=1,
-        specs=net.specs,
-        arrays=arrays,
-        task=cfg.task,
-        standardize=std,
-    )
+    return Checkpoint(cfg, net.specs, arrays, None if record is None else record.target_std)
 
 
 # -- training ----------------------------------------------------------------
@@ -431,6 +438,8 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
     draws row by row, so no value depends on the chunk size."""
     if ckpt.task != cfg.task:
         raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
+    if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
+        raise ValueError(f"beta {cfg.beta} does not match the checkpoint's {ckpt.config.beta}")
     x = _prepare_features(dataset.features, ckpt.specs)
     _check_features(x, ckpt.specs)
     net, rng = ckpt.build_network(), np.random.default_rng(seed)
@@ -455,18 +464,18 @@ def evaluate(
     eval_samples: int = 100,
     seed: int = 12345,
 ) -> EvalMetrics:
-    """Test metrics for a checkpoint.
+    """Test metrics for a checkpoint, scored under its own config; ``cfg``
+    must agree with it in task and, for regression, in beta.
 
     Regression: mean per-datum log-likelihood in original target units
     (applies the -log std_y correction recorded at standardization time).
-    Classification: test error and the ECDF-AUC of predictive entropies.
+    Classification: test error and the ECDF-AUC of predictive entropies
+    over [0, log C], with C the width of the output layer.
     """
     moments, rep = _predict(ckpt, dataset, cfg, eval_samples, seed)
     if rep is None:
-        lm = obj.regression_log_marginal(moments, dataset.targets, cfg.head())
-        correction = 0.0
-        if ckpt.standardize and ckpt.standardize.get("target_std"):
-            correction = -math.log(ckpt.standardize["target_std"])
+        lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.head())
+        correction = 0.0 if ckpt.target_std is None else -math.log(ckpt.target_std)
         values = {
             "test_loglik": float(lm.data.mean() + correction),
             "test_rmse": float(
@@ -477,7 +486,7 @@ def evaluate(
 
     values = {
         "test_error_pct": test_error(rep.predictive_mean, dataset.targets),
-        "ecdf_auc": ecdf_auc(rep.entropy, cfg.n_classes),
+        "ecdf_auc": ecdf_auc(rep.entropy, ckpt.specs[-1].n_out),
         "mean_entropy": float(rep.entropy.mean()),
     }
     return EvalMetrics("classification", values)

@@ -101,7 +101,9 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"init": {"log_var_mean": -8}}, 0, id="init-dict"),
     pytest.param([], {"init": {"log_var_men": -8}}, 1, id="init-unknown-key"),
     pytest.param([], {"hyper": {"a0": -1.0}}, 1, id="hyper-a0-negative"),
+    # eval scores under the checkpoint's own beta and classes: no flag sets them
     pytest.param(["eval", "--beta", "-1"], None, 1, id="eval-beta-negative"),
+    pytest.param(["eval", "--n-classes", "2"], None, 1, id="eval-n-classes"),
     pytest.param([], {"epochs": 1.5}, 1, id="epochs-float"),
     pytest.param([], {"init": 5}, 1, id="init-int"),
     pytest.param([], {"batch_size": "32"}, 1, id="batch-string"),
@@ -109,6 +111,13 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"init": {"log_var_mean": 800}}, 1, id="init-exp-overflow"),
     pytest.param(["--hidden", "0"], None, 1, id="hidden-0"),
     pytest.param(["eval", "--eval-samples", "1"], None, 1, id="eval-samples-1"),
+    pytest.param([], [1, 2], 1, id="config-not-an-object"),
+    pytest.param(["--seed", "-1"], None, 1, id="seed-negative"),
+    pytest.param(["--split-seed", "-1"], None, 1, id="split-seed-negative"),
+    pytest.param(["--split-index", "-3"], None, 1, id="split-index-negative"),
+    pytest.param(["eval", "--split-seed", "-1"], None, 1, id="eval-split-seed-negative"),
+    pytest.param(["eval", "--split-index", "-3"], None, 1, id="eval-split-index-negative"),
+    pytest.param(["splits", "--seed", "-1"], None, 1, id="splits-seed-negative"),
 ])
 def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
                                             args, config, code):
@@ -117,6 +126,8 @@ def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_p
     out = tmp_path / "run"
     if args[:1] == ["eval"]:
         cmd = ["eval", "--data", str(csv_file), "--checkpoint", str(trained_checkpoint)] + args[1:]
+    elif args[:1] == ["splits"]:
+        cmd = ["splits", "--n", "20"] + args[1:]
     else:
         cmd = ["train", "--data", str(csv_file), "--out", str(out)] + args
         if "epochs" not in (config or {}):  # a flag would override the file's value
@@ -200,6 +211,44 @@ def test_truncated_or_padded_checkpoint_is_data_error(csv_file, trained_checkpoi
             assert "Traceback" not in err
 
 
+def test_eval_scores_under_the_trained_beta(csv_file, tmp_path):
+    # a plain eval of a beta=10 model equals the library's evaluate at beta=10
+    from bedl.data import SplitPlan, load_csv, make_splits, standardize
+    from bedl.train import TrainConfig, evaluate, load_checkpoint
+
+    out = tmp_path / "run"
+    res = run_cli("train", "--data", str(csv_file), "--beta", "10", "--epochs", "3",
+                  "--hidden", "4", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    ev = run_cli("eval", "--data", str(csv_file), "--checkpoint", str(out / "checkpoint.bin"))
+    assert ev.returncode == 0, ev.stderr
+    ds = load_csv(csv_file)
+    tr_idx, te_idx = make_splits(ds.n, SplitPlan(0))
+    test = standardize(ds, tr_idx)[0].subset(te_idx)
+    ckpt = load_checkpoint(out / "checkpoint.bin")
+    assert ev.stdout == evaluate(ckpt, test, TrainConfig(beta=10.0)).csv()
+
+
+def test_version_1_checkpoint_is_data_error(csv_file, tmp_path, monkeypatch, capsys):
+    # the version 1 header had task and standardize keys and no config;
+    # such a file is refused by name, not scored under guessed settings
+    import struct
+
+    from bedl import cli
+
+    header = json.dumps({"version": 1, "task": "regression", "specs": [], "arrays": [],
+                         "standardize": None}).encode()
+    old = tmp_path / "v1.bin"
+    old.write_bytes(b"BEDLCKP1" + struct.pack("<I", len(header)) + header)
+    monkeypatch.setattr(sys, "argv", ["bedl", "eval", "--data", str(csv_file),
+                                      "--checkpoint", str(old)])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and err.startswith("data error:") and "version 1" in err, err
+    assert "Traceback" not in err
+
+
 def test_eval_on_data_of_another_width_is_data_error(csv_file, trained_checkpoint, tmp_path):
     wide = tmp_path / "wide.csv"
     rows = csv_file.read_text().splitlines()
@@ -279,13 +328,14 @@ def test_ood_eval_subcommand(tmp_path):
         "ood-eval", "--checkpoint", str(out / "checkpoint.bin"),
         "--in-images", str(tmp_path / "tr-img.idx"), "--in-labels", str(tmp_path / "tr-lab.idx"),
         "--ood-images", str(tmp_path / "ood-img.idx"), "--ood-labels", str(tmp_path / "ood-lab.idx"),
-        "--n-classes", "2",
     )
     assert res.returncode == 0, res.stderr
     head, row = res.stdout.strip().splitlines()
     record = dict(zip(head.split(","), map(float, row.split(","))))
     assert {"in_test_error_pct", "in_ecdf_auc", "ood_ecdf_auc", "ood_mean_entropy"} <= set(record)
     assert record["in_test_error_pct"] < 50.0
+    # the ECDF-AUC is taken over [0, log C] for the checkpoint's 2 classes
+    assert 0.0 <= record["in_ecdf_auc"] <= np.log(2) and 0.0 <= record["ood_ecdf_auc"] <= np.log(2)
 
     # OOD images of another size than the checkpoint's input are a data
     # error, and fewer than 2 eval samples a usage error
@@ -298,6 +348,6 @@ def test_ood_eval_subcommand(tmp_path):
                                              ("--ood-images", ood_images),
                                              ("--ood-labels", "ood-lab.idx"))
                         for a in (flag, str(tmp_path / name))),
-                      "--n-classes", "2", *extra)
+                      *extra)
         assert res.returncode == code, res.stderr
         assert res.stderr.startswith(prefix) and "Traceback" not in res.stderr

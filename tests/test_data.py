@@ -163,8 +163,8 @@ def test_standardize_uses_train_stats_only():
     np.testing.assert_allclose(out.targets[tr].mean(), 0.0, atol=1e-12)
     # test rows use the same transform, so they are generally not centered
     assert abs(out.features[40:].mean()) > 1e-6
-    np.testing.assert_allclose(rec.inverse_targets(out.targets), y, rtol=1e-10)
-    np.testing.assert_allclose(rec.loglik_correction, -np.log(y[tr].std()), rtol=1e-12)
+    np.testing.assert_allclose(out.targets * rec.target_std + rec.target_mean, y, rtol=1e-10)
+    np.testing.assert_allclose(rec.target_std, y[tr].std(), rtol=1e-12)
 
 
 def test_standardize_drops_zero_variance_columns():

@@ -50,6 +50,7 @@ def test_config_validation():
         {"objective": "edl"},
         {"task": "classification", "mc_samples": 0},
         {"task": "classification", "n_classes": 1},
+        {"seed": -1},
     ):
         with pytest.raises(ValueError):
             tr.TrainConfig(**kw)
@@ -180,8 +181,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
-    # older checkpoints also stored Adam moments (arrays adam.m*/adam.v*)
-    # and the adam_t, rng_state and config_hash header keys; all are ignored
+    # header keys and arrays that version 2 does not name are ignored: here
+    # Adam moments (arrays adam.m*/adam.v*) and adam_t, rng_state and
+    # config_hash header keys
     result, ds, cfg = _train_small()
     ckpt = result.checkpoint
     arrays = dict(ckpt.arrays)
@@ -190,22 +192,35 @@ def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
         arrays[f"adam.v{i}"] = np.full_like(ckpt.arrays[name], 0.25)
     names = sorted(arrays)
     header = {
-        "version": 1,
-        "task": ckpt.task,
+        "version": 2,
+        "config": dataclasses.asdict(ckpt.config),
         "specs": [dataclasses.asdict(s) for s in ckpt.specs],
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
         "adam_t": 6,
         "rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                       "state": {"inc": 2**100 + 1, "state": 2**120 + 7}},
         "config_hash": "0123456789abcdef",
-        "standardize": ckpt.standardize,
+        "target_std": 1.5,
     }
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = tmp_path / "old.bin"
     path.write_bytes(b"BEDLCKP1" + struct.pack("<I", len(hb)) + hb
                      + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
     loaded = tr.load_checkpoint(path)
-    assert loaded.specs == ckpt.specs and loaded.task == ckpt.task
+    assert loaded.specs == ckpt.specs and loaded.config == ckpt.config
+    assert loaded.target_std == 1.5
+    ckpt.target_std = 1.5
+    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(ckpt, ds, cfg).values
+
+
+def test_checkpoint_config_with_numpy_integers_saves_and_loads(tmp_path):
+    # the config checks take numpy integers, which json cannot write as they are
+    cfg = tr.TrainConfig(epochs=np.int64(2), batch_size=np.int64(16), seed=np.int64(4))
+    ds = _regression_ds(n=20)
+    ckpt = tr.train(ds, tr.default_specs("regression", 3, hidden=np.int64(4)), cfg).checkpoint
+    tr.save_checkpoint(ckpt, tmp_path / "c.bin")
+    loaded = tr.load_checkpoint(tmp_path / "c.bin")
+    assert loaded.config == cfg and type(loaded.config.epochs) is int
     assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(ckpt, ds, cfg).values
 
 
@@ -216,6 +231,9 @@ def test_evaluate_task_mismatch():
             fn(result.checkpoint, _blob_ds(), tr.TrainConfig(task="classification"))
     with pytest.raises(ValueError, match="task"):
         tr.evaluate_entropies(result.checkpoint, _regression_ds(), tr.TrainConfig())
+    # a regression checkpoint is scored only under the beta it was trained with
+    with pytest.raises(ValueError, match="beta"):
+        tr.evaluate(result.checkpoint, _regression_ds(), tr.TrainConfig(beta=10.0))
 
 
 def test_evaluation_builds_no_tape():
@@ -227,12 +245,15 @@ def test_evaluation_builds_no_tape():
 
 
 @pytest.mark.parametrize("bad", [
-    pytest.param(lambda h: h.pop("task"), id="no-task"),
-    pytest.param(lambda h: h.update(version=2), id="version-2"),
+    pytest.param(lambda h: h["config"].pop("task"), id="no-task"),
+    pytest.param(lambda h: h["config"].pop("beta"), id="config-without-beta"),
+    pytest.param(lambda h: h.update(version=3), id="version-3"),
+    pytest.param(lambda h: h["config"].update(beta=-1.0), id="config-beta-negative"),
+    pytest.param(lambda h: h["config"].update(epohcs=3), id="config-unknown-key"),
     pytest.param(lambda h: h.update(arrays=5), id="arrays-not-a-list"),
     pytest.param(lambda h: h["specs"][0].update(fan_in=4), id="spec-array-mismatch"),
     pytest.param(lambda h: h["specs"][0].update(kind="lstm"), id="unknown-layer"),
-    pytest.param(lambda h: h.update(standardize={"target_std": -1.0}), id="negative-target-std"),
+    pytest.param(lambda h: h.update(target_std=-1.0), id="negative-target-std"),
 ])
 def test_malformed_checkpoint_header_is_data_error(tmp_path, bad):
     result, _, _ = _train_small(epochs=1)
