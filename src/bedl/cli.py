@@ -55,10 +55,13 @@ def _build_config(config_path, task, **overrides) -> TrainConfig:
         raise click.UsageError(str(exc)) from exc
 
 
+# an existing file: a directory is a usage error, not an IsADirectoryError traceback
+_FILE = click.Path(exists=True, dir_okay=False)
+
 common_data_options = [
-    click.option("--data", type=click.Path(exists=True), help="CSV data file"),
-    click.option("--images", type=click.Path(exists=True), help="IDX image file"),
-    click.option("--labels", type=click.Path(exists=True), help="IDX label file"),
+    click.option("--data", type=_FILE, help="CSV data file"),
+    click.option("--images", type=_FILE, help="IDX image file"),
+    click.option("--labels", type=_FILE, help="IDX label file"),
     click.option("--target-column", type=int, default=-1, show_default=True),
 ]
 
@@ -81,7 +84,7 @@ def _with(options):
 @cli.command("train")
 @_with(common_data_options)
 @click.option("--task", type=click.Choice(["regression", "classification"]), default="regression")
-@click.option("--config", "config_path", type=click.Path(exists=True), help="JSON config file")
+@click.option("--config", "config_path", type=_FILE, help="JSON config file")
 @click.option("--objective", type=click.Choice(["bedl", "bedl+reg", "bedl-hyper", "edl"]))
 @click.option("--epochs", type=int)
 @click.option("--lr", "learning_rate", type=float)
@@ -126,7 +129,7 @@ def train_cmd(
 
 @cli.command("eval")
 @_with(common_data_options)
-@click.option("--checkpoint", type=click.Path(exists=True), required=True)
+@click.option("--checkpoint", type=_FILE, required=True)
 @_with(split_options)
 @click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
 def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split_seed,
@@ -144,11 +147,11 @@ def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split
 
 
 @cli.command("ood-eval")
-@click.option("--checkpoint", type=click.Path(exists=True), required=True)
-@click.option("--in-images", type=click.Path(exists=True), required=True)
-@click.option("--in-labels", type=click.Path(exists=True), required=True)
-@click.option("--ood-images", type=click.Path(exists=True), required=True)
-@click.option("--ood-labels", type=click.Path(exists=True), required=True)
+@click.option("--checkpoint", type=_FILE, required=True)
+@click.option("--in-images", type=_FILE, required=True)
+@click.option("--in-labels", type=_FILE, required=True)
+@click.option("--ood-images", type=_FILE, required=True)
+@click.option("--ood-labels", type=_FILE, required=True)
 @click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
 def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, eval_samples):
     """In-domain test metrics plus out-of-domain entropy metrics, under the
@@ -165,7 +168,7 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, eval_
     values = {f"in_{k}": v for k, v in in_metrics.values.items()}
     values["ood_ecdf_auc"] = ecdf_auc(ood_entropy, ckpt.specs[-1].n_out)
     values["ood_mean_entropy"] = float(ood_entropy.mean())
-    click.echo(EvalMetrics("classification", values).csv(), nl=False)
+    click.echo(EvalMetrics(values).csv(), nl=False)
 
 
 @cli.command("splits")

@@ -10,6 +10,7 @@ differentiable with respect to every weight mean and log-variance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,30 @@ class LayerSpec:
     def n_out(self) -> int:
         return self.fan_out if self.kind == "dense" else self.out_channels
 
+    def out_shape(self, row_shape: tuple) -> tuple | None:
+        """The shape of this layer's output rows for input rows of
+        ``row_shape``, or None when such rows do not fit it. A dense layer
+        takes rows of any shape that hold fan_in values; a conv layer takes
+        (H, W, in_channels) images at least one kernel wide and high."""
+        if self.kind == "dense":
+            return (self.fan_out,) if math.prod(row_shape) == self.fan_in else None
+        k, s = self.kernel, self.stride
+        if len(row_shape) != 3 or row_shape[2] != self.in_channels or min(row_shape[:2]) < k:
+            return None
+        return ((row_shape[0] - k) // s + 1, (row_shape[1] - k) // s + 1, self.out_channels)
+
+
+def check_rows(specs: list[LayerSpec], row_shape: tuple) -> None:
+    """Raise a ValueError that names the first layer that input rows of
+    ``row_shape`` do not fit."""
+    shape = tuple(row_shape)
+    for i, spec in enumerate(specs):
+        out = spec.out_shape(shape)
+        if out is None:
+            raise ValueError(f"input rows of shape {tuple(row_shape)} do not fit layer {i} "
+                             f"({spec.kind}), which gets rows of shape {shape}")
+        shape = out
+
 
 @dataclass
 class WeightDistribution:
@@ -102,11 +127,12 @@ def _check_input_var(var: np.ndarray) -> None:
         raise ValueError("negative input variance")
 
 
-def _affine_nodes(w, mean, var, h, v, op, out_shape=None, fold=None) -> GaussianActivation:
+def _affine_nodes(w, mean, var, h, v, op, out_shape, fold) -> GaussianActivation:
     """One mean and one variance node of E[f] = E[h] E[w] and var[f] = E[w^2]
     var[h] + var[w] E[h]^2 over the rows of input means h and variances v
-    (None: a deterministic input). A conv layer gives one receptive field per
-    row, its output shape, and ``fold``: the input gradient g @ w.T col2im'd."""
+    (None: a deterministic input): one flattened input row per dense datum,
+    one receptive field per conv output pixel. The nodes have ``out_shape``,
+    and ``fold(g, w)`` maps g @ w.T back onto the shape of the input mean."""
     wm = w.mean.data
     wvar = np.exp(w.log_var.data)
     h2 = h * h
@@ -121,24 +147,20 @@ def _affine_nodes(w, mean, var, h, v, op, out_shape=None, fold=None) -> Gaussian
         bvar = np.exp(w.bias_log_var.data)
         out_mean = out_mean + w.bias_mean.data
         out_var = out_var + bvar
-    if fold is not None:
-        out_mean, out_var = out_mean.reshape(out_shape), out_var.reshape(out_shape)
-    back = fold or (lambda g, w_: g @ w_.T)
+    out_mean, out_var = out_mean.reshape(out_shape), out_var.reshape(out_shape)
 
     def mean_vjp(g):
-        if fold is not None:
-            g = g.reshape(len(h), -1)
-        return (back(g, wm) if mean.requires_grad else None), h.T @ g, g.sum(0) if bias else None
+        g = g.reshape(len(h), -1)
+        return (fold(g, wm) if mean.requires_grad else None), h.T @ g, g.sum(0) if bias else None
 
     def var_vjp(g):
-        if fold is not None:
-            g = g.reshape(len(h), -1)
-        g_mean = back(g, wvar) * 2.0 * mean.data if mean.requires_grad else None
+        g = g.reshape(len(h), -1)
+        g_mean = fold(g, wvar) * 2.0 * mean.data if mean.requires_grad else None
         g_bias = g.sum(axis=0) * bvar if bias else None
         if v is None:
             return g_mean, None, None, h2.T @ g * wvar, g_bias
         vg = v.T @ g
-        g_var = back(g, w2) if var.requires_grad else None
+        g_var = fold(g, w2) if var.requires_grad else None
         return g_mean, g_var, vg * 2.0 * wm, (h2.T @ g + vg) * wvar, g_bias
 
     return GaussianActivation(
@@ -148,11 +170,13 @@ def _affine_nodes(w, mean, var, h, v, op, out_shape=None, fold=None) -> Gaussian
 
 
 def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None) -> GaussianActivation:
-    """Affine layer moments of an (N, fan_in) input; see _affine_nodes."""
-    h = mean.data
-    if h.ndim != 2 or h.shape[1] != w.mean.shape[0]:
-        raise ValueError(f"dense layer expects (N, {w.mean.shape[0]}) input, got {h.shape}")
-    return _affine_nodes(w, mean, var, h, None if var is None else var.data, "dense_moments")
+    """Affine layer moments of N input rows of any shape that hold fan_in
+    values each, such as the (N, H, W, C) output of a conv layer: the rows
+    are flattened inside the two nodes; see _affine_nodes."""
+    n = len(mean.data)
+    v = None if var is None else var.data.reshape(n, -1)
+    return _affine_nodes(w, mean, var, mean.data.reshape(n, -1), v, "dense_moments",
+                         (n, w.mean.shape[1]), lambda g, w_: (g @ w_.T).reshape(mean.shape))
 
 
 def _receptive_fields(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -301,9 +325,6 @@ def activation_moments(f: GaussianActivation, spec: LayerSpec) -> GaussianActiva
     return f
 
 
-_INPUT_LAYOUT = {"dense": (2, "(N, d)"), "conv2d": (4, "(N, H, W, C)")}
-
-
 @dataclass
 class MomentNetwork:
     """A chain of layers with Gaussian weights, evaluated by recursive
@@ -318,22 +339,16 @@ class MomentNetwork:
     def forward(self, x: np.ndarray | Tensor) -> GaussianActivation:
         """Propagate a deterministic input batch; returns final-layer
         pre-activation moments (the last spec's activation is applied only
-        if it is not 'identity')."""
+        if it is not 'identity'). Rows that do not fit a layer are a
+        ValueError that names it (see check_rows)."""
         if not (self.specs and self.weights):
             raise ValueError("network has no layers")
         mean = x if isinstance(x, Tensor) else T.constant(np.asarray(x, dtype=np.float64))
         var = None  # the input is deterministic
-        ndim, layout = _INPUT_LAYOUT[self.specs[0].kind]
-        if mean.data.ndim != ndim:
-            raise ValueError(f"{self.specs[0].kind} input must be {layout}")
+        check_rows(self.specs, mean.shape[1:])
         for spec, w in zip(self.specs, self.weights):
-            if spec.kind == "conv2d":
-                h = conv2d_moments(w, mean, var, spec.kernel, spec.stride)
-            else:
-                if mean.data.ndim == 4:  # conv -> dense flatten
-                    n = mean.shape[0]
-                    mean, var = T.reshape(mean, (n, -1)), T.reshape(var, (n, -1))
-                h = dense_moments(w, mean, var)
+            h = (conv2d_moments(w, mean, var, spec.kernel, spec.stride) if spec.kind == "conv2d"
+                 else dense_moments(w, mean, var))
             h = activation_moments(h, spec)
             mean, var = h.mean, h.var
         return h

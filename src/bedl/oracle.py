@@ -93,6 +93,15 @@ def draw_weights(net: MomentNetwork, rng: np.random.Generator, n: int) -> list[t
     return draws
 
 
+def _sampled_outputs(net: MomentNetwork, x: np.ndarray, rng: np.random.Generator,
+                     n_samples: int, chunk: int):
+    """Final pre-activations (m, N, n_out) for n_samples weight draws,
+    drawn and run at most ``chunk`` at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    for done in range(0, n_samples, chunk):
+        yield deterministic_forward(net, x, draw_weights(net, rng, min(chunk, n_samples - done)))
+
+
 def sample_forward(
     net: MomentNetwork,
     x: np.ndarray,
@@ -107,18 +116,12 @@ def sample_forward(
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    x = np.asarray(x, dtype=np.float64)
     s1 = s2 = s3 = s4 = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        draws = draw_weights(net, rng, m)
-        f = deterministic_forward(net, x, draws)  # (m, N, out)
+    for f in _sampled_outputs(net, x, rng, n_samples, chunk):
         s1 = s1 + f.sum(axis=0)
         s2 = s2 + (f**2).sum(axis=0)
         s3 = s3 + (f**3).sum(axis=0)
         s4 = s4 + (f**4).sum(axis=0)
-        done += m
     n = float(n_samples)
     mean = s1 / n
     var = s2 / n - mean**2
@@ -165,16 +168,8 @@ def sample_marginal_likelihood(
     draws underflow to zero likelihood, reports the failure instead of
     clipping silently.
     """
-    x = np.asarray(x, dtype=np.float64)
-    lls = []
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        draws = draw_weights(net, rng, m)
-        f = deterministic_forward(net, x, draws)
-        lls.append(_per_draw_loglik(f, y, head))
-        done += m
-    ll = np.concatenate(lls, axis=0)  # (n, N)
+    ll = np.concatenate([_per_draw_loglik(f, y, head)
+                         for f in _sampled_outputs(net, x, rng, n_samples, chunk)])  # (n, N)
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("likelihood underflow in MC marginal estimate")
     n = float(n_samples)
@@ -184,33 +179,3 @@ def sample_marginal_likelihood(
     w = np.exp(ll - log_mean[None])  # lik / mean, O(1)
     se = np.sqrt(np.maximum(w.var(axis=0), 0.0) / n)
     return LogMarginalEstimate(log_mean, se, n_samples)
-
-
-@dataclass
-class NormalityProbe:
-    skewness: np.ndarray
-    excess_kurtosis: np.ndarray
-    skew_se: float
-    kurt_se: float
-    n_samples: int
-
-
-def gaussian_normality_probe(
-    net: MomentNetwork, x: np.ndarray, rng: np.random.Generator, n_samples: int
-) -> NormalityProbe:
-    """Third/fourth standardized moments of the sampled outputs; both near
-    zero when the moment-matching normality assumption is accurate."""
-    draws = draw_weights(net, rng, n_samples)
-    f = deterministic_forward(net, np.asarray(x, dtype=np.float64), draws)
-    mu = f.mean(axis=0)
-    sd = f.std(axis=0)
-    z = (f - mu) / sd
-    skew = (z**3).mean(axis=0)
-    kurt = (z**4).mean(axis=0) - 3.0
-    return NormalityProbe(
-        skewness=skew,
-        excess_kurtosis=kurt,
-        skew_se=math.sqrt(6.0 / n_samples),
-        kurt_se=math.sqrt(24.0 / n_samples),
-        n_samples=n_samples,
-    )

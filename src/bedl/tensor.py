@@ -7,12 +7,13 @@ requires them. Tapes are single-use: a second ``backward()`` on the same
 root raises.
 
 Every op validates that its result is finite and raises NumericsError
-otherwise, so NaN/inf never propagate silently. Every differentiable op of
-the model (each layer moment, likelihood head and objective) is one
-``fused`` node: a closed-form value with a hand-written gradient; conv
-layers build their receptive fields inside theirs. reshape flattens conv
-activations for a dense layer; add, mul, exp, log, tsum and take, with
-``+``, ``*`` and ``[]``, are glue for composing fused nodes.
+otherwise, so NaN/inf never propagate silently. ``fused`` is the only way
+to build a tape node: a closed-form value with a hand-written gradient.
+Every differentiable op of the model (each layer moment, likelihood head
+and objective) is one such node, and conv layers build their receptive
+fields inside theirs. add, mul, exp, log, reshape, take and tsum, with
+``+``, ``*`` and ``[]``, are one fused node each too; no model code uses
+them, they serve for composing nodes in tests and scripts.
 """
 
 from __future__ import annotations
@@ -147,11 +148,6 @@ def constant(x) -> Tensor:
     return Tensor(x)
 
 
-def _make(data, parents, backward_fn, op):
-    _check_finite(data, op)
-    return Tensor(data, _parents=parents, _backward_fn=backward_fn)
-
-
 def fused(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     """One tape node for a closed-form op: ``data`` is its value and
     ``vjp(g)`` returns one gradient per entry of ``parents`` (None for no
@@ -170,83 +166,49 @@ def fused(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     return Tensor(data, _parents=tuple(p for p, n in zip(parents, live) if n), _backward_fn=bw)
 
 
-# -- elementwise arithmetic --------------------------------------------------
+# -- glue ops: each one fused node ------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), bw, "add")
+    return fused(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), bw, "mul")
+    return fused(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None), "mul")
 
 
 def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), bw, "exp")
+    out = np.exp(a.data)
+    return fused(out, (a,), lambda g: (g * out,), "exp")
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log of non-positive input")
-    out_data = np.log(a.data)
-
-    def bw(g):
-        a._accumulate(g / a.data)
-
-    return _make(out_data, (a,), bw, "log")
-
-
-# -- structure ---------------------------------------------------------------
+    return fused(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def bw(g):
-        a._accumulate(g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), bw, "reshape")
+    return fused(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
 def take(a: Tensor, idx) -> Tensor:
     """Basic indexing (ints/slices); backward scatters into the source."""
-    out_data = a.data[idx]
 
-    def bw(g):
+    def vjp(g):
         full = np.zeros_like(a.data)
         np.add.at(full, idx, g)
-        a._accumulate(full)
+        return (full,)
 
-    return _make(np.array(out_data, copy=True), (a,), bw, "take")
-
-
-# -- reductions --------------------------------------------------------------
+    return fused(np.array(a.data[idx], copy=True), (a,), vjp, "take")
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
+    def vjp(g):
         ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge, a.data.shape).copy())
+        return (np.broadcast_to(ge, a.data.shape).copy(),)
 
-    return _make(out_data, (a,), bw, "sum")
+    return fused(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, "sum")

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import objectives as obj
+from . import tensor as T
 from .data import DataError, Dataset, StandardizeRecord, one_hot
 from .layers import (GaussianActivation, LayerSpec, MomentNetwork, Parameter,
-                     WeightDistribution, build_network)
+                     WeightDistribution, build_network, check_rows)
 from .tensor import NumericsError, Tensor
 from .uncertainty import UncertaintyReport, decompose, ecdf_auc, test_error
 
@@ -291,13 +292,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _prepare_features(x: np.ndarray, specs: list[LayerSpec]) -> np.ndarray:
-    """Flatten image batches when the first layer is dense."""
-    if specs[0].kind == "dense" and x.ndim > 2:
-        return x.reshape(len(x), -1)
-    return x
-
-
 def _batch_objective(
     net: MomentNetwork,
     x: np.ndarray,
@@ -327,11 +321,12 @@ def _batch_objective(
     report = obj.bedl_objective(lm)
 
     if cfg.objective == "bedl-hyper":
-        penalty = obj.hyperprior_penalty(net.weights, cfg.hyper) * (1.0 / pac.n_data)
-        total = report.total + penalty
-        return obj.ObjectiveReport(
-            total=total, nll=report.nll, regularizer=penalty.item()
-        )
+        # the penalty over the whole dataset, taken per datum as the nll is
+        penalty, scale = obj.hyperprior_penalty(net.weights, cfg.hyper), 1.0 / pac.n_data
+        regularizer = penalty.data * scale
+        total = T.fused(report.total.data + regularizer, (report.total, penalty),
+                        lambda g: (g, g * scale), "bedl_hyper_objective")
+        return obj.ObjectiveReport(total=total, nll=report.nll, regularizer=float(regularizer))
     return report
 
 
@@ -350,7 +345,15 @@ def train(
     cfg: TrainConfig,
     record: StandardizeRecord | None = None,
 ) -> TrainResult:
-    """Seeded, single-threaded, deterministic training run."""
+    """Seeded, single-threaded, deterministic training run. A dataset of
+    another task than ``cfg``, or an output layer that is not as wide as the
+    head, is a ValueError before the first step."""
+    if dataset.task != cfg.task:
+        raise ValueError(f"a {dataset.task} dataset cannot train a {cfg.task} config")
+    width = 2 if cfg.task == "regression" else cfg.n_classes
+    if specs[-1].n_out != width:
+        raise ValueError(f"the output layer has {specs[-1].n_out} units but the {cfg.task} "
+                         f"head reads {width}")
     rng = np.random.default_rng(cfg.seed)
     net = build_network(specs, rng, log_var_mean=cfg.init.log_var_mean,
                         log_var_var=cfg.init.log_var_var)
@@ -367,7 +370,7 @@ def train(
         n_batches = 0
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            x = _prepare_features(dataset.features[idx], specs)
+            x = dataset.features[idx]
             y = dataset.targets[idx]
             try:
                 report = _batch_objective(net, x, y, cfg, head, pac, rng)
@@ -400,7 +403,6 @@ def train(
 
 @dataclass
 class EvalMetrics:
-    task: str
     values: dict
 
     def csv(self) -> str:
@@ -408,25 +410,6 @@ class EvalMetrics:
         head = ",".join(cols)
         row = ",".join(f"{self.values[c]:.12g}" for c in cols)
         return f"{head}\n{row}\n"
-
-
-def _check_features(x: np.ndarray, specs: list[LayerSpec]) -> None:
-    """Data that does not fit the checkpoint's layers is a data error:
-    walk the per-row shape of ``x`` through the specs."""
-    if len(x) == 0:
-        raise DataError("no rows to evaluate")
-    shape = x.shape[1:]
-    for i, spec in enumerate(specs):
-        if spec.kind == "conv2d":
-            k = spec.kernel
-            fits = len(shape) == 3 and shape[2] == spec.in_channels and min(shape[:2]) >= k
-            shape = tuple((d - k) // spec.stride + 1 for d in shape[:2]) + (spec.out_channels,)
-        else:
-            fits = math.prod(shape) == spec.fan_in
-            shape = (spec.fan_out,)
-        if not fits:
-            raise DataError(f"rows of shape {x.shape[1:]} do not fit the checkpoint's "
-                            f"layer {i} ({spec.kind})")
 
 
 def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int, seed: int):
@@ -440,8 +423,13 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
         raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
     if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
         raise ValueError(f"beta {cfg.beta} does not match the checkpoint's {ckpt.config.beta}")
-    x = _prepare_features(dataset.features, ckpt.specs)
-    _check_features(x, ckpt.specs)
+    x = dataset.features
+    if len(x) == 0:
+        raise DataError("no rows to evaluate")
+    try:
+        check_rows(ckpt.specs, x.shape[1:])
+    except ValueError as exc:
+        raise DataError(f"the data does not fit the checkpoint: {exc}") from exc
     net, rng = ckpt.build_network(), np.random.default_rng(seed)
     parts, reports = [], []
     for start in range(0, len(x), EVAL_CHUNK):
@@ -482,14 +470,14 @@ def evaluate(
                 np.sqrt(np.mean((moments.mean.data[:, 0] - dataset.targets) ** 2))
             ),
         }
-        return EvalMetrics("regression", values)
+        return EvalMetrics(values)
 
     values = {
         "test_error_pct": test_error(rep.predictive_mean, dataset.targets),
         "ecdf_auc": ecdf_auc(rep.entropy, ckpt.specs[-1].n_out),
         "mean_entropy": float(rep.entropy.mean()),
     }
-    return EvalMetrics("classification", values)
+    return EvalMetrics(values)
 
 
 def evaluate_entropies(

@@ -157,6 +157,32 @@ def test_ood_eval_of_regression_checkpoint_is_usage_error(csv_file, trained_chec
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("cmd", [
+    ["train", "--data", "{dir}"],
+    ["train", "--data", "{csv}", "--config", "{dir}"],
+    ["eval", "--data", "{dir}", "--checkpoint", "{ckpt}"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{dir}"],
+    ["ood-eval", "--checkpoint", "{ckpt}", "--in-images", "{dir}", "--in-labels", "{csv}",
+     "--ood-images", "{csv}", "--ood-labels", "{csv}"],
+], ids=["train-data", "train-config", "eval-data", "eval-checkpoint", "ood-eval-in-images"])
+def test_directory_for_a_file_is_usage_error(csv_file, trained_checkpoint, tmp_path, cmd,
+                                             monkeypatch, capsys):
+    # cli.main runs in this process, so an unmapped exception fails the test
+    from bedl import cli
+
+    (tmp_path / "empty").mkdir()
+    paths = {"dir": tmp_path / "empty", "csv": csv_file, "ckpt": trained_checkpoint}
+    argv = [a.format(**paths) for a in cmd]
+    if cmd[0] == "train":
+        argv += ["--epochs", "1", "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(sys, "argv", ["bedl", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert info.value.code == 1 and err.startswith("error:") and "directory" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exit_code():
     res = run_cli("train", "--no-such-flag")
     assert res.returncode == 1

@@ -11,12 +11,12 @@ from conftest import check_grads, gaussian_activation_quadrature
 rng = np.random.default_rng(11)
 
 
-def _weights(fan_in, fan_out, log_var=-3.0, bias=True):
-    mean = T.Parameter(rng.normal(size=(fan_in, fan_out)))
+def _weights(fan_in, fan_out, log_var=-3.0, bias=True, r=rng):
+    mean = T.Parameter(r.normal(size=(fan_in, fan_out)))
     lv = T.Parameter(np.full((fan_in, fan_out), log_var))
     if bias:
         return L.WeightDistribution(
-            mean, lv, T.Parameter(rng.normal(size=fan_out)), T.Parameter(np.full(fan_out, log_var))
+            mean, lv, T.Parameter(r.normal(size=fan_out)), T.Parameter(np.full(fan_out, log_var))
         )
     return L.WeightDistribution(mean, lv)
 
@@ -152,14 +152,55 @@ def _weighted_moments(out: L.GaussianActivation):
             + T.tsum(out.var * r.normal(size=out.var.shape)))
 
 
-@pytest.mark.parametrize("bias", [True, False])
-@pytest.mark.parametrize("input_var", [True, False])
-def test_dense_moments_gradcheck(input_var, bias):
-    w = _weights(3, 2, log_var=-1.0, bias=bias)
-    mean = T.Parameter(rng.normal(size=(4, 3)))
-    var = T.Parameter(rng.uniform(0.1, 1.0, size=(4, 3))) if input_var else None
+@pytest.mark.parametrize(
+    "input_var,bias,rows",
+    [(True, True, (3,)), (True, False, (3,)), (False, True, (3,)), (False, False, (3,)),
+     (True, True, (2, 1, 3))],  # (N, H, W, C) rows, as a conv layer gives them
+    ids=["True-True", "True-False", "False-True", "False-False", "4d-rows"],
+)
+def test_dense_moments_gradcheck(input_var, bias, rows):
+    # the 4-D case has its own generator: the tests after it see the draws they always saw
+    r = rng if len(rows) == 1 else np.random.default_rng(12)
+    w = _weights(int(np.prod(rows)), 2, log_var=-1.0, bias=bias, r=r)
+    mean = T.Parameter(r.normal(size=(4, *rows)))
+    var = T.Parameter(r.uniform(0.1, 1.0, size=(4, *rows))) if input_var else None
     params = w.parameters() + [mean] + ([var] if input_var else [])
     check_grads(lambda: _weighted_moments(L.dense_moments(w, mean, var)), params, rel_tol=1e-6)
+
+
+def test_dense_moments_of_image_rows_equal_flattened_rows():
+    # flattening inside the two nodes gives the bits of a reshape node per input
+    r = np.random.default_rng(13)
+    w = _weights(12, 3, log_var=-1.0, r=r)
+    mean = T.Parameter(r.normal(size=(4, 2, 2, 3)))
+    var = T.Parameter(r.uniform(0.1, 1.0, size=(4, 2, 2, 3)))
+    runs = []
+    for flat in (False, True):
+        for p in w.parameters() + [mean, var]:
+            p.zero_grad()
+        rows = (T.reshape(mean, (4, -1)), T.reshape(var, (4, -1))) if flat else (mean, var)
+        out = L.dense_moments(w, *rows)
+        _weighted_moments(out).backward()
+        runs.append([out.mean.data, out.var.data] + [p.grad for p in w.parameters() + [mean, var]])
+    for direct, reshaped in zip(*runs):
+        np.testing.assert_array_equal(direct, reshaped)
+
+
+@pytest.mark.parametrize("shape,layer", [
+    ((2, 9, 9, 2), 0),  # one channel too many
+    ((2, 2, 2, 1), 0),  # smaller than the first kernel
+    ((2, 4, 4, 1), 1),  # the first layer's 2x2 output is smaller than the second kernel
+    ((2, 11, 11, 1), 2),  # 4x4x3 values for a dense layer that takes 27
+    ((2, 81), 0),  # not images
+], ids=["channels", "below-kernel", "below-second-kernel", "flat-width", "flat-rows"])
+def test_forward_names_the_layer_that_rows_do_not_fit(shape, layer):
+    specs = [L.LayerSpec("conv2d", in_channels=1, out_channels=4, kernel=3, activation="relu"),
+             L.LayerSpec("conv2d", in_channels=4, out_channels=3, kernel=3, stride=2),
+             L.LayerSpec("dense", fan_in=27, fan_out=3)]
+    net = L.build_network(specs, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=rf"fit layer {layer} \({specs[layer].kind}\)"):
+        net.forward(np.zeros(shape))
+    assert net.forward(np.zeros((2, 9, 9, 1))).mean.shape == (2, 3)
 
 
 @pytest.mark.parametrize(

@@ -82,9 +82,3 @@ def test_classification_marginal_on_deterministic_net_is_log_softmax():
     logp = f - np.log(np.exp(f).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(est.value, (logp * y).sum(axis=1), atol=1e-6)
 
-
-def test_normality_probe_near_zero_for_linear_net():
-    net = _linear_net()
-    probe = oracle.gaussian_normality_probe(net, rng.normal(size=(1, 3)), oracle.make_rng(2, 0), 50_000)
-    assert np.all(np.abs(probe.skewness) < 5 * probe.skew_se)
-    assert np.all(np.abs(probe.excess_kurtosis) < 5 * probe.kurt_se)

@@ -398,6 +398,22 @@ def test_classification_step_tape_is_small():
     assert _tape_nodes(report.total) <= 20
 
 
+def test_conv_step_tape_is_small():
+    # a dense layer takes the conv output rows inside its own two nodes, so
+    # the conv-cls bedl+reg batch objective records no reshape nodes: 12
+    # parameters, 2 nodes per layer and activation, head, KL and PAC total
+    specs = [LayerSpec("conv2d", in_channels=1, out_channels=16, kernel=5, activation="relu"),
+             LayerSpec("conv2d", in_channels=16, out_channels=16, kernel=5, stride=2,
+                       activation="relu"),
+             LayerSpec("dense", fan_in=10 * 10 * 16, fan_out=10)]
+    net = build_network(specs, np.random.default_rng(0))
+    cfg = tr.TrainConfig(objective="bedl+reg", task="classification", batch_size=4)
+    r = np.random.default_rng(1)
+    x, y = r.normal(size=(4, 28, 28, 1)), r.integers(0, 10, size=4)
+    report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(500), np.random.default_rng(1))
+    assert _tape_nodes(report.total) <= 25
+
+
 @pytest.mark.parametrize("objective", ["edl", "bedl-hyper"])
 def test_classification_batch_objective_gradcheck(objective):
     # the evidential loss with its relu(f) + 1 strengths, and the
@@ -459,6 +475,19 @@ def test_all_objectives_run(objective, task):
 def test_edl_requires_classification():
     with pytest.raises(ValueError, match="classification"):
         _train_small(objective="edl", task="regression")
+
+
+def test_train_checks_task_and_head_width_before_the_first_step():
+    r = np.random.default_rng(2)
+    ds = Dataset(r.normal(size=(30, 2)), r.integers(0, 3, size=30), task="classification")
+    specs = tr.default_specs("classification", 2, hidden=4, n_classes=3)
+    with pytest.raises(ValueError, match="classification dataset .* regression config"):
+        tr.train(ds, specs, tr.TrainConfig(epochs=1))
+    wide = specs[:1] + [LayerSpec("dense", fan_in=4, fan_out=5)]
+    with pytest.raises(ValueError, match="5 units .* reads 3"):
+        tr.train(ds, wide, tr.TrainConfig(task="classification", n_classes=3, epochs=1))
+    with pytest.raises(ValueError, match="3 units .* reads 2"):
+        tr.train(_regression_ds(), specs, tr.TrainConfig(epochs=1))
 
 
 def test_one_datum_linear_fit_approaches_beta_floor():
