@@ -81,11 +81,11 @@ class LayerSpec:
 def check_rows(specs: list[LayerSpec], row_shape: tuple) -> None:
     """Raise a ValueError that names the first layer that input rows of
     ``row_shape`` do not fit."""
-    shape = tuple(row_shape)
+    shape = row_shape
     for i, spec in enumerate(specs):
         out = spec.out_shape(shape)
         if out is None:
-            raise ValueError(f"input rows of shape {tuple(row_shape)} do not fit layer {i} "
+            raise ValueError(f"input rows of shape {row_shape} do not fit layer {i} "
                              f"({spec.kind}), which gets rows of shape {shape}")
         shape = out
 
