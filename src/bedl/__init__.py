@@ -8,27 +8,18 @@ from .layers import (
     WeightDistribution,
     build_network,
 )
-from .objectives import (
-    ClassificationHeadConfig,
-    HyperpriorConfig,
-    ObjectiveReport,
-    PacConfig,
-    RegressionHeadConfig,
-)
+from .objectives import HyperpriorConfig, ObjectiveReport
 from .tensor import NumericsError, Parameter, Tensor
 from .train import TrainConfig, evaluate, train
 
 __all__ = [
-    "ClassificationHeadConfig",
     "GaussianActivation",
     "HyperpriorConfig",
     "LayerSpec",
     "MomentNetwork",
     "NumericsError",
     "ObjectiveReport",
-    "PacConfig",
     "Parameter",
-    "RegressionHeadConfig",
     "Tensor",
     "TrainConfig",
     "WeightDistribution",

@@ -96,7 +96,7 @@ def _with(options):
 @click.option("--hidden", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--n-classes", type=int)
 @_with(split_options)
-@click.option("--limit", type=int, default=None, help="Use only the first N training points")
+@click.option("--limit", type=click.IntRange(min=1), help="Use only the first N training points")
 @click.option("--out", type=click.Path(), required=True, help="Results directory")
 def train_cmd(
     data, images, labels, target_column, task, config_path, hidden,
@@ -188,7 +188,7 @@ def splits_cmd(n, seed, n_splits):
 
 @cli.command("verify")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-samples", type=int, default=50000, show_default=True)
+@click.option("--n-samples", type=click.IntRange(min=100), default=50000, show_default=True)
 @click.option("--n-architectures", type=int, default=5, show_default=True)
 def verify_cmd(seed, n_samples, n_architectures):
     """Compare analytic moment propagation and marginal likelihoods
@@ -215,10 +215,9 @@ def verify_cmd(seed, n_samples, n_architectures):
                 f"net{a}-{act},var[{j}],{mm.var.data[0, j]:.8g},"
                 f"{est.var[0, j]:.8g},{est.var_se[0, j]:.3g}"
             )
-        head = obj.RegressionHeadConfig(beta=100.0)
-        y = rng.normal(size=1)
-        lm = obj.regression_log_marginal(mm, y, head)
-        mc = sample_marginal_likelihood(net, x, y, head, make_rng(seed, stream=100 + a), n_samples)
+        beta, y = 100.0, rng.normal(size=1)
+        lm = obj.regression_log_marginal(mm, y, beta)
+        mc = sample_marginal_likelihood(net, x, y, beta, make_rng(seed, stream=100 + a), n_samples)
         click.echo(
             f"net{a}-{act},log_marginal,{lm.data[0]:.8g},{mc.value[0]:.8g},{mc.se[0]:.3g}"
         )

@@ -19,6 +19,7 @@ import numpy as np
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 GZIP_MAGIC = b"\x1f\x8b"
+TRAIN_FRACTION = 0.9  # of the rows of a split that train
 
 
 class DataError(Exception):
@@ -48,23 +49,15 @@ class Dataset:
 class SplitPlan:
     split_index: int
     seed: int = 0
-    train_fraction: float = 0.9
-
-    def __post_init__(self):
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train fraction must be in (0, 1)")
 
 
-def load_csv(
-    path: str | Path,
-    target_column: int = -1,
-    delimiter: str = ",",
-    task: str = "regression",
-) -> Dataset:
-    """Parse a numeric CSV with an optional (auto-detected) header row.
+def load_csv(path: str | Path, target_column: int = -1, task: str = "regression") -> Dataset:
+    """Parse a comma-separated numeric CSV with an optional (auto-detected)
+    header row.
 
-    Constant columns are dropped with a warning; a cell that does not
-    parse raises DataError with its row and column.
+    Constant feature columns are dropped with a warning; a cell that does
+    not parse raises DataError with its row and column, and so does a
+    target column outside the rows or no feature column left.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
@@ -73,7 +66,7 @@ def load_csv(
 
     def parse_row(line: str, row_no: int) -> list[float]:
         out = []
-        for col_no, cell in enumerate(line.split(delimiter)):
+        for col_no, cell in enumerate(line.split(",")):
             try:
                 out.append(float(cell))
             except ValueError:
@@ -100,13 +93,18 @@ def load_csv(
     if np.any(~np.isfinite(mat)):
         raise DataError(f"{path}: non-finite values in data")
 
-    tcol = target_column % mat.shape[1]
+    width = mat.shape[1]
+    if not -width <= target_column < width:
+        raise DataError(f"{path}: target column {target_column} outside the {width} columns")
+    tcol = target_column % width
     y = mat[:, tcol]
     x = np.delete(mat, tcol, axis=1)
     const = np.flatnonzero(x.std(axis=0) == 0.0)
     if const.size:
         warnings.warn(f"{path}: dropping constant feature columns {const.tolist()}")
         x = np.delete(x, const, axis=1)
+    if x.shape[1] == 0:
+        raise DataError(f"{path}: no feature column besides the target is left")
     if task == "classification":
         y = y.astype(np.int64)
     return Dataset(x, y, task=task, dropped_columns=const.tolist())
@@ -149,13 +147,13 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
 
 def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic shuffled split: first ceil(train_fraction * n)
+    """Deterministic shuffled split: first ceil(TRAIN_FRACTION * n)
     indices train, rest test."""
     if n < 10:
         raise DataError(f"need at least 10 data points to split, got {n}")
     rng = np.random.default_rng([plan.seed, plan.split_index])
     perm = rng.permutation(n)
-    n_train = int(np.ceil(plan.train_fraction * n))
+    n_train = int(np.ceil(TRAIN_FRACTION * n))
     return perm[:n_train], perm[n_train:]
 
 
@@ -179,6 +177,8 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
     mu = x[train_idx].mean(axis=0)
     sd = x[train_idx].std(axis=0)
     keep = np.flatnonzero(sd > 0.0)
+    if keep.size == 0:
+        raise DataError("no feature column varies on the train split")
     if keep.size < x.shape[1]:
         warnings.warn(f"dropping {x.shape[1] - keep.size} zero-variance train columns")
     xs = (x[:, keep] - mu[keep]) / sd[keep]
@@ -198,10 +198,15 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
     return Dataset(xs, y_out, task=ds.task), rec
 
 
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class labels as a flat integer array; one outside [0, n_classes) is a
+    DataError."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise DataError("label outside class range")
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
+        raise DataError(f"labels run from {labels.min()} to {labels.max()}, outside the "
+                        f"{n_classes} classes 0 to {n_classes - 1}")
+    return labels
+
+
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    return np.eye(n_classes)[check_labels(labels, n_classes)]

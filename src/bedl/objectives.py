@@ -25,72 +25,12 @@ LOGIT_CLAMP = 30.0  # sampled logits are clamped to +-30 so that exp(f) stays fi
 
 
 @dataclass(frozen=True)
-class RegressionHeadConfig:
-    """Two-unit head: unit 1 is the latent mean, unit 2 the log latent
-    variance; beta is the fixed observation precision."""
-
-    beta: float = 100.0
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-
-@dataclass(frozen=True)
-class ClassificationHeadConfig:
-    n_classes: int = 10
-    n_samples: int = 5
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.n_samples < 1:
-            raise ValueError("need at least 1 sample")
-
-
-@dataclass(frozen=True)
-class PacConfig:
-    """Configuration of the PAC-derived regularizer.
-
-    task "classification": prior is the uniform Dirichlet, likelihood
-    bound contributes 1 inside the sqrt. task "regression": prior is
-    N(0, 1/alpha_prior) on the latent, bound contributes beta/(2 pi).
-    """
-
-    task: str
-    n_data: int
-    delta: float = 0.05
-    alpha_prior: float = 1.0
-    beta: float = 100.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
-        if self.alpha_prior <= 0:
-            raise ValueError("alpha_prior must be positive")
-        if self.n_data < 1:
-            raise ValueError("n_data must be >= 1")
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
-
-    @property
-    def likelihood_bound(self) -> float:
-        if self.task == "classification":
-            return 1.0
-        return self.beta / (2.0 * math.pi)
-
-
-@dataclass(frozen=True)
 class HyperpriorConfig:
     """Gaussian prior on weight means, inverse-gamma prior on variances."""
 
     alpha0: float = 1.0
     a0: float = 2.0
     b0: float = 1.0
-
-    def __post_init__(self):
-        if min(self.alpha0, self.a0, self.b0) <= 0:
-            raise ValueError("hyperprior parameters must be positive")
 
 
 @dataclass
@@ -132,18 +72,17 @@ def _head_node(moments: GaussianActivation, value, d_mean, d_var, d_latent, op: 
     return T.fused(value, (moments.mean, moments.var), vjp, op)
 
 
-def regression_log_marginal(
-    moments: GaussianActivation, y: np.ndarray, cfg: RegressionHeadConfig
-) -> Tensor:
+def regression_log_marginal(moments: GaussianActivation, y: np.ndarray, beta: float) -> Tensor:
     """Per-datum log marginal likelihood of the heteroscedastic Gaussian
-    head: N(y | m1, 1/beta + s1^2 + exp(m2 + s2^2/2)). Sampling-free; one
-    tape node."""
+    head: N(y | m1, 1/beta + s1^2 + exp(m2 + s2^2/2)), where unit 1 is the
+    latent mean, unit 2 the log latent variance and beta the observation
+    precision. Sampling-free; one tape node."""
     if moments.mean.shape[1] != 2:
         raise ValueError("regression head expects 2 output units")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     mean, var = moments.mean.data, moments.var.data
     latent, d_latent = _latent_var(mean, var)
-    v = 1.0 / cfg.beta + var[:, 0] + latent
+    v = 1.0 / beta + var[:, 0] + latent
     if np.any(v <= 0.0):
         raise ValueError("log of non-positive input")
     resid = y - mean[:, 0]
@@ -162,19 +101,13 @@ def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
     return y
 
 
-def _clamped_draws(moments: GaussianActivation, cfg: ClassificationHeadConfig, rng, eps):
+def _clamped_draws(moments: GaussianActivation, eps: np.ndarray):
     """Output samples f = m + s*eps clamped at +-LOGIT_CLAMP, (S, N, C) for
-    eps drawn from rng as (n_samples, N, C) when not given; and the chain
-    rule from a gradient in f to those in (m, s^2), zero past the clamp."""
+    standard normal eps of that shape; and the chain rule from a gradient
+    in f to those in (m, s^2), zero past the clamp."""
     mean, var = moments.mean.data, moments.var.data
     if np.any(var < 0.0):
         raise ValueError("negative output variance")
-    if eps is None:
-        if rng is None:
-            raise ValueError("need either rng or eps")
-        eps = rng.standard_normal((cfg.n_samples,) + mean.shape)
-    if eps.shape[0] < 1:
-        raise ValueError("need at least one output draw")
     f = G.output_draws(mean, var, eps)
     inside = (f > -LOGIT_CLAMP) & (f < LOGIT_CLAMP)
 
@@ -186,19 +119,19 @@ def _clamped_draws(moments: GaussianActivation, cfg: ClassificationHeadConfig, r
 
 
 def classification_log_marginal(
-    moments: GaussianActivation, y_onehot: np.ndarray, cfg: ClassificationHeadConfig,
-    rng: np.random.Generator | None = None, eps: np.ndarray | None = None,
+    moments: GaussianActivation, y_onehot: np.ndarray, *, eps: np.ndarray
 ) -> Tensor:
-    """Per-datum log marginal likelihood of the Dirichlet-categorical head.
+    """Per-datum log marginal likelihood of the Dirichlet-categorical head
+    over the C classes of the output width.
 
-    Draws S reparameterized output samples f = m + s*eps, maps them to
-    Dirichlet strengths alpha = exp(f), and averages the implied class
-    probability p_s = alpha_y / alpha_0 inside the log via logsumexp. One
-    tape node: with w_s the softmax over S of log p_s, the gradient in f_s
-    is w_s (y - softmax(f_s)), chained through both m and s.
+    Takes S reparameterized output samples f = m + s*eps, for eps of shape
+    (S, N, C), maps them to Dirichlet strengths alpha = exp(f), and averages
+    the implied class probability p_s = alpha_y / alpha_0 inside the log via
+    logsumexp. One tape node: with w_s the softmax over S of log p_s, the
+    gradient in f_s is w_s (y - softmax(f_s)), chained through both m and s.
     """
-    y = _check_onehot(y_onehot, cfg.n_classes)
-    f, chain = _clamped_draws(moments, cfg, rng, eps)
+    y = _check_onehot(y_onehot, moments.mean.shape[1])
+    f, chain = _clamped_draws(moments, eps)
     top = f.max(axis=-1, keepdims=True)
     shifted = np.exp(f - top)
     total = shifted.sum(axis=-1, keepdims=True)
@@ -287,25 +220,20 @@ def kl_gaussian(q_mean: Tensor, q_var: Tensor, p_mean: float, p_var: float) -> T
 # -- per-datum KL terms used by the PAC regularizer -------------------------
 
 
-def regression_kl(
-    moments: GaussianActivation, head: RegressionHeadConfig, pac: PacConfig
-) -> Tensor:
+def regression_kl(moments: GaussianActivation, alpha_prior: float) -> Tensor:
     """KL of the moment-matched latent N(m1, s1^2 + exp(m2 + s2^2/2))
     against the zero-mean prior with precision alpha_prior; one tape node."""
     mean, var = moments.mean.data, moments.var.data
     latent, d_latent = _latent_var(mean, var)
-    value, d_mean, d_var = _kl_gaussian(mean[:, 0], var[:, 0] + latent, 0.0, 1.0 / pac.alpha_prior)
+    value, d_mean, d_var = _kl_gaussian(mean[:, 0], var[:, 0] + latent, 0.0, 1.0 / alpha_prior)
     return _head_node(moments, value, d_mean, d_var, d_latent, "regression_kl")
 
 
-def classification_kl(
-    moments: GaussianActivation, cfg: ClassificationHeadConfig,
-    rng: np.random.Generator | None = None, eps: np.ndarray | None = None,
-) -> Tensor:
+def classification_kl(moments: GaussianActivation, *, eps: np.ndarray) -> Tensor:
     """Sampling estimate of the per-datum KL(Dir(alpha) || Dir(1)) under
-    the output distribution, sharing the reparameterization of the head;
+    the output distribution, from the (S, N, C) draws eps of the head;
     one tape node."""
-    f, chain = _clamped_draws(moments, cfg, rng, eps)
+    f, chain = _clamped_draws(moments, eps)
     alpha = np.exp(f)
     kl, grad = _kl_dirichlet(alpha)
     scale = 1.0 / f.shape[0]
@@ -334,23 +262,25 @@ def bedl_objective(log_marginals: Tensor) -> ObjectiveReport:
     return ObjectiveReport(total=total, nll=float(nll), regularizer=0.0)
 
 
-def pac_objective(log_marginals: Tensor, kl_per_datum: Tensor, cfg: PacConfig) -> ObjectiveReport:
-    """Mean negative log marginal plus the square-root complexity term.
+def pac_objective(log_marginals: Tensor, kl_per_datum: Tensor, n_data: int, delta: float,
+                  likelihood_bound: float) -> ObjectiveReport:
+    """Mean negative log marginal plus the square-root complexity term of
+    the PAC bound at confidence 1 - delta.
 
-    KL(Q||P) over the dataset is estimated from the batch as N times the
-    batch mean of the per-datum KL; the likelihood bound enters as a
-    constant inside the sqrt. One tape node.
+    KL(Q||P) over the n_data points is estimated from the batch as n_data
+    times the batch mean of the per-datum KL; the likelihood bound enters
+    as a constant inside the sqrt. One tape node.
     """
     lm, kl = log_marginals.data, kl_per_datum.data
     nll = _batch_mean(-lm)
-    kl_total = cfg.n_data * _batch_mean(kl)
-    inner = (kl_total - math.log(cfg.delta)) * (1.0 / cfg.n_data) + cfg.likelihood_bound
+    kl_total = n_data * _batch_mean(kl)
+    inner = (kl_total - math.log(delta)) * (1.0 / n_data) + likelihood_bound
     if inner < 0.0:
         raise ValueError("sqrt of negative input")
     bound = np.sqrt(inner)
 
     def vjp(g):
-        g_kl = g * 0.5 / bound * (1.0 / cfg.n_data) * cfg.n_data * (1.0 / kl.size)
+        g_kl = g * 0.5 / bound * (1.0 / n_data) * n_data * (1.0 / kl.size)
         return np.full(lm.shape, -(g * (1.0 / lm.size))), np.full(kl.shape, g_kl)
 
     total = T.fused(nll + bound, (log_marginals, kl_per_datum), vjp, "pac_objective")

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from .layers import LayerSpec, MomentNetwork
-from .objectives import ClassificationHeadConfig, RegressionHeadConfig
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -140,35 +139,35 @@ class LogMarginalEstimate:
     n_samples: int
 
 
-def _per_draw_loglik(f: np.ndarray, y: np.ndarray, head) -> np.ndarray:
+def _per_draw_loglik(f: np.ndarray, y: np.ndarray, beta: float | None) -> np.ndarray:
     """Log-likelihood per weight draw with the latent head variable
     marginalized analytically. f: (S, N, out)."""
-    if isinstance(head, RegressionHeadConfig):
+    if beta is not None:
         yv = np.asarray(y, dtype=np.float64).reshape(-1)
-        v = 1.0 / head.beta + np.exp(f[..., 1])
+        v = 1.0 / beta + np.exp(f[..., 1])
         return -0.5 * (np.log(2 * np.pi * v) + (yv - f[..., 0]) ** 2 / v)
-    if isinstance(head, ClassificationHeadConfig):
-        logp = f - special.logsumexp(f, axis=-1, keepdims=True)
-        return (logp * y).sum(axis=-1)
-    raise TypeError(f"unknown head {type(head).__name__}")
+    logp = f - special.logsumexp(f, axis=-1, keepdims=True)
+    return (logp * y).sum(axis=-1)
 
 
 def sample_marginal_likelihood(
     net: MomentNetwork,
     x: np.ndarray,
     y: np.ndarray,
-    head,
+    beta: float | None,
     rng: np.random.Generator,
     n_samples: int,
     chunk: int = 20000,
 ) -> LogMarginalEstimate:
-    """MC estimate of the per-datum log marginal likelihood.
+    """MC estimate of the per-datum log marginal likelihood: of the
+    Gaussian head with observation precision beta, or of the categorical
+    head on one-hot y when beta is None.
 
     Computed as logsumexp of per-draw log-likelihoods minus log n. If all
     draws underflow to zero likelihood, reports the failure instead of
     clipping silently.
     """
-    ll = np.concatenate([_per_draw_loglik(f, y, head)
+    ll = np.concatenate([_per_draw_loglik(f, y, beta)
                          for f in _sampled_outputs(net, x, rng, n_samples, chunk)])  # (n, N)
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("likelihood underflow in MC marginal estimate")

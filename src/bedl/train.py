@@ -6,14 +6,14 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import objectives as obj
 from . import tensor as T
-from .data import DataError, Dataset, StandardizeRecord, one_hot
+from .data import DataError, Dataset, StandardizeRecord, check_labels, one_hot
 from .layers import (GaussianActivation, LayerSpec, MomentNetwork, Parameter,
                      WeightDistribution, build_network, check_rows)
 from .tensor import NumericsError, Tensor
@@ -68,23 +68,38 @@ class TrainConfig:
 
     def __post_init__(self):
         """The one check of every setting, so that a bad one fails before
-        training starts; the head and PAC configs keep their own rules."""
+        training starts: types, names, and each number finite and in range
+        (the comparisons are False for NaN)."""
         _check_types(self)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.learning_rate <= 0 or self.epochs < 1:
-            raise ValueError("invalid optimizer settings")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if self.task not in ("regression", "classification"):
+            raise ValueError(f"unknown task {self.task!r}")
         if self.objective == "edl" and self.task != "classification":
             raise ValueError("edl objective requires classification")
-        mean, var = self.init.log_var_mean, self.init.log_var_var
-        if not (math.isfinite(mean) and mean < np.log(np.finfo(float).max) and 0 <= var < math.inf):
-            raise ValueError("init needs a finite log_var_var >= 0 and exp(log_var_mean) finite")
-        self.pac(1)
-        self.head()
+        rules = {
+            "epochs >= 1": self.epochs >= 1,
+            "batch_size >= 1": self.batch_size is None or self.batch_size >= 1,
+            "seed >= 0": self.seed >= 0,
+            "n_classes >= 2": self.n_classes >= 2,
+            "mc_samples >= 1": self.mc_samples >= 1,
+            "0 < learning_rate < inf": 0 < self.learning_rate < math.inf,
+            "0 <= beta1 < 1": 0 <= self.beta1 < 1,
+            "0 <= beta2 < 1": 0 <= self.beta2 < 1,
+            "0 < adam_eps < inf": 0 < self.adam_eps < math.inf,
+            "0 < beta < inf": 0 < self.beta < math.inf,
+            "0 < delta <= 1": 0 < self.delta <= 1,
+            "0 < alpha_prior < inf": 0 < self.alpha_prior < math.inf,
+            "0 < beta_edl < inf": 0 < self.beta_edl < math.inf,
+            "0 < hyper.alpha0, a0, b0 < inf": all(0 < v < math.inf for v in astuple(self.hyper)),
+            # the initial log-variances are drawn as N(mean, var) and exponentiated
+            "-inf < init.log_var_mean < log(max float)":
+                -math.inf < self.init.log_var_mean < np.log(np.finfo(float).max),
+            "0 <= init.log_var_var < inf": 0 <= self.init.log_var_var < math.inf,
+        }
+        broken = [rule for rule, ok in rules.items() if not ok]
+        if broken:
+            raise ValueError(f"settings out of range, need {'; '.join(broken)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> TrainConfig:
@@ -98,13 +113,13 @@ class TrainConfig:
         return cls(**{key: nested[key](**value) if key in nested and isinstance(value, dict)
                       else value for key, value in raw.items()})
 
-    def head(self) -> obj.RegressionHeadConfig | obj.ClassificationHeadConfig:
-        if self.task == "regression":
-            return obj.RegressionHeadConfig(beta=self.beta)
-        return obj.ClassificationHeadConfig(self.n_classes, self.mc_samples)
-
-    def pac(self, n_data: int) -> obj.PacConfig:
-        return obj.PacConfig(self.task, n_data, self.delta, self.alpha_prior, self.beta)
+    @property
+    def likelihood_bound(self) -> float:
+        """The likelihood's constant in the PAC bound: 1 for the categorical
+        head, the Gaussian density's peak beta/(2 pi) for regression."""
+        if self.task == "classification":
+            return 1.0
+        return self.beta / (2.0 * math.pi)
 
     def resolve_batch_size(self, n: int) -> int:
         if self.batch_size is not None:
@@ -240,6 +255,8 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         if min(shape, default=0) < 0 or offset + 8 * count > len(raw):
             raise ValueError("arrays shorter than the manifest")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{entry['name']} holds non-finite values")
         arrays[entry["name"]] = arr.astype(np.float64)
         offset += 8 * count
     if offset != len(raw):
@@ -297,8 +314,7 @@ def _batch_objective(
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    head: obj.RegressionHeadConfig | obj.ClassificationHeadConfig,
-    pac: obj.PacConfig,
+    n_data: int,
     rng: np.random.Generator,
 ) -> obj.ObjectiveReport:
     if cfg.objective == "edl":
@@ -308,21 +324,19 @@ def _batch_objective(
 
     moments = net.forward(x)
     if cfg.task == "regression":
-        lm = obj.regression_log_marginal(moments, y, head)
-        if cfg.objective == "bedl+reg":
-            kl = obj.regression_kl(moments, head, pac)
-            return obj.pac_objective(lm, kl, pac)
+        lm = obj.regression_log_marginal(moments, y, cfg.beta)
+        kl = obj.regression_kl(moments, cfg.alpha_prior) if cfg.objective == "bedl+reg" else None
     else:
         eps = rng.standard_normal((cfg.mc_samples, len(x), cfg.n_classes))
-        lm = obj.classification_log_marginal(moments, one_hot(y, cfg.n_classes), head, eps=eps)
-        if cfg.objective == "bedl+reg":
-            kl = obj.classification_kl(moments, head, eps=eps)
-            return obj.pac_objective(lm, kl, pac)
+        lm = obj.classification_log_marginal(moments, one_hot(y, cfg.n_classes), eps=eps)
+        kl = obj.classification_kl(moments, eps=eps) if cfg.objective == "bedl+reg" else None
+    if kl is not None:
+        return obj.pac_objective(lm, kl, n_data, cfg.delta, cfg.likelihood_bound)
     report = obj.bedl_objective(lm)
 
     if cfg.objective == "bedl-hyper":
         # the penalty over the whole dataset, taken per datum as the nll is
-        penalty, scale = obj.hyperprior_penalty(net.weights, cfg.hyper), 1.0 / pac.n_data
+        penalty, scale = obj.hyperprior_penalty(net.weights, cfg.hyper), 1.0 / n_data
         regularizer = penalty.data * scale
         total = T.fused(report.total.data + regularizer, (report.total, penalty),
                         lambda g: (g, g * scale), "bedl_hyper_objective")
@@ -347,7 +361,10 @@ def train(
 ) -> TrainResult:
     """Seeded, single-threaded, deterministic training run. A dataset of
     another task than ``cfg``, or an output layer that is not as wide as the
-    head, is a ValueError before the first step."""
+    head, is a ValueError before the first step, and one with no rows a
+    DataError."""
+    if dataset.n == 0:
+        raise DataError("no rows to train on")
     if dataset.task != cfg.task:
         raise ValueError(f"a {dataset.task} dataset cannot train a {cfg.task} config")
     width = 2 if cfg.task == "regression" else cfg.n_classes
@@ -360,7 +377,6 @@ def train(
     adam = Adam(net.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
     n = dataset.n
     batch = cfg.resolve_batch_size(n)
-    head, pac = cfg.head(), cfg.pac(n)
     metrics: list[dict] = []
     last_good: Checkpoint | None = None
 
@@ -373,7 +389,7 @@ def train(
             x = dataset.features[idx]
             y = dataset.targets[idx]
             try:
-                report = _batch_objective(net, x, y, cfg, head, pac, rng)
+                report = _batch_objective(net, x, y, cfg, n, rng)
                 adam.zero_grad()
                 report.total.backward()
                 adam.step()
@@ -393,6 +409,8 @@ def train(
                 "regularizer": reg / n_batches,
             }
         )
+        if not all(np.isfinite(p.data).all() for p in net.parameters()):
+            raise TrainingDiverged(f"non-finite weights after epoch {epoch}", last_good)
         last_good = _snapshot(net, cfg, record)
 
     return TrainResult(checkpoint=last_good, metrics=metrics)
@@ -458,11 +476,12 @@ def evaluate(
     Regression: mean per-datum log-likelihood in original target units
     (applies the -log std_y correction recorded at standardization time).
     Classification: test error and the ECDF-AUC of predictive entropies
-    over [0, log C], with C the width of the output layer.
+    over [0, log C], with C the width of the output layer; a label outside
+    the C classes is a DataError.
     """
     moments, rep = _predict(ckpt, dataset, cfg, eval_samples, seed)
     if rep is None:
-        lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.head())
+        lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.beta)
         correction = 0.0 if ckpt.target_std is None else -math.log(ckpt.target_std)
         values = {
             "test_loglik": float(lm.data.mean() + correction),
@@ -472,9 +491,10 @@ def evaluate(
         }
         return EvalMetrics(values)
 
+    n_classes = ckpt.specs[-1].n_out
     values = {
-        "test_error_pct": test_error(rep.predictive_mean, dataset.targets),
-        "ecdf_auc": ecdf_auc(rep.entropy, ckpt.specs[-1].n_out),
+        "test_error_pct": test_error(rep.predictive_mean, check_labels(dataset.targets, n_classes)),
+        "ecdf_auc": ecdf_auc(rep.entropy, n_classes),
         "mean_entropy": float(rep.entropy.mean()),
     }
     return EvalMetrics(values)

@@ -118,16 +118,15 @@ def test_criterion_03_gradient_integrity():
     )
     x = rng.normal(size=(4, 2))
     y = rng.normal(size=4)
-    head = O.RegressionHeadConfig(beta=100.0)
-    pac = O.PacConfig("regression", n_data=4)
+    bound = 100.0 / (2 * math.pi)
 
     def reg_bedl():
-        return O.bedl_objective(O.regression_log_marginal(reg_net.forward(x), y, head)).total
+        return O.bedl_objective(O.regression_log_marginal(reg_net.forward(x), y, 100.0)).total
 
     def reg_pac():
         mm = reg_net.forward(x)
-        lm = O.regression_log_marginal(mm, y, head)
-        return O.pac_objective(lm, O.regression_kl(mm, head, pac), pac).total
+        lm = O.regression_log_marginal(mm, y, 100.0)
+        return O.pac_objective(lm, O.regression_kl(mm, 1.0), 4, 0.05, bound).total
 
     worst = max(worst, check_grads(reg_bedl, reg_net.parameters(), rel_tol=1e-4))
     worst = max(worst, check_grads(reg_pac, reg_net.parameters(), rel_tol=1e-4))
@@ -139,19 +138,16 @@ def test_criterion_03_gradient_integrity():
     )
     xc = rng.normal(size=(4, 2))
     yc = np.eye(3)[rng.integers(0, 3, size=4)]
-    ccfg = O.ClassificationHeadConfig(n_classes=3, n_samples=3)
-    cpac = O.PacConfig("classification", n_data=4)
     eps = np.random.default_rng(2).standard_normal((3, 4, 3))
 
     def cls_bedl():
-        return O.bedl_objective(
-            O.classification_log_marginal(cls_net.forward(xc), yc, ccfg, eps=eps)
-        ).total
+        lm = O.classification_log_marginal(cls_net.forward(xc), yc, eps=eps)
+        return O.bedl_objective(lm).total
 
     def cls_pac():
         mm = cls_net.forward(xc)
-        lm = O.classification_log_marginal(mm, yc, ccfg, eps=eps)
-        return O.pac_objective(lm, O.classification_kl(mm, ccfg, eps=eps), cpac).total
+        lm = O.classification_log_marginal(mm, yc, eps=eps)
+        return O.pac_objective(lm, O.classification_kl(mm, eps=eps), 4, 0.05, 1.0).total
 
     worst = max(worst, check_grads(cls_bedl, cls_net.parameters(), rel_tol=1e-4))
     worst = max(worst, check_grads(cls_pac, cls_net.parameters(), rel_tol=1e-4))
@@ -180,9 +176,8 @@ def test_criterion_04_marginal_likelihood_cross_checks():
     mm0 = net.forward(x)
     v0 = 1.0 / 100.0 + mm0.var.data[:, 0] + np.exp(mm0.mean.data[:, 1] + 0.5 * mm0.var.data[:, 1])
     y = mm0.mean.data[:, 0] + np.array([0.3, -0.8, 1.5, 0.0]) * np.sqrt(v0)
-    head = O.RegressionHeadConfig(beta=100.0)
-    closed = O.regression_log_marginal(net.forward(x), y, head).data
-    mc = sample_marginal_likelihood(net, x, y, head, make_rng(404, 0), 100_000)
+    closed = O.regression_log_marginal(net.forward(x), y, 100.0).data
+    mc = sample_marginal_likelihood(net, x, y, 100.0, make_rng(404, 0), 100_000)
     reg_gap = np.abs(closed - mc.value)
     reg_ok = bool(np.all(reg_gap < 3 * mc.se))
 
@@ -190,10 +185,9 @@ def test_criterion_04_marginal_likelihood_cross_checks():
     s2 = np.array([[0.5, 0.8, 0.3]])
     y1h = np.array([[0.0, 0.0, 1.0]])
     n_samples = 10_000
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=n_samples)
     eps = np.random.default_rng(7).standard_normal((n_samples, 1, 3))
     moments = GaussianActivation(constant(m), constant(s2))
-    est = O.classification_log_marginal(moments, y1h, cfg, eps=eps).data[0]
+    est = O.classification_log_marginal(moments, y1h, eps=eps).data[0]
     f = m[None] + np.sqrt(s2)[None] * eps
     p = np.exp(f - f.max(-1, keepdims=True))
     p = (p / p.sum(-1, keepdims=True))[:, 0, 2]

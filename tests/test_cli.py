@@ -118,6 +118,18 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["eval", "--split-seed", "-1"], None, 1, id="eval-split-seed-negative"),
     pytest.param(["eval", "--split-index", "-3"], None, 1, id="eval-split-index-negative"),
     pytest.param(["splits", "--seed", "-1"], None, 1, id="splits-seed-negative"),
+    pytest.param(["--lr", "nan"], None, 1, id="lr-nan"),
+    pytest.param(["--lr", "inf"], None, 1, id="lr-inf"),
+    pytest.param(["--beta", "inf"], None, 1, id="beta-inf"),
+    pytest.param([], {"beta1": 1.0}, 1, id="beta1-1"),
+    pytest.param([], {"beta2": -0.1}, 1, id="beta2-negative"),
+    pytest.param([], {"adam_eps": 0}, 1, id="adam-eps-0"),
+    pytest.param([], {"alpha_prior": float("nan")}, 1, id="alpha-prior-nan"),
+    pytest.param([], {"beta_edl": -1.0}, 1, id="beta-edl-negative"),
+    pytest.param([], {"hyper": {"b0": float("nan")}}, 1, id="hyper-b0-nan"),
+    pytest.param(["--limit", "0"], None, 1, id="limit-0"),
+    pytest.param(["--limit", "-3"], None, 1, id="limit-negative"),
+    pytest.param(["verify", "--n-samples", "50"], None, 1, id="verify-n-samples-50"),
 ])
 def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
                                             args, config, code):
@@ -128,6 +140,8 @@ def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_p
         cmd = ["eval", "--data", str(csv_file), "--checkpoint", str(trained_checkpoint)] + args[1:]
     elif args[:1] == ["splits"]:
         cmd = ["splits", "--n", "20"] + args[1:]
+    elif args[:1] == ["verify"]:
+        cmd = ["verify", "--n-architectures", "1"] + args[1:]
     else:
         cmd = ["train", "--data", str(csv_file), "--out", str(out)] + args
         if "epochs" not in (config or {}):  # a flag would override the file's value
@@ -180,6 +194,56 @@ def test_directory_for_a_file_is_usage_error(csv_file, trained_checkpoint, tmp_p
         cli.main()
     err = capsys.readouterr().err
     assert info.value.code == 1 and err.startswith("error:") and "directory" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def bad_data(trained_checkpoint, tmp_path_factory):
+    """A directory of inputs that each make one command a data error, and a
+    3-class checkpoint trained on a CSV."""
+    import struct
+
+    d = tmp_path_factory.mktemp("bad")
+    rng = np.random.default_rng(5)
+    x, labels = rng.normal(size=(30, 2)), rng.integers(0, 3, size=30)
+    for name, bad_label in (("cls", None), ("label-minus-1", -1), ("label-3", 3)):
+        y = labels if bad_label is None else np.where(np.arange(30) == 4, bad_label, labels)
+        (d / f"{name}.csv").write_text("".join(f"{a:.6f},{b:.6f},{c}\n" for (a, b), c in zip(x, y)))
+    res = run_cli("train", "--data", str(d / "cls.csv"), "--task", "classification",
+                  "--n-classes", "3", "--epochs", "1", "--hidden", "4", "--out", str(d / "cls"))
+    assert res.returncode == 0, res.stderr
+    (d / "one-column.csv").write_text("".join(f"{i * i % 7}\n" for i in range(20)))
+    (d / "no-images.idx").write_bytes(struct.pack(">4I", 0x803, 0, 6, 6))
+    (d / "no-labels.idx").write_bytes(struct.pack(">2I", 0x801, 0))
+    raw = trained_checkpoint.read_bytes()
+    (d / "nan.bin").write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    return d
+
+
+@pytest.mark.parametrize("cmd", [
+    ["train", "--task", "classification", "--images", "{d}/no-images.idx",
+     "--labels", "{d}/no-labels.idx"],
+    ["train", "--data", "{d}/one-column.csv"],
+    ["train", "--data", "{csv}", "--target-column", "9"],
+    ["eval", "--data", "{d}/label-minus-1.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
+    ["eval", "--data", "{d}/label-3.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/nan.bin"],
+], ids=["train-no-rows", "train-no-feature-column", "train-target-column-9",
+        "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint"])
+def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
+                                            capsys):
+    # cli.main runs in this process, so an unmapped exception fails the test
+    from bedl import cli
+
+    argv = [a.format(d=bad_data, csv=csv_file) for a in cmd]
+    if cmd[0] == "train":
+        argv += ["--epochs", "1", "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(sys, "argv", ["bedl", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and err.startswith("data error:"), err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -143,8 +143,6 @@ def test_make_splits_ceil_and_validation():
     assert len(tr) == 14 and len(te) == 1  # ceil(0.9 * 15)
     with pytest.raises(DataError):
         make_splits(5, SplitPlan(0))
-    with pytest.raises(ValueError):
-        SplitPlan(0, train_fraction=1.5)
 
 
 # -- standardization ---------------------------------------------------------

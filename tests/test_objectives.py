@@ -21,28 +21,23 @@ def _moments(mean, var):
 
 
 def test_regression_log_marginal_closed_form():
-    head = O.RegressionHeadConfig(beta=100.0)
     m = np.array([[0.3, -1.0], [1.2, 0.5]])
     s2 = np.array([[0.04, 0.02], [0.1, 0.3]])
     y = np.array([0.5, 0.0])
-    out = O.regression_log_marginal(_moments(m, s2), y, head)
+    out = O.regression_log_marginal(_moments(m, s2), y, 100.0)
     v = 1.0 / 100.0 + s2[:, 0] + np.exp(m[:, 1] + 0.5 * s2[:, 1])
     expected = stats.norm.logpdf(y, loc=m[:, 0], scale=np.sqrt(v))
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
 
 def test_regression_head_requires_two_units():
-    head = O.RegressionHeadConfig()
     with pytest.raises(ValueError):
-        O.regression_log_marginal(_moments(np.zeros((2, 3)), np.ones((2, 3))), np.zeros(2), head)
+        O.regression_log_marginal(_moments(np.zeros((2, 3)), np.ones((2, 3))), np.zeros(2), 100.0)
 
 
 def test_regression_floor_at_perfect_fit():
     # residual 0, vanishing latent variance: log N(0 | 0, 1/beta)
-    head = O.RegressionHeadConfig(beta=100.0)
-    out = O.regression_log_marginal(
-        _moments([[0.0, -40.0]], [[0.0, 0.0]]), np.array([0.0]), head
-    )
+    out = O.regression_log_marginal(_moments([[0.0, -40.0]], [[0.0, 0.0]]), np.array([0.0]), 100.0)
     np.testing.assert_allclose(out.data[0], -0.5 * math.log(2 * math.pi / 100.0), rtol=1e-9)
     assert abs(out.data[0] - 1.38364) < 1e-4
 
@@ -51,45 +46,45 @@ def test_regression_floor_at_perfect_fit():
 
 
 def test_classification_marginal_zero_variance_is_log_softmax():
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=4)
     m = rng.normal(size=(5, 3))
     y = np.eye(3)[rng.integers(0, 3, size=5)]
-    out = O.classification_log_marginal(_moments(m, np.zeros_like(m)), y, cfg, rng=rng)
+    eps = rng.standard_normal((4, 5, 3))
+    out = O.classification_log_marginal(_moments(m, np.zeros_like(m)), y, eps=eps)
     logp = m - np.log(np.exp(m).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(out.data, (logp * y).sum(axis=1), rtol=1e-10)
 
 
 def test_classification_marginal_saturated_and_uniform():
-    cfg = O.ClassificationHeadConfig(n_classes=2, n_samples=3)
     y = np.array([[1.0, 0.0]])
-    sat = O.classification_log_marginal(_moments([[50.0, -50.0]], [[0.0, 0.0]]), y, cfg, rng=rng)
+    sat = O.classification_log_marginal(_moments([[50.0, -50.0]], [[0.0, 0.0]]), y,
+                                        eps=rng.standard_normal((3, 1, 2)))
     assert sat.data[0] > -1e-12  # prob -> 1 under the logit clamp
-    uni = O.classification_log_marginal(_moments([[0.0, 0.0]], [[0.0, 0.0]]), y, cfg, rng=rng)
+    uni = O.classification_log_marginal(_moments([[0.0, 0.0]], [[0.0, 0.0]]), y,
+                                        eps=rng.standard_normal((3, 1, 2)))
     np.testing.assert_allclose(uni.data[0], math.log(0.5), rtol=1e-12)
 
 
 def test_classification_marginal_vs_gauss_hermite():
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=4000)
+    n_samples = 4000
     m = np.array([[0.4, -0.2, 1.1]])
     s2 = np.array([[0.5, 0.8, 0.3]])
     y = np.array([[0.0, 0.0, 1.0]])
-    eps = np.random.default_rng(5).standard_normal((cfg.n_samples, 1, 3))
-    est = O.classification_log_marginal(_moments(m, s2), y, cfg, eps=eps).data[0]
+    eps = np.random.default_rng(5).standard_normal((n_samples, 1, 3))
+    est = O.classification_log_marginal(_moments(m, s2), y, eps=eps).data[0]
     # same-eps per-sample probabilities for the standard error
     f = m[None] + np.sqrt(s2)[None] * eps
     p = np.exp(f - f.max(-1, keepdims=True))
     p = (p / p.sum(-1, keepdims=True))[:, 0, 2]
-    se_log = p.std() / (p.mean() * math.sqrt(cfg.n_samples))
+    se_log = p.std() / (p.mean() * math.sqrt(n_samples))
     exact = math.log(gauss_hermite_class_marginal(m[0], s2[0], 2))
     assert abs(est - exact) < 3 * se_log
 
 
 def test_onehot_validation():
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=2)
+    # the one-hot check fails before the draws are read
     with pytest.raises(ValueError):
-        O.classification_log_marginal(
-            _moments(np.zeros((1, 3)), np.zeros((1, 3))), np.array([[0.5, 0.5, 0.0]]), cfg, rng=rng
-        )
+        O.classification_log_marginal(_moments(np.zeros((1, 3)), np.zeros((1, 3))),
+                                      np.array([[0.5, 0.5, 0.0]]), eps=np.zeros((2, 1, 3)))
 
 
 # -- divergences -------------------------------------------------------------
@@ -172,17 +167,11 @@ def test_kl_gaussian_identity_and_value():
 def test_pac_objective_with_zero_kl():
     lm = T.constant(np.array([-1.0, -3.0]))
     kl = T.constant(np.zeros(2))
-    cfg = O.PacConfig("classification", n_data=100)
-    rep = O.pac_objective(lm, kl, cfg)
+    rep = O.pac_objective(lm, kl, 100, 0.05, 1.0)
     expected_bound = math.sqrt(-math.log(0.05) / 100.0 + 1.0)
     np.testing.assert_allclose(rep.nll, 2.0)
     np.testing.assert_allclose(rep.regularizer, expected_bound, rtol=1e-12)
     np.testing.assert_allclose(rep.total.item(), 2.0 + expected_bound, rtol=1e-12)
-
-
-def test_pac_regression_bound_constant():
-    cfg = O.PacConfig("regression", n_data=10, beta=100.0)
-    np.testing.assert_allclose(cfg.likelihood_bound, 100.0 / (2 * math.pi), rtol=1e-12)
 
 
 def test_bedl_objective_is_mean_nll():
@@ -239,14 +228,12 @@ def test_regression_objective_gradcheck():
     net = _small_net((2, 3, 2), ("relu", "identity"), 4)
     x = rng.normal(size=(4, 2))
     y = rng.normal(size=4)
-    head = O.RegressionHeadConfig(beta=100.0)
-    pac = O.PacConfig("regression", n_data=4)
 
     def f():
         mm = net.forward(x)
-        lm = O.regression_log_marginal(mm, y, head)
-        kl = O.regression_kl(mm, head, pac)
-        return O.pac_objective(lm, kl, pac).total
+        lm = O.regression_log_marginal(mm, y, 100.0)
+        kl = O.regression_kl(mm, 1.0)
+        return O.pac_objective(lm, kl, 4, 0.05, 100.0 / (2 * math.pi)).total
 
     check_grads(f, net.parameters(), rel_tol=1e-4)
 
@@ -255,15 +242,13 @@ def test_classification_objective_gradcheck():
     net = _small_net((2, 4, 3), ("elu", "identity"), 5)
     x = rng.normal(size=(4, 2))
     y = np.eye(3)[rng.integers(0, 3, size=4)]
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=3)
-    pac = O.PacConfig("classification", n_data=4)
     eps = np.random.default_rng(6).standard_normal((3, 4, 3))
 
     def f():
         mm = net.forward(x)
-        lm = O.classification_log_marginal(mm, y, cfg, eps=eps)
-        kl = O.classification_kl(mm, cfg, eps=eps)
-        return O.pac_objective(lm, kl, pac).total
+        lm = O.classification_log_marginal(mm, y, eps=eps)
+        kl = O.classification_kl(mm, eps=eps)
+        return O.pac_objective(lm, kl, 4, 0.05, 1.0).total
 
     check_grads(f, net.parameters(), rel_tol=1e-4)
 
@@ -285,11 +270,10 @@ def test_regression_head_gradcheck_past_exponent_clamp():
     mean = T.Parameter(np.array([[0.3, -1.0], [1.2, 0.5], [-0.4, 61.0]]))
     log_var = T.Parameter(np.array([[-2.0, -1.0], [-1.0, -3.0], [-2.0, -1.0]]))
     y = np.array([0.5, 0.0, 1.0])
-    head = O.RegressionHeadConfig(beta=100.0)
 
     def f():
         mm = L.GaussianActivation(mean, T.exp(log_var))
-        return T.tsum(O.regression_log_marginal(mm, y, head) * np.array([1.0, -0.7, 0.4]))
+        return T.tsum(O.regression_log_marginal(mm, y, 100.0) * np.array([1.0, -0.7, 0.4]))
 
     check_grads(f, [mean, log_var], rel_tol=1e-5)
     assert mean.grad[2, 1] == 0.0 and log_var.grad[2, 1] == 0.0
@@ -299,14 +283,13 @@ def test_regression_kl_and_pac_gradcheck():
     mean = T.Parameter(np.array([[0.3, -1.0], [1.2, 0.5], [-0.4, 0.2]]))
     log_var = T.Parameter(np.array([[-2.0, -1.0], [-1.0, -3.0], [-2.0, -1.0]]))
     y = np.array([0.5, 0.0, 1.0])
-    head = O.RegressionHeadConfig(beta=100.0)
-    pac = O.PacConfig("regression", n_data=30, alpha_prior=2.0)
 
     def f():
         mm = L.GaussianActivation(mean, T.exp(log_var))
-        kl = O.regression_kl(mm, head, pac)
-        lm = O.regression_log_marginal(mm, y, head)
-        return O.pac_objective(lm, kl, pac).total + T.tsum(kl * np.array([0.3, -0.2, 0.1]))
+        kl = O.regression_kl(mm, 2.0)
+        lm = O.regression_log_marginal(mm, y, 100.0)
+        pac = O.pac_objective(lm, kl, 30, 0.05, 100.0 / (2 * math.pi))
+        return pac.total + T.tsum(kl * np.array([0.3, -0.2, 0.1]))
 
     check_grads(f, [mean, log_var], rel_tol=1e-5)
 
@@ -315,19 +298,18 @@ def test_batched_classification_head_and_kl_gradcheck():
     # the S draws are one (S, N, C) node. Datum 0 sits past the logit clamp
     # in the head only: its KL, with alpha = exp(30), loses to cancellation
     # far more than the finite-difference step
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=4)
     mean = T.Parameter(np.vstack([[40.0, 0.1, -0.2], rng.normal(size=(4, 3))]))
     log_var = T.Parameter(np.vstack([[-6.0, -1.0, -1.0], rng.uniform(-2.0, 0.0, size=(4, 3))]))
     y = np.eye(3)[[0, 1, 2, 0, 1]]
     eps = np.random.default_rng(8).standard_normal((4, 5, 3))
-    pac = O.PacConfig("classification", n_data=50)
 
     def f():
         var = T.exp(log_var)
-        lm = O.classification_log_marginal(L.GaussianActivation(mean, var), y, cfg, eps=eps)
-        kl = O.classification_kl(L.GaussianActivation(mean[1:], var[1:]), cfg, eps=eps[:, 1:])
+        lm = O.classification_log_marginal(L.GaussianActivation(mean, var), y, eps=eps)
+        kl = O.classification_kl(L.GaussianActivation(mean[1:], var[1:]), eps=eps[:, 1:])
         assert lm.shape == (5,) and kl.shape == (4,)
-        return O.pac_objective(lm[1:], kl, pac).total + T.tsum(lm * np.linspace(-1.0, 1.0, 5))
+        pac = O.pac_objective(lm[1:], kl, 50, 0.05, 1.0)
+        return pac.total + T.tsum(lm * np.linspace(-1.0, 1.0, 5))
 
     check_grads(f, [mean, log_var], rel_tol=1e-5)
     assert mean.grad[0, 0] == 0.0
@@ -336,14 +318,13 @@ def test_batched_classification_head_and_kl_gradcheck():
 def test_classification_kl_gradcheck_at_the_logit_clamp():
     # datum 0 sits past the logit clamp and enters the KL, whose value
     # must be accurate to far below the finite-difference step there
-    cfg = O.ClassificationHeadConfig(n_classes=3, n_samples=4)
     r = np.random.default_rng(9)
     mean = T.Parameter(np.vstack([[40.0, 0.1, -0.2], r.normal(size=(2, 3))]))
     log_var = T.Parameter(np.vstack([[-6.0, -1.0, -1.0], r.uniform(-2.0, 0.0, size=(2, 3))]))
     eps = r.standard_normal((4, 3, 3))
 
     def f():
-        kl = O.classification_kl(L.GaussianActivation(mean, T.exp(log_var)), cfg, eps=eps)
+        kl = O.classification_kl(L.GaussianActivation(mean, T.exp(log_var)), eps=eps)
         return T.tsum(kl * np.array([1.0, -0.6, 0.3]))
 
     check_grads(f, [mean, log_var], rel_tol=1e-6)

@@ -5,7 +5,6 @@ from scipy import stats
 from bedl import layers as L
 from bedl import oracle
 from bedl import tensor as T
-from bedl.objectives import ClassificationHeadConfig, RegressionHeadConfig
 
 rng = np.random.default_rng(41)
 
@@ -63,8 +62,7 @@ def test_regression_marginal_on_deterministic_net_is_exact():
     net = _linear_net(log_var=-60.0)
     x = rng.normal(size=(2, 3))
     y = rng.normal(size=2)
-    head = RegressionHeadConfig(beta=100.0)
-    est = oracle.sample_marginal_likelihood(net, x, y, head, oracle.make_rng(0, 1), 200)
+    est = oracle.sample_marginal_likelihood(net, x, y, 100.0, oracle.make_rng(0, 1), 200)
     f = x @ net.weights[0].mean.data + net.weights[0].bias_mean.data
     v = 1.0 / 100.0 + np.exp(f[:, 1])
     expected = stats.norm.logpdf(y, loc=f[:, 0], scale=np.sqrt(v))
@@ -76,8 +74,7 @@ def test_classification_marginal_on_deterministic_net_is_log_softmax():
     net = _linear_net(fan_out=3, log_var=-60.0)
     x = rng.normal(size=(2, 3))
     y = np.eye(3)[[0, 2]]
-    head = ClassificationHeadConfig(n_classes=3, n_samples=5)
-    est = oracle.sample_marginal_likelihood(net, x, y, head, oracle.make_rng(0, 2), 200)
+    est = oracle.sample_marginal_likelihood(net, x, y, None, oracle.make_rng(0, 2), 200)
     f = x @ net.weights[0].mean.data + net.weights[0].bias_mean.data
     logp = f - np.log(np.exp(f).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(est.value, (logp * y).sum(axis=1), atol=1e-6)

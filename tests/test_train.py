@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import struct
 import tracemalloc
 
@@ -12,6 +13,7 @@ from bedl import tensor as T
 tr = importlib.import_module("bedl.train")
 from bedl.data import DataError, Dataset
 from bedl.layers import LayerSpec, build_network
+from bedl.objectives import HyperpriorConfig
 from bedl.uncertainty import decompose
 
 from conftest import check_grads
@@ -38,10 +40,22 @@ def _blob_ds(n=100, seed=0):
 
 
 def test_config_validation():
-    # every setting is checked on construction, the head and PAC ones too
+    # every setting is checked on construction: each number finite and in range
+    nan, inf = float("nan"), float("inf")
     for kw in (
         {"objective": "sgld"},
         {"learning_rate": -1.0},
+        {"learning_rate": nan},
+        {"learning_rate": inf},
+        {"beta1": 1.0},
+        {"beta2": -0.1},
+        {"adam_eps": 0.0},
+        {"beta": inf},
+        {"beta": nan},
+        {"alpha_prior": nan},
+        {"beta_edl": -1.0},
+        {"hyper": HyperpriorConfig(b0=nan)},
+        {"hyper": HyperpriorConfig(alpha0=inf)},
         {"batch_size": 0},
         {"beta": -1.0},
         {"delta": 2.0},
@@ -77,6 +91,12 @@ def test_config_types():
             tr.TrainConfig(**kw)
     cfg = tr.TrainConfig(learning_rate=1, beta=50, epochs=np.int64(3), batch_size=None)
     assert cfg.learning_rate == 1 and cfg.epochs == 3
+
+
+def test_pac_likelihood_bound():
+    assert tr.TrainConfig(task="classification").likelihood_bound == 1.0
+    cfg = tr.TrainConfig(beta=100.0)
+    np.testing.assert_allclose(cfg.likelihood_bound, 100.0 / (2 * math.pi), rtol=1e-12)
 
 
 def test_resolve_batch_size():
@@ -383,7 +403,7 @@ def test_regression_step_tape_is_small():
     net = build_network(specs, np.random.default_rng(0))
     cfg = tr.TrainConfig(objective="bedl+reg", batch_size=32)
     x, y = rng.normal(size=(32, 13)), rng.normal(size=32)
-    report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(455), np.random.default_rng(1))
+    report = tr._batch_objective(net, x, y, cfg, 455, np.random.default_rng(1))
     assert _tape_nodes(report.total) <= 20
 
 
@@ -394,7 +414,7 @@ def test_classification_step_tape_is_small():
     net = build_network(specs, np.random.default_rng(0))
     cfg = tr.TrainConfig(objective="bedl+reg", task="classification", batch_size=16)
     x, y = rng.normal(size=(16, 784)), rng.integers(0, 10, size=16)
-    report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(500), np.random.default_rng(1))
+    report = tr._batch_objective(net, x, y, cfg, 500, np.random.default_rng(1))
     assert _tape_nodes(report.total) <= 20
 
 
@@ -410,7 +430,7 @@ def test_conv_step_tape_is_small():
     cfg = tr.TrainConfig(objective="bedl+reg", task="classification", batch_size=4)
     r = np.random.default_rng(1)
     x, y = r.normal(size=(4, 28, 28, 1)), r.integers(0, 10, size=4)
-    report = tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(500), np.random.default_rng(1))
+    report = tr._batch_objective(net, x, y, cfg, 500, np.random.default_rng(1))
     assert _tape_nodes(report.total) <= 25
 
 
@@ -429,7 +449,7 @@ def test_classification_batch_objective_gradcheck(objective):
 
     def f():
         eps_rng = np.random.default_rng(4)
-        return tr._batch_objective(net, x, y, cfg, cfg.head(), cfg.pac(50), eps_rng).total
+        return tr._batch_objective(net, x, y, cfg, 50, eps_rng).total
 
     check_grads(f, net.parameters(), rel_tol=1e-4)
 
@@ -488,6 +508,23 @@ def test_train_checks_task_and_head_width_before_the_first_step():
         tr.train(ds, wide, tr.TrainConfig(task="classification", n_classes=3, epochs=1))
     with pytest.raises(ValueError, match="3 units .* reads 2"):
         tr.train(_regression_ds(), specs, tr.TrainConfig(epochs=1))
+
+
+def test_diverged_run_keeps_the_last_finite_checkpoint(monkeypatch):
+    # a weight turned NaN by the epoch's last step must not reach a checkpoint
+    step = tr.Adam.step
+
+    def poisoned(adam):
+        step(adam)
+        if adam.t == 3:
+            adam.params[0].data[0, 0] = np.nan
+
+    monkeypatch.setattr(tr.Adam, "step", poisoned)
+    ds = _regression_ds(n=20)  # full batch: one step per epoch
+    with pytest.raises(tr.TrainingDiverged, match="epoch 3") as info:
+        tr.train(ds, tr.default_specs("regression", 3, hidden=4), tr.TrainConfig(epochs=5))
+    arrays = info.value.checkpoint.arrays
+    assert all(np.isfinite(a).all() for a in arrays.values())
 
 
 def test_one_datum_linear_fit_approaches_beta_floor():
