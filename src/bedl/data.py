@@ -56,8 +56,9 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
     header row.
 
     Constant feature columns are dropped with a warning; a cell that does
-    not parse raises DataError with its row and column, and so does a
-    target column outside the rows or no feature column left.
+    not parse raises DataError with its row and column, and so do a header
+    with no rows, a target column outside the rows, no feature column left
+    and a class label that is not an integer.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
@@ -75,17 +76,13 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
                 ) from None
         return out
 
-    start = 0
     try:
-        first = parse_row(lines[0], 0)
+        rows = [parse_row(lines[0], 0)]
     except DataError:
-        start = 1  # header row
-        first = None
-    rows = [first] if first is not None else []
-    for i, ln in enumerate(lines[start:], start=start):
-        if i == 0 and first is not None:
-            continue
-        rows.append(parse_row(ln, i))
+        rows = []  # header row
+    rows += [parse_row(ln, i) for i, ln in enumerate(lines[1:], start=1)]
+    if not rows:
+        raise DataError(f"{path}: no data rows below the header")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: ragged rows with widths {sorted(widths)}")
@@ -106,6 +103,9 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
     if x.shape[1] == 0:
         raise DataError(f"{path}: no feature column besides the target is left")
     if task == "classification":
+        fractional = np.flatnonzero(y != np.trunc(y))
+        if fractional.size:
+            raise DataError(f"{path}: class label {y[fractional[0]]:g} is not an integer")
         y = y.astype(np.int64)
     return Dataset(x, y, task=task, dropped_columns=const.tolist())
 

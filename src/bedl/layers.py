@@ -26,7 +26,7 @@ SIGMA2_MIN = 1e-12
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the network.
+    """One layer of the network; every layer has a bias.
 
     kind "dense": fan_in x fan_out units.
     kind "conv2d": valid (unpadded) strided convolution with square kernel,
@@ -42,8 +42,6 @@ class LayerSpec:
     kernel: int = 0
     stride: int = 1
     activation: str = "identity"
-    alpha: float = 1.0
-    bias: bool = True
 
     def __post_init__(self):
         if self.kind not in ("dense", "conv2d"):
@@ -92,22 +90,20 @@ def check_rows(specs: list[LayerSpec], row_shape: tuple) -> None:
 
 @dataclass
 class WeightDistribution:
-    """Gaussian weight hyperparameters: mean and log-variance per weight."""
+    """Gaussian weight hyperparameters: mean and log-variance per weight
+    and per bias."""
 
     mean: Parameter
     log_var: Parameter
-    bias_mean: Parameter | None = None
-    bias_log_var: Parameter | None = None
+    bias_mean: Parameter
+    bias_log_var: Parameter
 
     def __post_init__(self):
         if self.mean.shape != self.log_var.shape:
             raise ValueError("weight mean/log-variance shape mismatch")
 
     def parameters(self) -> list[Parameter]:
-        ps = [self.mean, self.log_var]
-        if self.bias_mean is not None:
-            ps += [self.bias_mean, self.bias_log_var]
-        return ps
+        return [self.mean, self.log_var, self.bias_mean, self.bias_log_var]
 
 
 @dataclass
@@ -128,11 +124,11 @@ def _check_input_var(var: np.ndarray) -> None:
 
 
 def _affine_nodes(w, mean, var, h, v, op, out_shape, fold) -> GaussianActivation:
-    """One mean and one variance node of E[f] = E[h] E[w] and var[f] = E[w^2]
-    var[h] + var[w] E[h]^2 over the rows of input means h and variances v
-    (None: a deterministic input): one flattened input row per dense datum,
-    one receptive field per conv output pixel. The nodes have ``out_shape``,
-    and ``fold(g, w)`` maps g @ w.T back onto the shape of the input mean."""
+    """One mean and one variance node of E[f] = E[h] E[w] + E[b] and var[f] =
+    E[w^2] var[h] + var[w] E[h]^2 + var[b] over the rows of input means h and
+    variances v (None: a deterministic input): one flattened input row per
+    dense datum, one receptive field per conv output pixel. The nodes have
+    ``out_shape``, and ``fold(g, w)`` maps g @ w.T back onto the input mean."""
     wm = w.mean.data
     wvar = np.exp(w.log_var.data)
     h2 = h * h
@@ -142,21 +138,18 @@ def _affine_nodes(w, mean, var, h, v, op, out_shape, fold) -> GaussianActivation
         _check_input_var(var.data)
         w2 = wm * wm + wvar  # E[w^2]
         out_var = v @ w2 + out_var
-    bias = w.bias_mean is not None
-    if bias:
-        bvar = np.exp(w.bias_log_var.data)
-        out_mean = out_mean + w.bias_mean.data
-        out_var = out_var + bvar
-    out_mean, out_var = out_mean.reshape(out_shape), out_var.reshape(out_shape)
+    bvar = np.exp(w.bias_log_var.data)
+    out_mean = (out_mean + w.bias_mean.data).reshape(out_shape)
+    out_var = (out_var + bvar).reshape(out_shape)
 
     def mean_vjp(g):
         g = g.reshape(len(h), -1)
-        return (fold(g, wm) if mean.requires_grad else None), h.T @ g, g.sum(0) if bias else None
+        return (fold(g, wm) if mean.requires_grad else None), h.T @ g, g.sum(0)
 
     def var_vjp(g):
         g = g.reshape(len(h), -1)
         g_mean = fold(g, wvar) * 2.0 * mean.data if mean.requires_grad else None
-        g_bias = g.sum(axis=0) * bvar if bias else None
+        g_bias = g.sum(axis=0) * bvar
         if v is None:
             return g_mean, None, None, h2.T @ g * wvar, g_bias
         vg = v.T @ g
@@ -280,39 +273,30 @@ def relu_moments(f: GaussianActivation) -> GaussianActivation:
     )
 
 
-def elu_moments(f: GaussianActivation, alpha: float = 1.0) -> GaussianActivation:
-    """Closed-form mean/variance of the ELU of a Gaussian.
+def elu_moments(f: GaussianActivation) -> GaussianActivation:
+    """Closed-form mean/variance of the ELU (alpha = 1) of a Gaussian.
 
     The negative branch contributes terms of the form exp(a)*Phi(-b) that
     are evaluated through the scaled erfcx product, which never overflows
     (the effective exponent is -mu^2 / (2 sigma^2) <= 0). With
     t1 = E[exp(f); f < 0] and t2 = E[exp(2f); f < 0], Stein's lemma gives
-    dE/dmu = Phi(r) + alpha t1, dE/dsigma^2 = (alpha t1 + (1 - alpha) pdf(r)/sigma)/2,
-    dE2/dmu = 2 E[relu(f)] + 2 alpha^2 (t2 - t1) and
-    dE2/dsigma^2 = Phi(r) + alpha^2 (2 t2 - t1).
+    dE/dmu = Phi(r) + t1, dE/dsigma^2 = t1/2, dE2/dmu = 2 E[relu(f)] + 2 (t2 - t1)
+    and dE2/dsigma^2 = Phi(r) + 2 t2 - t1.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     mu = f.mean.data
-    safe_var, sigma, r, cdf, pdf, relu_mean, relu_second = _relu_core(mu, f.var.data)
+    safe_var, sigma, r, cdf, _, relu_mean, relu_second = _relu_core(mu, f.var.data)
     # exp(mu + s^2/2) Phi(-(mu + s^2)/sigma)
     t1 = G.exp_scaled_cdf(mu + 0.5 * safe_var, (mu + safe_var) / sigma)
     # exp(2 mu + 2 s^2) Phi(-(mu + 2 s^2)/sigma)
     t2 = G.exp_scaled_cdf(2.0 * mu + 2.0 * safe_var, (mu + 2.0 * safe_var) / sigma)
     cdf_neg = G.cdf(-r)
-    a2 = alpha * alpha
-    first = alpha * (t1 - cdf_neg) + relu_mean
-    second = a2 * (t2 - 2.0 * t1 + cdf_neg) + relu_second
+    first = t1 - cdf_neg + relu_mean
+    second = t2 - 2.0 * t1 + cdf_neg + relu_second
     exp_neg = np.exp(np.minimum(mu, 0.0))
     return _activation_nodes(
-        f, first, second, np.where(mu > 0.0, mu, alpha * (exp_neg - 1.0)),
-        lambda: (
-            np.where(mu > 0.0, 1.0, alpha * exp_neg),
-            cdf + alpha * t1,
-            0.5 * (alpha * t1 + (1.0 - alpha) * pdf / sigma),
-            2.0 * relu_mean + 2.0 * a2 * (t2 - t1),
-            cdf + a2 * (2.0 * t2 - t1),
-        ),
+        f, first, second, np.where(mu > 0.0, mu, exp_neg - 1.0),
+        lambda: (np.where(mu > 0.0, 1.0, exp_neg), cdf + t1, 0.5 * t1,
+                 2.0 * relu_mean + 2.0 * (t2 - t1), cdf + (2.0 * t2 - t1)),
         "elu_moments",
     )
 
@@ -321,7 +305,7 @@ def activation_moments(f: GaussianActivation, spec: LayerSpec) -> GaussianActiva
     if spec.activation == "relu":
         return relu_moments(f)
     if spec.activation == "elu":
-        return elu_moments(f, spec.alpha)
+        return elu_moments(f)
     return f
 
 
@@ -360,17 +344,14 @@ def init_weights(
     log_var_mean: float = -9.0,
     log_var_var: float = 0.001,
 ) -> WeightDistribution:
-    """He-Normal means (std sqrt(2/fan_in)) and near-deterministic
-    log-variances drawn from N(log_var_mean, log_var_var)."""
+    """He-Normal weight means (std sqrt(2/fan_in)), zero bias means, and
+    near-deterministic log-variances drawn from N(log_var_mean, log_var_var)."""
     shape = spec.weight_shape
     fan_in = shape[0]
     mean = Parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
     log_var = Parameter(rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape))
-    if spec.bias:
-        bias_mean = Parameter(np.zeros(shape[1]))
-        bias_log_var = Parameter(rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape[1]))
-        return WeightDistribution(mean, log_var, bias_mean, bias_log_var)
-    return WeightDistribution(mean, log_var)
+    bias_log_var = Parameter(rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape[1]))
+    return WeightDistribution(mean, log_var, Parameter(np.zeros(shape[1])), bias_log_var)
 
 
 def build_network(specs: list[LayerSpec], rng: np.random.Generator, **init_kw) -> MomentNetwork:

@@ -324,8 +324,7 @@ def hyperprior_penalty(weights: list[WeightDistribution], cfg: HyperpriorConfig)
     N(mu | 0, 1/alpha0) on means, InvGamma(a0, b0) on variances. One tape
     node, with gradient alpha0 mu in the means and (a0 + 1) - b0 / sigma^2
     in the log-variances."""
-    pairs = [pair for w in weights for pair in ((w.mean, w.log_var), (w.bias_mean, w.bias_log_var))
-             if pair[0] is not None]
+    pairs = [pair for w in weights for pair in ((w.mean, w.log_var), (w.bias_mean, w.bias_log_var))]
     if not pairs:
         raise ValueError("no weights given")
     log_norm_mu = 0.5 * (math.log(cfg.alpha0) - LOG_2PI)

@@ -20,6 +20,10 @@ from scipy import special
 from .layers import LayerSpec, MomentNetwork
 
 
+# Weight draws per deterministic forward pass: bounds the sampler's memory.
+SAMPLE_CHUNK = 20000
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
@@ -37,7 +41,7 @@ def _det_activation(f: np.ndarray, spec: LayerSpec) -> np.ndarray:
     if spec.activation == "relu":
         return np.maximum(f, 0.0)
     if spec.activation == "elu":
-        return np.where(f > 0, f, spec.alpha * (np.exp(np.minimum(f, 0.0)) - 1.0))
+        return np.where(f > 0, f, np.exp(np.minimum(f, 0.0)) - 1.0)
     return f
 
 
@@ -60,7 +64,7 @@ def deterministic_forward(
     """Run the plain network for a batch of sampled weights.
 
     x: (N, d) or (N, H, W, C); each weight_draws entry is (W, b) with
-    W of shape (S,) + weight_shape and b of shape (S, n_out) or None.
+    W of shape (S,) + weight_shape and b of shape (S, n_out).
     Returns final pre-activations of shape (S, N, n_out).
     """
     s = weight_draws[0][0].shape[0]
@@ -73,8 +77,7 @@ def deterministic_forward(
         else:
             patches = _conv_patches(h, spec.kernel, spec.stride)  # (S,N,OH,OW,K)
             f = np.einsum("snhwk,sko->snhwo", patches, wd)
-        if bd is not None:
-            f = f + bd[:, None] if spec.kind == "dense" else f + bd[:, None, None, None]
+        f = f + bd[:, None] if spec.kind == "dense" else f + bd[:, None, None, None]
         h = _det_activation(f, spec)
     return f
 
@@ -84,29 +87,23 @@ def draw_weights(net: MomentNetwork, rng: np.random.Generator, n: int) -> list[t
     for w in net.weights:
         std = np.exp(0.5 * w.log_var.data)
         wd = w.mean.data + std * rng.standard_normal((n,) + w.mean.shape)
-        bd = None
-        if w.bias_mean is not None:
-            bstd = np.exp(0.5 * w.bias_log_var.data)
-            bd = w.bias_mean.data + bstd * rng.standard_normal((n,) + w.bias_mean.shape)
+        bstd = np.exp(0.5 * w.bias_log_var.data)
+        bd = w.bias_mean.data + bstd * rng.standard_normal((n,) + w.bias_mean.shape)
         draws.append((wd, bd))
     return draws
 
 
-def _sampled_outputs(net: MomentNetwork, x: np.ndarray, rng: np.random.Generator,
-                     n_samples: int, chunk: int):
+def _sampled_outputs(net: MomentNetwork, x: np.ndarray, rng: np.random.Generator, n_samples: int):
     """Final pre-activations (m, N, n_out) for n_samples weight draws,
-    drawn and run at most ``chunk`` at a time."""
+    drawn and run at most SAMPLE_CHUNK at a time."""
     x = np.asarray(x, dtype=np.float64)
-    for done in range(0, n_samples, chunk):
-        yield deterministic_forward(net, x, draw_weights(net, rng, min(chunk, n_samples - done)))
+    for done in range(0, n_samples, SAMPLE_CHUNK):
+        draws = draw_weights(net, rng, min(SAMPLE_CHUNK, n_samples - done))
+        yield deterministic_forward(net, x, draws)
 
 
 def sample_forward(
-    net: MomentNetwork,
-    x: np.ndarray,
-    rng: np.random.Generator,
-    n_samples: int,
-    chunk: int = 20000,
+    net: MomentNetwork, x: np.ndarray, rng: np.random.Generator, n_samples: int
 ) -> MomentEstimate:
     """Empirical output moments over weight draws, with standard errors.
 
@@ -116,7 +113,7 @@ def sample_forward(
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     s1 = s2 = s3 = s4 = 0.0
-    for f in _sampled_outputs(net, x, rng, n_samples, chunk):
+    for f in _sampled_outputs(net, x, rng, n_samples):
         s1 = s1 + f.sum(axis=0)
         s2 = s2 + (f**2).sum(axis=0)
         s3 = s3 + (f**3).sum(axis=0)
@@ -157,7 +154,6 @@ def sample_marginal_likelihood(
     beta: float | None,
     rng: np.random.Generator,
     n_samples: int,
-    chunk: int = 20000,
 ) -> LogMarginalEstimate:
     """MC estimate of the per-datum log marginal likelihood: of the
     Gaussian head with observation precision beta, or of the categorical
@@ -168,7 +164,7 @@ def sample_marginal_likelihood(
     clipping silently.
     """
     ll = np.concatenate([_per_draw_loglik(f, y, beta)
-                         for f in _sampled_outputs(net, x, rng, n_samples, chunk)])  # (n, N)
+                         for f in _sampled_outputs(net, x, rng, n_samples)])  # (n, N)
     if not np.all(np.isfinite(ll)):
         raise FloatingPointError("likelihood underflow in MC marginal estimate")
     n = float(n_samples)

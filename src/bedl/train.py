@@ -29,6 +29,8 @@ CHECKPOINT_MAGIC = b"BEDLCKP1"
 CHECKPOINT_VERSION = 2
 # Checkpoint arrays are named w{layer}.{field} after these WeightDistribution fields.
 _WEIGHT_FIELDS = ("mean", "log_var", "bias_mean", "bias_log_var")
+# Spec keys of older version 2 headers, and the one value each may hold.
+_FIXED_SPEC_KEYS = {"bias": True, "alpha": 1.0}
 
 
 class TrainingDiverged(RuntimeError):
@@ -205,11 +207,9 @@ class Checkpoint:
     def build_network(self) -> MomentNetwork:
         """The network for evaluation: plain tensors that record no tape
         (a checkpoint cannot resume training)."""
-        weights = []
-        for i in range(len(self.specs)):
-            parts = (self.arrays.get(f"w{i}.{name}") for name in _WEIGHT_FIELDS)
-            weights.append(WeightDistribution(*(a if a is None else Tensor(a) for a in parts)))
-        return MomentNetwork(self.specs, weights)
+        return MomentNetwork(self.specs, [
+            WeightDistribution(*(Tensor(self.arrays[f"w{i}.{name}"]) for name in _WEIGHT_FIELDS))
+            for i in range(len(self.specs))])
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -239,6 +239,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{path} is not a valid checkpoint: {exc}") from exc
 
 
+def _without_fixed_keys(spec: dict) -> dict:
+    """A spec from a header, less the bias and ELU alpha keys that older
+    headers carry; they may hold only the values every layer has now."""
+    for key, fixed in _FIXED_SPEC_KEYS.items():
+        value = spec.pop(key, fixed)
+        if value != fixed:
+            raise ValueError(f"layer {key} {value!r} is not supported, only {fixed!r}")
+    return spec
+
+
 def _parse_checkpoint(raw: bytes) -> Checkpoint:
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError("bad magic")
@@ -261,9 +271,9 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         offset += 8 * count
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} bytes after the last array")
-    specs = [LayerSpec(**s) for s in header["specs"]]
+    specs = [LayerSpec(**_without_fixed_keys(s)) for s in header["specs"]]
     for i, spec in enumerate(specs):
-        shapes = [spec.weight_shape] * 2 + [(spec.n_out,)] * (2 if spec.bias else 0)
+        shapes = [spec.weight_shape] * 2 + [(spec.n_out,)] * 2
         for name, shape in zip(_WEIGHT_FIELDS, shapes):
             if arrays[f"w{i}.{name}"].shape != shape:
                 raise ValueError(f"w{i}.{name} does not have the shape {shape} of layer {i}")
@@ -284,7 +294,6 @@ def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | 
         f"w{i}.{name}": getattr(w, name).data.copy()
         for i, w in enumerate(net.weights)
         for name in _WEIGHT_FIELDS
-        if getattr(w, name) is not None
     }
     return Checkpoint(cfg, net.specs, arrays, None if record is None else record.target_std)
 

@@ -33,8 +33,8 @@ def _softmax(f: np.ndarray) -> np.ndarray:
 def decompose(
     mean: np.ndarray,
     var: np.ndarray,
-    n_samples: int = 100,
-    rng: np.random.Generator | None = None,
+    n_samples: int,
+    rng: np.random.Generator,
 ) -> UncertaintyReport:
     """Sample network outputs f ~ N(mean, var), map each draw to class
     probabilities p = alpha/alpha_0 (softmax of f), and split the
@@ -51,8 +51,6 @@ def decompose(
     var = np.asarray(var, dtype=np.float64)
     if mean.shape != var.shape or np.any(var < 0):
         raise ValueError("degenerate moments")
-    if rng is None:
-        rng = np.random.default_rng(0)
     eps = rng.standard_normal((len(mean), n_samples) + mean.shape[1:])
     p = _softmax(output_draws(mean[:, None], var[:, None], eps))  # (N, S, C)
     pred = p.mean(axis=1)

@@ -65,15 +65,15 @@ def check_grads(fn, params, rel_tol: float = 1e-4, h: float = 1e-5) -> float:
     return worst
 
 
-def gaussian_activation_quadrature(act, mu: float, sigma: float, alpha: float = 1.0):
-    """Adaptive-quadrature mean and variance of an activation of a
-    N(mu, sigma^2) variable; the independent oracle for the closed forms."""
+def gaussian_activation_quadrature(act, mu: float, sigma: float):
+    """Adaptive-quadrature mean and variance of a ReLU or an ELU (alpha = 1)
+    of a N(mu, sigma^2) variable; the independent oracle for the closed forms."""
 
     def a(t):
         if act == "relu":
             return max(t, 0.0)
         if act == "elu":
-            return t if t > 0 else alpha * (np.exp(t) - 1.0)
+            return t if t > 0 else np.exp(t) - 1.0
         raise ValueError(act)
 
     lo, hi = mu - 14 * sigma, mu + 14 * sigma

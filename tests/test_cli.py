@@ -206,7 +206,8 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     d = tmp_path_factory.mktemp("bad")
     rng = np.random.default_rng(5)
     x, labels = rng.normal(size=(30, 2)), rng.integers(0, 3, size=30)
-    for name, bad_label in (("cls", None), ("label-minus-1", -1), ("label-3", 3)):
+    for name, bad_label in (("cls", None), ("label-minus-1", -1), ("label-3", 3),
+                            ("label-1.7", 1.7)):
         y = labels if bad_label is None else np.where(np.arange(30) == 4, bad_label, labels)
         (d / f"{name}.csv").write_text("".join(f"{a:.6f},{b:.6f},{c}\n" for (a, b), c in zip(x, y)))
     res = run_cli("train", "--data", str(d / "cls.csv"), "--task", "classification",
@@ -217,6 +218,16 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     (d / "no-labels.idx").write_bytes(struct.pack(">2I", 0x801, 0))
     raw = trained_checkpoint.read_bytes()
     (d / "nan.bin").write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    # the first layer's spec patched in the header: every layer has a bias, every ELU alpha = 1
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    for name, patch in (("alpha-minus-1", {"activation": "elu", "alpha": -1.0}),
+                        ("alpha-nan", {"activation": "elu", "alpha": float("nan")}),
+                        ("no-bias", {"bias": False})):
+        header = json.loads(raw[12 : 12 + hlen])
+        header["specs"][0].update(patch)
+        hb = json.dumps(header).encode()
+        (d / f"{name}.bin").write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb
+                                        + raw[12 + hlen :])
     return d
 
 
@@ -228,8 +239,13 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{d}/label-minus-1.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
     ["eval", "--data", "{d}/label-3.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/nan.bin"],
+    ["train", "--data", "{d}/label-1.7.csv", "--task", "classification", "--n-classes", "3"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-minus-1.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-nan.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-bias.bin"],
 ], ids=["train-no-rows", "train-no-feature-column", "train-target-column-9",
-        "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint"])
+        "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "train-label-1.7",
+        "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias"])
 def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
                                             capsys):
     # cli.main runs in this process, so an unmapped exception fails the test

@@ -56,6 +56,18 @@ def test_load_csv_ragged_and_empty(tmp_path):
     q.write_text("")
     with pytest.raises(DataError, match="empty"):
         load_csv(q)
+    q.write_text("a,b,target\n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_csv(q)
+
+
+def test_load_csv_class_labels_must_be_integers(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("0.5,0.0\n1.5,1.0\n2.5,2.0\n")
+    np.testing.assert_array_equal(load_csv(p, task="classification").targets, [0, 1, 2])
+    p.write_text("0.5,0.0\n1.5,1.7\n2.5,2.9\n")
+    with pytest.raises(DataError, match="label 1.7 is not an integer"):
+        load_csv(p, task="classification")
 
 
 def test_load_csv_nonfinite_rejected(tmp_path):

@@ -202,13 +202,13 @@ def test_edl_loss_decreases_with_evidence_for_true_class():
 
 
 def test_hyperprior_penalty_matches_scipy_logpdfs():
-    w = L.WeightDistribution(
-        T.Parameter(rng.normal(size=(2, 2))), T.Parameter(rng.normal(size=(2, 2)))
-    )
+    w = L.WeightDistribution(*(T.Parameter(rng.normal(size=s)) for s in [(2, 2)] * 2 + [2] * 2))
     cfg = O.HyperpriorConfig(alpha0=1.5, a0=2.0, b0=0.7)
     out = O.hyperprior_penalty([w], cfg).item()
-    lp = stats.norm.logpdf(w.mean.data, 0.0, np.sqrt(1 / 1.5)).sum()
-    lp += stats.invgamma.logpdf(np.exp(w.log_var.data), 2.0, scale=0.7).sum()
+    lp = 0.0
+    for mean, log_var in ((w.mean, w.log_var), (w.bias_mean, w.bias_log_var)):
+        lp += stats.norm.logpdf(mean.data, 0.0, np.sqrt(1 / 1.5)).sum()
+        lp += stats.invgamma.logpdf(np.exp(log_var.data), 2.0, scale=0.7).sum()
     # the penalty is over sigma^2 (not rho), no jacobian term
     np.testing.assert_allclose(out, -lp, rtol=1e-10)
 

@@ -233,6 +233,26 @@ def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
     assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(ckpt, ds, cfg).values
 
 
+def test_checkpoint_header_with_the_old_bias_and_alpha_keys_loads(tmp_path):
+    # headers written while LayerSpec had bias and alpha fields carry them at
+    # their one value, 24 bytes per layer
+    result, ds, cfg = _train_small()
+    path, old = tmp_path / "c.bin", tmp_path / "old.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    for spec in header["specs"]:
+        assert "alpha" not in spec and "bias" not in spec
+        spec.update(alpha=1.0, bias=True)
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    old.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
+    assert len(old.read_bytes()) == len(raw) + 24 * len(header["specs"])
+    loaded = tr.load_checkpoint(old)
+    assert loaded.specs == tr.load_checkpoint(path).specs == result.checkpoint.specs
+    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(result.checkpoint, ds, cfg).values
+
+
 def test_checkpoint_config_with_numpy_integers_saves_and_loads(tmp_path):
     # the config checks take numpy integers, which json cannot write as they are
     cfg = tr.TrainConfig(epochs=np.int64(2), batch_size=np.int64(16), seed=np.int64(4))

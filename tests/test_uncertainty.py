@@ -37,9 +37,9 @@ def test_decompose_epistemic_grows_with_weight_variance():
 
 def test_decompose_validation():
     with pytest.raises(ValueError):
-        decompose(np.zeros((2, 3)), -np.ones((2, 3)))
+        decompose(np.zeros((2, 3)), -np.ones((2, 3)), n_samples=10, rng=rng)
     with pytest.raises(ValueError):
-        decompose(np.zeros((2, 3)), np.zeros((2, 3)), n_samples=1)
+        decompose(np.zeros((2, 3)), np.zeros((2, 3)), n_samples=1, rng=rng)
 
 
 def test_ecdf_auc_fixtures():
