@@ -65,13 +65,6 @@ common_data_options = [
     click.option("--target-column", type=int, default=-1, show_default=True),
 ]
 
-# which rows of a regression CSV are the train and test split
-split_options = [
-    click.option("--split-index", type=click.IntRange(min=0), default=0, show_default=True),
-    click.option("--split-seed", type=click.IntRange(min=0), default=0, show_default=True),
-]
-
-
 def _with(options):
     def deco(fn):
         for opt in reversed(options):
@@ -95,7 +88,9 @@ def _with(options):
 @click.option("--samples", "mc_samples", type=int)
 @click.option("--hidden", type=click.IntRange(min=1), default=50, show_default=True)
 @click.option("--n-classes", type=int)
-@_with(split_options)
+# which rows of a regression CSV train; eval scores the rest
+@click.option("--split-index", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--split-seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--limit", type=click.IntRange(min=1), help="Use only the first N training points")
 @click.option("--out", type=click.Path(), required=True, help="Results directory")
 def train_cmd(
@@ -106,9 +101,10 @@ def train_cmd(
     cfg = _build_config(config_path, task, **overrides)
     ds = _load_dataset(data, images, labels, task, target_column)
 
-    record = None
+    record = split = None
     if task == "regression":
-        tr_idx, _ = make_splits(ds.n, SplitPlan(split_index, seed=split_seed))
+        split = SplitPlan(split_index, seed=split_seed)
+        tr_idx, _ = make_splits(ds.n, split)
         ds_std, record = standardize(ds, tr_idx)
         train_ds = ds_std.subset(tr_idx)
     else:
@@ -118,7 +114,7 @@ def train_cmd(
 
     d_in = int(np.prod(train_ds.features.shape[1:]))
     specs = default_specs(task, d_in, hidden=hidden, n_classes=cfg.n_classes)
-    result = train(train_ds, specs, cfg, record=record)
+    result = train(train_ds, specs, cfg, record=record, split=split)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -130,16 +126,17 @@ def train_cmd(
 @cli.command("eval")
 @_with(common_data_options)
 @click.option("--checkpoint", type=_FILE, required=True)
-@_with(split_options)
 @click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
-def eval_cmd(data, images, labels, target_column, checkpoint, split_index, split_seed,
-             eval_samples):
+def eval_cmd(data, images, labels, target_column, checkpoint, eval_samples):
     """Evaluate a checkpoint, under the config it was trained with, on the
-    test split (regression CSV) or on a full IDX dataset (classification)."""
+    test part of the split it trained on (regression CSV; split 0 with seed
+    0 when the checkpoint records none) or on a full IDX dataset
+    (classification)."""
     ckpt = load_checkpoint(checkpoint)
     ds = _load_dataset(data, images, labels, ckpt.task, target_column)
     if ckpt.task == "regression":
-        tr_idx, te_idx = make_splits(ds.n, SplitPlan(split_index, seed=split_seed))
+        split = ckpt.split if ckpt.split is not None else SplitPlan(0)
+        tr_idx, te_idx = make_splits(ds.n, split)
         ds_std, _ = standardize(ds, tr_idx)
         ds = ds_std.subset(te_idx)
     metrics = evaluate(ckpt, ds, ckpt.config, eval_samples=eval_samples)

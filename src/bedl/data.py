@@ -9,6 +9,7 @@ target units via the -log(std_y) change-of-variables correction.
 from __future__ import annotations
 
 import gzip
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -47,8 +48,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
+    """Which shuffled train/test split of a table ``make_splits`` draws; an
+    index or seed that is not a non-negative integer is a ValueError."""
+
     split_index: int
     seed: int = 0
+
+    def __post_init__(self):
+        for value in (self.split_index, self.seed):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"split index and seed must be non-negative integers, "
+                                 f"not {value!r}")
 
 
 def load_csv(path: str | Path, target_column: int = -1, task: str = "regression") -> Dataset:

@@ -13,12 +13,23 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF via erf."""
-    return 0.5 * (1.0 + special.erf(x / SQRT2))
+    """Standard normal CDF of an array, 0.5 * (1 + erf(x / sqrt 2)), in one
+    buffer."""
+    out = np.divide(x, SQRT2)
+    special.erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def pdf(x: np.ndarray) -> np.ndarray:
-    return INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    """Standard normal density of an array, exp(-0.5 * x * x) / sqrt(2 pi),
+    in one buffer."""
+    out = np.multiply(x, -0.5)
+    out *= x
+    np.exp(out, out=out)
+    out *= INV_SQRT_2PI
+    return out
 
 
 def exp_scaled_cdf(a: np.ndarray, b: np.ndarray) -> np.ndarray:

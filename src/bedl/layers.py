@@ -10,7 +10,9 @@ differentiable with respect to every weight mean and log-variance.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +50,11 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.activation not in ("relu", "elu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        sizes = ((self.fan_in, self.fan_out) if self.kind == "dense" else
-                 (self.in_channels, self.out_channels, self.kernel, self.stride))
+        ints = (self.fan_in, self.fan_out, self.in_channels, self.out_channels, self.kernel,
+                self.stride)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in ints):
+            raise ValueError(f"layer sizes and stride must be integers, not {ints}")
+        sizes = ints[:2] if self.kind == "dense" else ints[2:]
         if min(sizes) < 1:
             raise ValueError(f"{self.kind} layer sizes and stride must be >= 1")
 
@@ -214,42 +219,70 @@ def conv2d_moments(
 def _relu_core(mean: np.ndarray, var: np.ndarray):
     """Shared by the ReLU and ELU moments: the clamped variance, sigma,
     r = mu/sigma, Phi(r), pdf(r), E[relu(f)] = mu*Phi(r) + sigma*pdf(r) and
-    E[relu(f)^2] = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r)."""
+    E[relu(f)^2] = (mu^2 + sigma^2)*Phi(r) + mu*sigma*pdf(r), the last two
+    built in place in that order of operations."""
     _check_input_var(var)
     safe_var = np.maximum(var, SIGMA2_MIN)
     sigma = np.sqrt(safe_var)
     r = mean / sigma
     cdf, pdf = G.cdf(r), G.pdf(r)
-    first = mean * cdf + sigma * pdf
-    second = (mean * mean + safe_var) * cdf + mean * sigma * pdf
+    first = mean * cdf
+    term = np.multiply(sigma, pdf)
+    first += term
+    second = mean * mean
+    second += safe_var
+    second *= cdf
+    np.multiply(mean, sigma, out=term)
+    term *= pdf
+    second += term
     return safe_var, sigma, r, cdf, pdf, first, second
 
 
-def _activation_nodes(f: GaussianActivation, first, second, det_mean, partials, op: str):
+def _activation_nodes(f: GaussianActivation, first, second, limit, partials, op: str):
     """The mean and variance nodes of an activation a(f) with E = E[a(f)]
-    and E2 = E[a(f)^2]. ``partials()`` gives, elementwise, the slope of a at
-    mu for the deterministic limit, then dE/dmu, dE/dsigma^2, dE2/dmu and
-    dE2/dsigma^2; var = E2 - E^2 takes dE2 - 2E dE. It runs only in the
-    backward pass, so evaluation computes no partials.
+    and E2 = E[a(f)^2]. ``partials()`` gives, elementwise, dE/dmu,
+    dE/dsigma^2, dE2/dmu and dE2/dsigma^2; var = E2 - E^2 takes dE2 - 2E dE.
+    It runs once, in the backward pass, for both nodes, so evaluation
+    computes no partials.
 
-    Units whose variance is below SIGMA2_MIN take the deterministic limit
-    (a(mu), variance 0). The variance floor and the clamp of var at 0 pass
-    no gradient, as does the limit's variance."""
-    det = f.var.data < SIGMA2_MIN
-    spread = second - first * first
-    above_floor = f.var.data > SIGMA2_MIN
-    out_mean = np.where(det, det_mean, first)
-    out_var = np.where(det, 0.0, np.maximum(spread, 0.0))
+    Units whose variance is below SIGMA2_MIN take the deterministic limit:
+    a(mu) with variance 0 and slope a'(mu), the pair ``limit()`` gives. The
+    variance floor and the clamp of var at 0 pass no gradient, as does the
+    limit's variance. The selects of the limit and the floor run only for a
+    batch with some unit at or below SIGMA2_MIN."""
+    var = f.var.data
+    out_mean, out_var = first, np.multiply(first, first)
+    np.subtract(second, out_var, out=out_var)
+    np.maximum(out_var, 0.0, out=out_var)
+    floor = bool((var <= SIGMA2_MIN).any())
+    if floor:
+        det, above_floor = var < SIGMA2_MIN, var > SIGMA2_MIN
+        det_mean, slope = limit()
+        out_mean = np.where(det, det_mean, first)
+        out_var = np.where(det, 0.0, out_var)
+    partials = functools.cache(partials)
 
     def mean_vjp(g):
-        slope, e_mu, e_s2, _, _ = partials()
+        e_mu, e_s2, _, _ = partials()
+        if not floor:
+            return g * e_mu, g * e_s2
         return g * np.where(det, slope, e_mu), g * np.where(above_floor, e_s2, 0.0)
 
     def var_vjp(g):
-        _, e_mu, e_s2, e2_mu, e2_s2 = partials()
-        g = np.where(det | (spread <= 0.0), 0.0, g)
-        return (g * (e2_mu - 2.0 * first * e_mu),
-                g * np.where(above_floor, e2_s2 - 2.0 * first * e_s2, 0.0))
+        e_mu, e_s2, e2_mu, e2_s2 = partials()
+        passes = out_var != 0.0  # not the limit, and var = E2 - E^2 was not clamped
+        if not passes.all():
+            g = np.where(passes, g, 0.0)
+        two_first = 2.0 * first
+        g_mu = np.multiply(two_first, e_mu)
+        np.subtract(e2_mu, g_mu, out=g_mu)
+        g_s2 = np.multiply(two_first, e_s2, out=two_first)
+        np.subtract(e2_s2, g_s2, out=g_s2)
+        if floor:
+            g_s2 = np.where(above_floor, g_s2, 0.0)
+        g_mu *= g
+        g_s2 *= g
+        return g_mu, g_s2
 
     parents = (f.mean, f.var)
     return GaussianActivation(T.fused(out_mean, parents, mean_vjp, op),
@@ -267,10 +300,14 @@ def relu_moments(f: GaussianActivation) -> GaussianActivation:
     """
     mu = f.mean.data
     _, sigma, _, cdf, pdf, first, second = _relu_core(mu, f.var.data)
-    return _activation_nodes(
-        f, first, second, np.maximum(mu, 0.0),
-        lambda: (mu > 0.0, cdf, 0.5 * pdf / sigma, 2.0 * first, cdf), "relu_moments",
-    )
+
+    def partials():
+        e_s2 = np.multiply(pdf, 0.5)
+        e_s2 /= sigma
+        return cdf, e_s2, 2.0 * first, cdf
+
+    return _activation_nodes(f, first, second, lambda: (np.maximum(mu, 0.0), mu > 0.0),
+                             partials, "relu_moments")
 
 
 def elu_moments(f: GaussianActivation) -> GaussianActivation:
@@ -292,11 +329,14 @@ def elu_moments(f: GaussianActivation) -> GaussianActivation:
     cdf_neg = G.cdf(-r)
     first = t1 - cdf_neg + relu_mean
     second = t2 - 2.0 * t1 + cdf_neg + relu_second
-    exp_neg = np.exp(np.minimum(mu, 0.0))
+
+    def limit():
+        exp_neg = np.exp(np.minimum(mu, 0.0))
+        return np.where(mu > 0.0, mu, exp_neg - 1.0), np.where(mu > 0.0, 1.0, exp_neg)
+
     return _activation_nodes(
-        f, first, second, np.where(mu > 0.0, mu, exp_neg - 1.0),
-        lambda: (np.where(mu > 0.0, 1.0, exp_neg), cdf + t1, 0.5 * t1,
-                 2.0 * relu_mean + 2.0 * (t2 - t1), cdf + (2.0 * t2 - t1)),
+        f, first, second, limit,
+        lambda: (cdf + t1, 0.5 * t1, 2.0 * relu_mean + 2.0 * (t2 - t1), cdf + (2.0 * t2 - t1)),
         "elu_moments",
     )
 

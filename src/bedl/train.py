@@ -13,7 +13,7 @@ import numpy as np
 
 from . import objectives as obj
 from . import tensor as T
-from .data import DataError, Dataset, StandardizeRecord, check_labels, one_hot
+from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels, one_hot
 from .layers import (GaussianActivation, LayerSpec, MomentNetwork, Parameter,
                      WeightDistribution, build_network, check_rows)
 from .tensor import NumericsError, Tensor
@@ -154,40 +154,71 @@ def _check_types(cfg) -> None:
 
 
 class Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) over one flat float64 buffer.
+
+    The optimizer owns the parameter storage: ``__init__`` copies every
+    parameter into ``self.data`` and rebinds each ``p.data`` to a view of it,
+    so an array taken from ``p.data`` before then goes stale. ``zero_grad``
+    points each ``p.grad`` at its view of the flat gradient ``self.grad``, into
+    which backward passes accumulate in place. ``step`` runs the update as
+    in-place passes over the whole buffer, in the arithmetic order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p -= lr*m_hat / (sqrt(v_hat) + eps), so every parameter gets the same
+    bits as from a per-parameter loop."""
+
     def __init__(self, params: list[Parameter], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self._ends = np.cumsum([p.data.size for p in params])
+        self.data = np.concatenate([p.data.ravel() for p in params])
+        self.grad = np.zeros_like(self.data)
+        self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
+        self._scratch = np.empty_like(self.data), np.empty_like(self.data)
+        for p, view in zip(params, self._views(self.data)):
+            p.data = view
+        self._grads = self._views(self.grad)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[end - p.data.size : end].reshape(p.data.shape)
+                for p, end in zip(self.params, self._ends)]
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericsError(f"non-finite gradient in parameter {i}")
-            m, v = self.m[i], self.v[i]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for p, view in zip(self.params, self._grads):
+            if p.grad is not view:  # rebound by other code; None is no gradient
+                view[...] = 0.0 if p.grad is None else p.grad
+        g, m, v, (a, b) = self.grad, self.m, self.v, self._scratch
+        if not np.isfinite(g).all():
+            bad = np.flatnonzero(~np.isfinite(g))[0]
+            i = int(np.searchsorted(self._ends, bad, side="right"))
+            raise NumericsError(f"non-finite gradient in parameter {i}")
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=a)
+        v *= b2
+        np.multiply(g, 1 - b2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1 - b1**self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1 - b2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        self.data -= np.divide(a, b, out=a)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
+        for p, view in zip(self.params, self._grads):
+            p.grad = view
 
 
 # -- checkpoint binary format -----------------------------------------------
 #
 # magic (8 bytes) | u32 header length | JSON header | float64 LE blobs.
 # The version 2 header holds the TrainConfig, the layer specs, the array
-# manifest in write order and the train-split std of regression targets.
+# manifest in write order, the train-split std of regression targets and the
+# index and seed of that split (null when training was not on a split).
 # Writing is fully deterministic, so save -> load -> save is byte-identical.
 # Header keys and arrays not named here are ignored; other versions are
 # rejected.
@@ -199,6 +230,7 @@ class Checkpoint:
     specs: list[LayerSpec]
     arrays: dict[str, np.ndarray]  # weight means and log-variances
     target_std: float | None = None  # train-split std of regression targets
+    split: SplitPlan | None = None  # the regression split it trained on
 
     @property
     def task(self) -> str:
@@ -220,6 +252,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "specs": [asdict(s) for s in ckpt.specs],
         "arrays": [{"name": n, "shape": list(ckpt.arrays[n].shape)} for n in names],
         "target_std": ckpt.target_std,
+        "split": None if ckpt.split is None else {"index": ckpt.split.split_index,
+                                                  "seed": ckpt.split.seed},
     }
     # a config or spec may hold numpy scalars: json writes the numbers they hold
     hb = json.dumps(header, sort_keys=True, separators=(",", ":"), default=np.generic.item).encode()
@@ -286,16 +320,21 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
     missing = {f.name for f in fields(TrainConfig)} - set(header["config"])
     if missing:
         raise ValueError(f"config lacks {sorted(missing)}")
-    return Checkpoint(TrainConfig.from_dict(header["config"]), specs, arrays, target_std)
+    split = header.get("split")  # absent from headers written before it was recorded
+    if split is not None:
+        split = SplitPlan(split["index"], split["seed"])
+    return Checkpoint(TrainConfig.from_dict(header["config"]), specs, arrays, target_std, split)
 
 
-def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None) -> Checkpoint:
+def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None,
+              split: SplitPlan | None = None) -> Checkpoint:
     arrays = {
         f"w{i}.{name}": getattr(w, name).data.copy()
         for i, w in enumerate(net.weights)
         for name in _WEIGHT_FIELDS
     }
-    return Checkpoint(cfg, net.specs, arrays, None if record is None else record.target_std)
+    return Checkpoint(cfg, net.specs, arrays, None if record is None else record.target_std,
+                      split)
 
 
 # -- training ----------------------------------------------------------------
@@ -367,8 +406,11 @@ def train(
     specs: list[LayerSpec],
     cfg: TrainConfig,
     record: StandardizeRecord | None = None,
+    split: SplitPlan | None = None,
 ) -> TrainResult:
-    """Seeded, single-threaded, deterministic training run. A dataset of
+    """Seeded, single-threaded, deterministic training run; the checkpoint
+    records ``split``, the split of a regression table that ``dataset`` is
+    the train part of, so that evaluation scores its test part. A dataset of
     another task than ``cfg``, or an output layer that is not as wide as the
     head, is a ValueError before the first step, and one with no rows a
     DataError."""
@@ -418,9 +460,9 @@ def train(
                 "regularizer": reg / n_batches,
             }
         )
-        if not all(np.isfinite(p.data).all() for p in net.parameters()):
+        if not np.isfinite(adam.data).all():
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}", last_good)
-        last_good = _snapshot(net, cfg, record)
+        last_good = _snapshot(net, cfg, record, split)
 
     return TrainResult(checkpoint=last_good, metrics=metrics)
 

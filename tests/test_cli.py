@@ -101,9 +101,11 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"init": {"log_var_mean": -8}}, 0, id="init-dict"),
     pytest.param([], {"init": {"log_var_men": -8}}, 1, id="init-unknown-key"),
     pytest.param([], {"hyper": {"a0": -1.0}}, 1, id="hyper-a0-negative"),
-    # eval scores under the checkpoint's own beta and classes: no flag sets them
+    # eval scores under the checkpoint's own beta, classes and split: no flag sets them
     pytest.param(["eval", "--beta", "-1"], None, 1, id="eval-beta-negative"),
     pytest.param(["eval", "--n-classes", "2"], None, 1, id="eval-n-classes"),
+    pytest.param(["eval", "--split-seed", "-1"], None, 1, id="eval-split-seed-negative"),
+    pytest.param(["eval", "--split-index", "-3"], None, 1, id="eval-split-index-negative"),
     pytest.param([], {"epochs": 1.5}, 1, id="epochs-float"),
     pytest.param([], {"init": 5}, 1, id="init-int"),
     pytest.param([], {"batch_size": "32"}, 1, id="batch-string"),
@@ -115,8 +117,6 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["--seed", "-1"], None, 1, id="seed-negative"),
     pytest.param(["--split-seed", "-1"], None, 1, id="split-seed-negative"),
     pytest.param(["--split-index", "-3"], None, 1, id="split-index-negative"),
-    pytest.param(["eval", "--split-seed", "-1"], None, 1, id="eval-split-seed-negative"),
-    pytest.param(["eval", "--split-index", "-3"], None, 1, id="eval-split-index-negative"),
     pytest.param(["splits", "--seed", "-1"], None, 1, id="splits-seed-negative"),
     pytest.param(["--lr", "nan"], None, 1, id="lr-nan"),
     pytest.param(["--lr", "inf"], None, 1, id="lr-inf"),
@@ -222,7 +222,11 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     (hlen,) = struct.unpack("<I", raw[8:12])
     for name, patch in (("alpha-minus-1", {"activation": "elu", "alpha": -1.0}),
                         ("alpha-nan", {"activation": "elu", "alpha": float("nan")}),
-                        ("no-bias", {"bias": False})):
+                        ("no-bias", {"bias": False}),
+                        # sizes are integers, also those the layer's kind does not read
+                        ("kernel-float", {"kernel": 3.0}),
+                        ("stride-float", {"stride": 1.0}),
+                        ("fan-out-bool", {"fan_out": True})):
         header = json.loads(raw[12 : 12 + hlen])
         header["specs"][0].update(patch)
         hb = json.dumps(header).encode()
@@ -243,9 +247,13 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-minus-1.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-nan.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-bias.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/kernel-float.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/stride-float.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/fan-out-bool.bin"],
 ], ids=["train-no-rows", "train-no-feature-column", "train-target-column-9",
         "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "train-label-1.7",
-        "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias"])
+        "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias", "eval-kernel-float",
+        "eval-stride-float", "eval-fan-out-bool"])
 def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
                                             capsys):
     # cli.main runs in this process, so an unmapped exception fails the test
@@ -333,6 +341,42 @@ def test_eval_scores_under_the_trained_beta(csv_file, tmp_path):
     test = standardize(ds, tr_idx)[0].subset(te_idx)
     ckpt = load_checkpoint(out / "checkpoint.bin")
     assert ev.stdout == evaluate(ckpt, test, TrainConfig(beta=10.0)).csv()
+
+
+def test_eval_scores_the_split_the_model_trained_on(csv_file, tmp_path):
+    # the checkpoint records its split, so eval scores that split's test rows;
+    # a checkpoint that records none is scored on split 0 with seed 0
+    import struct
+
+    from bedl.data import SplitPlan, load_csv, make_splits, standardize
+    from bedl.train import evaluate, load_checkpoint
+
+    out = tmp_path / "run"
+    res = run_cli("train", "--data", str(csv_file), "--split-index", "2", "--epochs", "3",
+                  "--hidden", "4", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    ckpt = load_checkpoint(out / "checkpoint.bin")
+    assert ckpt.split == SplitPlan(2, seed=0)
+    ds = load_csv(csv_file)
+    scores = {}
+    for index in (0, 2):
+        tr_idx, te_idx = make_splits(ds.n, SplitPlan(index))
+        scores[index] = evaluate(ckpt, standardize(ds, tr_idx)[0].subset(te_idx),
+                                 ckpt.config).csv()
+    assert scores[2] != scores[0]
+    ev = run_cli("eval", "--data", str(csv_file), "--checkpoint", str(out / "checkpoint.bin"))
+    assert ev.returncode == 0, ev.stderr
+    assert ev.stdout == scores[2]
+
+    raw = (out / "checkpoint.bin").read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    del header["split"]
+    hb = json.dumps(header).encode()
+    (out / "unsplit.bin").write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
+    ev = run_cli("eval", "--data", str(csv_file), "--checkpoint", str(out / "unsplit.bin"))
+    assert ev.returncode == 0, ev.stderr
+    assert ev.stdout == scores[0]
 
 
 def test_version_1_checkpoint_is_data_error(csv_file, tmp_path, monkeypatch, capsys):

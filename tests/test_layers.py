@@ -284,6 +284,39 @@ def test_activation_moments_gradcheck(act):
         assert out.var.data[0, 6] == 0.0 and out.var.data[0, 7] == 0.0
 
 
+@pytest.mark.parametrize("act", ["relu", "elu"])
+def test_units_at_the_variance_floor_leave_the_other_rows_bitwise_unchanged(act):
+    # the deterministic-limit and floor selects run only for a batch with a
+    # unit at or below SIGMA2_MIN: appending a row below the floor, one at it
+    # and one whose E2 - E^2 cancels to <= 0 switches them on, and the
+    # other rows keep the bits of their moments and input gradients
+    r = np.random.default_rng(8)
+    mu, var = r.normal(size=(6, 5)), r.uniform(0.05, 2.0, size=(6, 5))
+    floor_mu = np.concatenate([r.normal(size=(2, 5)), np.full((1, 5), 1e4)])
+    floor_var = np.array([[0.25], [1.0], [2.0]]) * np.full((3, 5), L.SIGMA2_MIN)
+    moments = L.relu_moments if act == "relu" else L.elu_moments
+    weights = r.normal(size=(2, 9, 5))
+
+    def run(m, v):
+        pm, pv = T.Parameter(m), T.Parameter(v)
+        out = moments(L.GaussianActivation(pm, pv))
+        n = len(m)
+        (T.tsum(out.mean * weights[0, :n]) + T.tsum(out.var * weights[1, :n])).backward()
+        return out.mean.data, out.var.data, pm.grad, pv.grad
+
+    base = run(mu, var)
+    full = run(np.concatenate([mu, floor_mu]), np.concatenate([var, floor_var]))
+    for b, f in zip(base, full):
+        assert b.tobytes() == f[:6].tobytes()
+    mean, out_var, g_mu, g_var = full
+    det_mean = np.maximum(floor_mu[0], 0.0) if act == "relu" else np.where(
+        floor_mu[0] > 0.0, floor_mu[0], np.exp(np.minimum(floor_mu[0], 0.0)) - 1.0)
+    assert mean[6].tobytes() == det_mean.tobytes()
+    assert (out_var[6] == 0.0).all() and (out_var[8] == 0.0).all()
+    # no gradient reaches a variance at or below the floor
+    assert (g_var[6:8] == 0.0).all()
+
+
 def test_init_weights_statistics():
     spec = L.LayerSpec("dense", fan_in=400, fan_out=300, activation="relu")
     w = L.init_weights(spec, np.random.default_rng(3))
@@ -303,6 +336,11 @@ def test_spec_validation():
     for bad in ({"kind": "dense", "fan_in": 2, "fan_out": 0},
                 {"kind": "dense", "fan_in": -1, "fan_out": 2},
                 {"kind": "conv2d", "in_channels": 1, "out_channels": 1, "kernel": 0},
-                {"kind": "conv2d", "in_channels": 0, "out_channels": 1, "kernel": 3}):
+                {"kind": "conv2d", "in_channels": 0, "out_channels": 1, "kernel": 3},
+                # sizes are integers, not floats or bools, whatever the layer kind
+                {"kind": "conv2d", "in_channels": 1, "out_channels": 1, "kernel": 3.0},
+                {"kind": "conv2d", "in_channels": 1, "out_channels": 1, "kernel": 3, "stride": 1.0},
+                {"kind": "dense", "fan_in": 2, "fan_out": True},
+                {"kind": "dense", "fan_in": 2, "fan_out": 2, "kernel": 3.0}):
         with pytest.raises(ValueError):
             L.LayerSpec(**bad)

@@ -137,21 +137,104 @@ def test_adam_minimizes_quadratic():
 
 
 def test_adam_updates_match_the_reference_formula():
-    # m and v are updated in place, in the arithmetic order of
-    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, so results are bitwise equal
+    # the flat buffers are updated in place, in the arithmetic order of
+    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, so every parameter gets
+    # the bits of the formula; a gradient of None counts as zeros
     r = np.random.default_rng(3)
-    p = T.Parameter(r.normal(size=5))
-    ref = p.data.copy()
-    adam = tr.Adam([p], lr=0.01)
-    m = v = np.zeros(5)
+    params = [T.Parameter(r.normal(size=shape)) for shape in ((5,), (2, 3), (4, 1, 2))]
+    refs = [p.data.copy() for p in params]
+    ms = [np.zeros_like(x) for x in refs]
+    vs = [np.zeros_like(x) for x in refs]
+    adam = tr.Adam(params, lr=0.01)
     for t in range(1, 6):
-        g = r.normal(size=5)
-        p.grad = g
+        grads = [r.normal(size=x.shape) for x in refs]
+        if t % 2:
+            grads[2] = None
+        for p, g in zip(params, grads):
+            p.grad = g
         adam.step()
-        m = 0.9 * m + (1 - 0.9) * g
-        v = 0.999 * v + (1 - 0.999) * g * g
-        ref -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        np.testing.assert_array_equal(p.data, ref)
+        for i, g in enumerate(grads):
+            g = np.zeros_like(refs[i]) if g is None else g
+            ms[i] = 0.9 * ms[i] + (1 - 0.9) * g
+            vs[i] = 0.999 * vs[i] + (1 - 0.999) * g * g
+            refs[i] -= 0.01 * (ms[i] / (1 - 0.9**t)) / (np.sqrt(vs[i] / (1 - 0.999**t)) + 1e-8)
+            np.testing.assert_array_equal(params[i].data, refs[i])
+    params[1].grad = np.where(np.arange(6).reshape(2, 3) == 4, np.nan, 1.0)
+    with pytest.raises(tr.NumericsError, match="parameter 1$"):
+        adam.step()
+
+
+class _ReferenceAdam:
+    """Adam one parameter at a time, with a gradient array per parameter
+    (None after zero_grad): the per-parameter loop the flat Adam must equal
+    bit for bit."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if not np.isfinite(g).all():
+                raise tr.NumericsError(f"non-finite gradient in parameter {i}")
+            m, v = self.m[i], self.v[i]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1**self.t)
+            vhat = v / (1 - b2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    @property
+    def data(self):  # what train() checks for finite weights after each epoch
+        return np.concatenate([p.data.ravel() for p in self.params])
+
+
+@pytest.mark.parametrize("net", ["regression", "dense-classifier", "conv-classifier"])
+def test_training_equals_the_reference_adam_bit_for_bit(monkeypatch, net):
+    r = np.random.default_rng(17)
+    if net == "conv-classifier":
+        ds = Dataset(r.normal(size=(40, 9, 9, 1)), r.integers(0, 3, size=40),
+                     task="classification")
+        specs = _CONV_SPECS
+    else:
+        ds = _regression_ds() if net == "regression" else _blob_ds()
+        specs = tr.default_specs(ds.task, ds.features.shape[1], hidden=8, n_classes=2)
+    cfg = tr.TrainConfig(task=ds.task, n_classes=specs[-1].n_out, epochs=3, batch_size=16)
+    flat = tr.train(ds, specs, cfg)
+    monkeypatch.setattr(tr, "Adam", _ReferenceAdam)
+    reference = tr.train(ds, specs, cfg)
+    assert flat.metrics_csv() == reference.metrics_csv()
+    assert flat.checkpoint.arrays.keys() == reference.checkpoint.arrays.keys()
+    for name, arr in reference.checkpoint.arrays.items():
+        assert flat.checkpoint.arrays[name].tobytes() == arr.tobytes(), name
+
+
+def test_adam_owns_the_parameter_storage():
+    # parameters become views of the flat buffers, so backward passes add
+    # into the flat gradient and the update writes where forward reads
+    p, q = T.Parameter(np.ones((2, 2))), T.Parameter(np.zeros(3))
+    adam = tr.Adam([p, q], lr=0.1)
+    assert np.shares_memory(p.data, adam.data) and np.shares_memory(q.data, adam.data)
+    adam.zero_grad()
+    T.tsum(p * 3.0).backward()
+    T.tsum(p * 2.0).backward()
+    np.testing.assert_array_equal(adam.grad, [5.0] * 4 + [0.0] * 3)
+    adam.step()
+    np.testing.assert_allclose(p.data, 0.9)
+    np.testing.assert_array_equal(q.data, 0.0)
 
 
 def test_adam_rejects_nonfinite_gradient():
@@ -294,6 +377,10 @@ def test_evaluation_builds_no_tape():
     pytest.param(lambda h: h["specs"][0].update(fan_in=4), id="spec-array-mismatch"),
     pytest.param(lambda h: h["specs"][0].update(kind="lstm"), id="unknown-layer"),
     pytest.param(lambda h: h.update(target_std=-1.0), id="negative-target-std"),
+    pytest.param(lambda h: h.update(split={"index": -1, "seed": 0}), id="split-index-negative"),
+    pytest.param(lambda h: h.update(split={"index": 2.0, "seed": 0}), id="split-index-float"),
+    pytest.param(lambda h: h.update(split={"index": 2}), id="split-without-seed"),
+    pytest.param(lambda h: h.update(split=[2, 0]), id="split-not-an-object"),
 ])
 def test_malformed_checkpoint_header_is_data_error(tmp_path, bad):
     result, _, _ = _train_small(epochs=1)
