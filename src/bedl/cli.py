@@ -171,7 +171,7 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, eval_
 @cli.command("splits")
 @click.option("--n", type=click.IntRange(min=10), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--splits", "n_splits", type=int, default=20, show_default=True)
+@click.option("--splits", "n_splits", type=click.IntRange(min=1), default=20, show_default=True)
 def splits_cmd(n, seed, n_splits):
     """Print the train/test index assignment for each split as CSV."""
     click.echo("split,role,index")
@@ -184,9 +184,9 @@ def splits_cmd(n, seed, n_splits):
 
 
 @cli.command("verify")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n-samples", type=click.IntRange(min=100), default=50000, show_default=True)
-@click.option("--n-architectures", type=int, default=5, show_default=True)
+@click.option("--n-architectures", type=click.IntRange(min=1), default=5, show_default=True)
 def verify_cmd(seed, n_samples, n_architectures):
     """Compare analytic moment propagation and marginal likelihoods
     against the brute-force sampling oracle; prints a CSV table."""

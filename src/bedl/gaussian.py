@@ -48,8 +48,12 @@ def exp_scaled_cdf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(bpos, scaled, naive)
 
 
-def output_draws(mean: np.ndarray, var: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def output_draws(mean: np.ndarray, var: np.ndarray, eps: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Reparameterized draws f = mean + sqrt(var) * eps, broadcast over the
     sample axis of eps: (S, N, C) eps with (N, C) moments in training,
-    (N, S, C) eps with (N, 1, C) moments in evaluation."""
-    return mean + np.sqrt(var) * eps
+    (N, S, C) eps with (N, 1, C) moments in evaluation. ``out``, which may
+    be eps itself, receives the draws."""
+    f = np.multiply(np.sqrt(var), eps, out=out)
+    f += mean
+    return f

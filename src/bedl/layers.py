@@ -128,22 +128,41 @@ def _check_input_var(var: np.ndarray) -> None:
         raise ValueError("negative input variance")
 
 
-def _affine_nodes(w, mean, var, h, v, op, out_shape, fold) -> GaussianActivation:
+@dataclass(frozen=True)
+class WeightMoments:
+    """The moments of a layer's weights that its forward pass reads:
+    var[w] = exp(log_var), var[b] = exp(bias_log_var) and, for a layer whose
+    input is random, E[w^2] = E[w]^2 + var[w] (None otherwise). They depend
+    on the weights alone, so evaluation computes them once for all its row
+    chunks."""
+
+    var: np.ndarray
+    bias_var: np.ndarray
+    second: np.ndarray | None
+
+    @classmethod
+    def of(cls, w: WeightDistribution, random_input: bool) -> WeightMoments:
+        wvar = np.exp(w.log_var.data)
+        second = w.mean.data * w.mean.data + wvar if random_input else None
+        return cls(wvar, np.exp(w.bias_log_var.data), second)
+
+
+def _affine_nodes(w, mean, var, h, v, op, out_shape, fold, moments) -> GaussianActivation:
     """One mean and one variance node of E[f] = E[h] E[w] + E[b] and var[f] =
     E[w^2] var[h] + var[w] E[h]^2 + var[b] over the rows of input means h and
     variances v (None: a deterministic input): one flattened input row per
     dense datum, one receptive field per conv output pixel. The nodes have
-    ``out_shape``, and ``fold(g, w)`` maps g @ w.T back onto the input mean."""
-    wm = w.mean.data
-    wvar = np.exp(w.log_var.data)
+    ``out_shape``, and ``fold(g, w)`` maps g @ w.T back onto the input mean.
+    ``moments`` are the layer's WeightMoments, or None to compute them here."""
+    if moments is None:
+        moments = WeightMoments.of(w, v is not None)
+    wm, wvar, bvar, w2 = w.mean.data, moments.var, moments.bias_var, moments.second
     h2 = h * h
     out_mean = h @ wm
     out_var = h2 @ wvar
     if v is not None:
         _check_input_var(var.data)
-        w2 = wm * wm + wvar  # E[w^2]
         out_var = v @ w2 + out_var
-    bvar = np.exp(w.bias_log_var.data)
     out_mean = (out_mean + w.bias_mean.data).reshape(out_shape)
     out_var = (out_var + bvar).reshape(out_shape)
 
@@ -167,14 +186,16 @@ def _affine_nodes(w, mean, var, h, v, op, out_shape, fold) -> GaussianActivation
     )
 
 
-def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None) -> GaussianActivation:
+def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None,
+                  moments: WeightMoments | None = None) -> GaussianActivation:
     """Affine layer moments of N input rows of any shape that hold fan_in
     values each, such as the (N, H, W, C) output of a conv layer: the rows
     are flattened inside the two nodes; see _affine_nodes."""
     n = len(mean.data)
     v = None if var is None else var.data.reshape(n, -1)
     return _affine_nodes(w, mean, var, mean.data.reshape(n, -1), v, "dense_moments",
-                         (n, w.mean.shape[1]), lambda g, w_: (g @ w_.T).reshape(mean.shape))
+                         (n, w.mean.shape[1]), lambda g, w_: (g @ w_.T).reshape(mean.shape),
+                         moments)
 
 
 def _receptive_fields(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -203,7 +224,8 @@ def _fold_receptive_fields(g, w, shape, kernel, stride) -> np.ndarray:
 
 
 def conv2d_moments(
-    w: WeightDistribution, mean: Tensor, var: Tensor | None, kernel: int, stride: int
+    w: WeightDistribution, mean: Tensor, var: Tensor | None, kernel: int, stride: int,
+    moments: WeightMoments | None = None,
 ) -> GaussianActivation:
     """Valid strided convolution moments: the affine moments of every
     receptive field, which are built inside the two nodes and never taped.
@@ -213,7 +235,8 @@ def conv2d_moments(
     v = None if var is None else _receptive_fields(var.data, kernel, stride)
     h = _receptive_fields(mean.data, kernel, stride)
     return _affine_nodes(w, mean, var, h, v, "conv2d_moments", out_shape,
-                         lambda g, w_: _fold_receptive_fields(g, w_, mean.shape, kernel, stride))
+                         lambda g, w_: _fold_receptive_fields(g, w_, mean.shape, kernel, stride),
+                         moments)
 
 
 def _relu_core(mean: np.ndarray, var: np.ndarray):
@@ -360,19 +383,28 @@ class MomentNetwork:
     def parameters(self) -> list[Parameter]:
         return [p for w in self.weights for p in w.parameters()]
 
-    def forward(self, x: np.ndarray | Tensor) -> GaussianActivation:
+    def weight_moments(self) -> list[WeightMoments]:
+        """Each layer's WeightMoments for ``forward``; only the first layer's
+        input is deterministic, so only it goes without E[w^2]."""
+        return [WeightMoments.of(w, i > 0) for i, w in enumerate(self.weights)]
+
+    def forward(self, x: np.ndarray | Tensor,
+                moments: list[WeightMoments] | None = None) -> GaussianActivation:
         """Propagate a deterministic input batch; returns final-layer
         pre-activation moments (the last spec's activation is applied only
         if it is not 'identity'). Rows that do not fit a layer are a
-        ValueError that names it (see check_rows)."""
+        ValueError that names it (see check_rows). ``moments``, from
+        ``weight_moments()`` on the current weights, saves recomputing them
+        when many batches go through unchanged weights."""
         if not (self.specs and self.weights):
             raise ValueError("network has no layers")
         mean = x if isinstance(x, Tensor) else T.constant(np.asarray(x, dtype=np.float64))
         var = None  # the input is deterministic
         check_rows(self.specs, mean.shape[1:])
-        for spec, w in zip(self.specs, self.weights):
-            h = (conv2d_moments(w, mean, var, spec.kernel, spec.stride) if spec.kind == "conv2d"
-                 else dense_moments(w, mean, var))
+        moments = moments or [None] * len(self.weights)
+        for spec, w, wm in zip(self.specs, self.weights, moments):
+            h = (conv2d_moments(w, mean, var, spec.kernel, spec.stride, wm)
+                 if spec.kind == "conv2d" else dense_moments(w, mean, var, wm))
             h = activation_moments(h, spec)
             mean, var = h.mean, h.var
         return h

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 import struct
+import zlib
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -217,8 +218,10 @@ class Adam:
 #
 # magic (8 bytes) | u32 header length | JSON header | float64 LE blobs.
 # The version 2 header holds the TrainConfig, the layer specs, the array
-# manifest in write order, the train-split std of regression targets and the
-# index and seed of that split (null when training was not on a split).
+# manifest in write order, the train-split std of regression targets, the
+# index and seed of that split (null when training was not on a split) and
+# the zlib.crc32 of the blobs, so that a flipped byte inside an array is a
+# load error (headers written before it was recorded lack the key).
 # Writing is fully deterministic, so save -> load -> save is byte-identical.
 # Header keys and arrays not named here are ignored; other versions are
 # rejected.
@@ -246,6 +249,7 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     names = sorted(ckpt.arrays)
+    payload = b"".join(np.ascontiguousarray(ckpt.arrays[n], dtype="<f8").tobytes() for n in names)
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
@@ -254,6 +258,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "target_std": ckpt.target_std,
         "split": None if ckpt.split is None else {"index": ckpt.split.split_index,
                                                   "seed": ckpt.split.seed},
+        "crc32": zlib.crc32(payload),
     }
     # a config or spec may hold numpy scalars: json writes the numbers they hold
     hb = json.dumps(header, sort_keys=True, separators=(",", ":"), default=np.generic.item).encode()
@@ -261,8 +266,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(hb)))
         fh.write(hb)
-        for n in names:
-            fh.write(np.ascontiguousarray(ckpt.arrays[n], dtype="<f8").tobytes())
+        fh.write(payload)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -292,6 +296,8 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         raise ValueError(f"version {header['version']} checkpoints are not supported, "
                          f"only version {CHECKPOINT_VERSION}")
     offset = 12 + hlen
+    if "crc32" in header and zlib.crc32(raw[offset:]) != header["crc32"]:
+        raise ValueError("the array bytes do not match the header's checksum")
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
@@ -487,7 +493,8 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
 
     Rows go through the forward pass and ``decompose`` EVAL_CHUNK at a time
     with one rng, so memory does not grow with the dataset; ``decompose``
-    draws row by row, so no value depends on the chunk size."""
+    draws row by row, so no value depends on the chunk size. The weight
+    moments are computed once, before the first chunk."""
     if ckpt.task != cfg.task:
         raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
     if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
@@ -500,9 +507,10 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
     except ValueError as exc:
         raise DataError(f"the data does not fit the checkpoint: {exc}") from exc
     net, rng = ckpt.build_network(), np.random.default_rng(seed)
+    weight_moments = net.weight_moments()
     parts, reports = [], []
     for start in range(0, len(x), EVAL_CHUNK):
-        m = net.forward(x[start : start + EVAL_CHUNK])
+        m = net.forward(x[start : start + EVAL_CHUNK], weight_moments)
         parts.append((m.mean.data, m.var.data))
         if cfg.task == "classification":
             reports.append(decompose(m.mean.data, m.var.data, n_samples=eval_samples, rng=rng))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -130,6 +131,9 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["--limit", "0"], None, 1, id="limit-0"),
     pytest.param(["--limit", "-3"], None, 1, id="limit-negative"),
     pytest.param(["verify", "--n-samples", "50"], None, 1, id="verify-n-samples-50"),
+    pytest.param(["verify", "--seed", "-1"], None, 1, id="verify-seed-negative"),
+    pytest.param(["verify", "--n-architectures", "0"], None, 1, id="verify-n-architectures-0"),
+    pytest.param(["splits", "--splits", "0"], None, 1, id="splits-0"),
 ])
 def test_bad_settings_exit_1_before_any_work(csv_file, trained_checkpoint, tmp_path,
                                             args, config, code):
@@ -217,9 +221,18 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     (d / "no-images.idx").write_bytes(struct.pack(">4I", 0x803, 0, 6, 6))
     (d / "no-labels.idx").write_bytes(struct.pack(">2I", 0x801, 0))
     raw = trained_checkpoint.read_bytes()
-    (d / "nan.bin").write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
-    # the first layer's spec patched in the header: every layer has a bias, every ELU alpha = 1
     (hlen,) = struct.unpack("<I", raw[8:12])
+    # a NaN weight under a checksum that matches it, and a flipped low
+    # mantissa byte (a finite value) under the original checksum
+    payload = raw[12 + hlen : -8] + struct.pack("<d", float("nan"))
+    header = json.loads(raw[12 : 12 + hlen])
+    header["crc32"] = zlib.crc32(payload)
+    hb = json.dumps(header).encode()
+    (d / "nan.bin").write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + payload)
+    flipped = bytearray(raw)
+    flipped[12 + hlen + 8] ^= 0x01
+    (d / "flipped-byte.bin").write_bytes(bytes(flipped))
+    # the first layer's spec patched in the header: every layer has a bias, every ELU alpha = 1
     for name, patch in (("alpha-minus-1", {"activation": "elu", "alpha": -1.0}),
                         ("alpha-nan", {"activation": "elu", "alpha": float("nan")}),
                         ("no-bias", {"bias": False}),
@@ -243,6 +256,7 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{d}/label-minus-1.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
     ["eval", "--data", "{d}/label-3.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/nan.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/flipped-byte.bin"],
     ["train", "--data", "{d}/label-1.7.csv", "--task", "classification", "--n-classes", "3"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-minus-1.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-nan.bin"],
@@ -251,9 +265,9 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/stride-float.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/fan-out-bool.bin"],
 ], ids=["train-no-rows", "train-no-feature-column", "train-target-column-9",
-        "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "train-label-1.7",
-        "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias", "eval-kernel-float",
-        "eval-stride-float", "eval-fan-out-bool"])
+        "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "eval-flipped-byte",
+        "train-label-1.7", "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias",
+        "eval-kernel-float", "eval-stride-float", "eval-fan-out-bool"])
 def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
                                             capsys):
     # cli.main runs in this process, so an unmapped exception fails the test

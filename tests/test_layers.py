@@ -127,6 +127,25 @@ def test_conv_dense_chain_mean_matches_mc_oracle():
     assert np.all(np.abs(mm.var.data - est.var) < 0.5 * est.var)
 
 
+def test_forward_with_weight_moments_given_equals_forward_bitwise():
+    # evaluation hands forward the moments of its fixed weights once per
+    # pass; a conv -> conv -> dense net reads E[w^2] from its second layer on
+    specs = [
+        L.LayerSpec("conv2d", in_channels=1, out_channels=3, kernel=3, activation="relu"),
+        L.LayerSpec("conv2d", in_channels=3, out_channels=2, kernel=3, stride=2,
+                    activation="elu"),
+        L.LayerSpec("dense", fan_in=2 * 2 * 2, fan_out=4, activation="relu"),
+        L.LayerSpec("dense", fan_in=4, fan_out=2),
+    ]
+    net = L.build_network(specs, np.random.default_rng(2), log_var_mean=-3.0, log_var_var=0.1)
+    moments = net.weight_moments()
+    assert [m.second is None for m in moments] == [True, False, False, False]
+    x = rng.uniform(size=(3, 7, 7, 1))
+    given, computed = net.forward(x, moments), net.forward(x)
+    np.testing.assert_array_equal(given.mean.data, computed.mean.data)
+    np.testing.assert_array_equal(given.var.data, computed.var.data)
+
+
 def test_forward_is_differentiable_end_to_end():
     specs = [
         L.LayerSpec("dense", fan_in=2, fan_out=3, activation="elu"),

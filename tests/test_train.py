@@ -12,7 +12,7 @@ from bedl import tensor as T
 
 tr = importlib.import_module("bedl.train")
 from bedl.data import DataError, Dataset
-from bedl.layers import LayerSpec, build_network
+from bedl.layers import LayerSpec, WeightMoments, build_network
 from bedl.objectives import HyperpriorConfig
 from bedl.uncertainty import decompose
 
@@ -140,8 +140,11 @@ def test_adam_updates_match_the_reference_formula():
     # the flat buffers are updated in place, in the arithmetic order of
     # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, so every parameter gets
     # the bits of the formula; a gradient of None counts as zeros
+    # 1,200 values, so that a bias correction folded into one scalar,
+    # m * (lr / (1 - b1**t)), shows: over 19 values and 5 steps it rounds
+    # like the formula everywhere
     r = np.random.default_rng(3)
-    params = [T.Parameter(r.normal(size=shape)) for shape in ((5,), (2, 3), (4, 1, 2))]
+    params = [T.Parameter(r.normal(size=shape)) for shape in ((500,), (20, 25), (4, 5, 10))]
     refs = [p.data.copy() for p in params]
     ms = [np.zeros_like(x) for x in refs]
     vs = [np.zeros_like(x) for x in refs]
@@ -159,7 +162,7 @@ def test_adam_updates_match_the_reference_formula():
             vs[i] = 0.999 * vs[i] + (1 - 0.999) * g * g
             refs[i] -= 0.01 * (ms[i] / (1 - 0.9**t)) / (np.sqrt(vs[i] / (1 - 0.999**t)) + 1e-8)
             np.testing.assert_array_equal(params[i].data, refs[i])
-    params[1].grad = np.where(np.arange(6).reshape(2, 3) == 4, np.nan, 1.0)
+    params[1].grad = np.where(np.arange(500).reshape(20, 25) == 4, np.nan, 1.0)
     with pytest.raises(tr.NumericsError, match="parameter 1$"):
         adam.step()
 
@@ -274,6 +277,35 @@ def test_checkpoint_roundtrip_preserves_evaluation(tmp_path):
     before = tr.evaluate(result.checkpoint, ds, cfg)
     after = tr.evaluate(tr.load_checkpoint(path), ds, cfg)
     assert before.values == after.values
+
+
+def test_checkpoint_with_a_flipped_payload_byte_is_data_error(tmp_path):
+    # the header records the crc32 of the array bytes; a flip in the low
+    # mantissa byte of one value leaves it finite and plausible
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    raw = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    raw[12 + hlen + 8 * 5] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="checksum"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_header_without_a_checksum_loads(tmp_path):
+    # headers written before the checksum was recorded lack the key
+    result, ds, cfg = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    del header["crc32"]
+    hb = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
+    loaded = tr.load_checkpoint(path)
+    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(result.checkpoint, ds, cfg).values
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -459,6 +491,27 @@ def test_evaluation_does_not_depend_on_the_chunk_size(monkeypatch, net):
         for k in values:
             assert values[k] == pytest.approx(runs[-1][0][k], rel=1e-12, abs=0.0)
         np.testing.assert_allclose(entropies, runs[-1][1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("net", ["dense", "conv"])
+def test_evaluation_computes_weight_moments_once_per_layer(monkeypatch, net):
+    # the weights do not change between row chunks, so their moments are
+    # computed once per evaluation and layer, even one row at a time
+    r = np.random.default_rng(7)
+    if net == "dense":
+        result, ds, cfg = _train_small(task="classification", epochs=1)
+        ckpt = result.checkpoint
+    else:
+        cfg = tr.TrainConfig(task="classification", n_classes=3)
+        ckpt = tr._snapshot(build_network(_CONV_SPECS, r), cfg, None)
+        ds = Dataset(r.normal(size=(12, 9, 9, 1)), r.integers(0, 3, size=12), "classification")
+    calls = []
+    of = WeightMoments.of.__func__
+    monkeypatch.setattr(WeightMoments, "of",
+                        classmethod(lambda cls, *a: calls.append(a[1]) or of(cls, *a)))
+    monkeypatch.setattr(tr, "EVAL_CHUNK", 1)
+    tr.evaluate(ckpt, ds, cfg, eval_samples=5)
+    assert calls == [False] + [True] * (len(ckpt.specs) - 1)
 
 
 def test_regression_evaluation_does_not_depend_on_the_chunk_size(monkeypatch):
