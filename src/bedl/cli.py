@@ -22,6 +22,7 @@ from .train import (
     EvalMetrics,
     TrainConfig,
     TrainingDiverged,
+    TrainResult,
     default_specs,
     evaluate,
     evaluate_entropies,
@@ -62,7 +63,6 @@ common_data_options = [
     click.option("--data", type=_FILE, help="CSV data file"),
     click.option("--images", type=_FILE, help="IDX image file"),
     click.option("--labels", type=_FILE, help="IDX label file"),
-    click.option("--target-column", type=int, default=-1, show_default=True),
 ]
 
 def _with(options):
@@ -76,6 +76,7 @@ def _with(options):
 
 @cli.command("train")
 @_with(common_data_options)
+@click.option("--target-column", type=int, default=-1, show_default=True)
 @click.option("--task", type=click.Choice(["regression", "classification"]), default="regression")
 @click.option("--config", "config_path", type=_FILE, help="JSON config file")
 @click.option("--objective", type=click.Choice(["bedl", "bedl+reg", "bedl-hyper", "edl"]))
@@ -97,7 +98,8 @@ def train_cmd(
     data, images, labels, target_column, task, config_path, hidden,
     split_index, split_seed, limit, out, **overrides
 ):
-    """Train a model and write metrics CSV plus a checkpoint."""
+    """Train a model and write metrics CSV plus a checkpoint; a run that
+    diverges writes those of its last finite epoch, if any, and exits 3."""
     cfg = _build_config(config_path, task, **overrides)
     ds = _load_dataset(data, images, labels, task, target_column)
 
@@ -114,9 +116,16 @@ def train_cmd(
 
     d_in = int(np.prod(train_ds.features.shape[1:]))
     specs = default_specs(task, d_in, hidden=hidden, n_classes=cfg.n_classes)
-    result = train(train_ds, specs, cfg, record=record, split=split)
+    try:
+        result = train(train_ds, specs, cfg, record=record, split=split)
+    except TrainingDiverged as exc:
+        if exc.checkpoint is not None:
+            _write_run(Path(out), TrainResult(exc.checkpoint, exc.metrics))
+        raise
+    _write_run(Path(out), result)
 
-    out_dir = Path(out)
+
+def _write_run(out_dir: Path, result: TrainResult) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.csv").write_text(result.metrics_csv())
     save_checkpoint(result.checkpoint, out_dir / "checkpoint.bin")
@@ -127,13 +136,15 @@ def train_cmd(
 @_with(common_data_options)
 @click.option("--checkpoint", type=_FILE, required=True)
 @click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
-def eval_cmd(data, images, labels, target_column, checkpoint, eval_samples):
+def eval_cmd(data, images, labels, checkpoint, eval_samples):
     """Evaluate a checkpoint, under the config it was trained with, on the
     test part of the split it trained on (regression CSV; split 0 with seed
     0 when the checkpoint records none) or on a full IDX dataset
-    (classification)."""
+    (classification). A CSV's targets are read from the column the model
+    trained on, the last one when the checkpoint records none."""
     ckpt = load_checkpoint(checkpoint)
-    ds = _load_dataset(data, images, labels, ckpt.task, target_column)
+    column = -1 if ckpt.target_column is None else ckpt.target_column
+    ds = _load_dataset(data, images, labels, ckpt.task, column)
     if ckpt.task == "regression":
         split = ckpt.split if ckpt.split is not None else SplitPlan(0)
         tr_idx, te_idx = make_splits(ds.n, split)

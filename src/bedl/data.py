@@ -12,7 +12,7 @@ import gzip
 import numbers
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ class Dataset:
     features: np.ndarray  # (N, d) or (N, H, W, C)
     targets: np.ndarray  # (N,) regression floats or integer labels
     task: str  # "regression" | "classification"
-    dropped_columns: list = field(default_factory=list)
+    target_column: int | None = None  # the CSV column the targets came from
 
     def __post_init__(self):
         if len(self.features) != len(self.targets):
@@ -117,7 +117,7 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
         if fractional.size:
             raise DataError(f"{path}: class label {y[fractional[0]]:g} is not an integer")
         y = y.astype(np.int64)
-    return Dataset(x, y, task=task, dropped_columns=const.tolist())
+    return Dataset(x, y, task=task, target_column=int(tcol))
 
 
 def _read_maybe_gzip(path: Path) -> bytes:
@@ -169,11 +169,7 @@ def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class StandardizeRecord:
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
-    target_mean: float | None
-    target_std: float | None
-    kept_columns: np.ndarray
+    target_std: float | None  # of the train split's regression targets
 
 
 def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, StandardizeRecord]:
@@ -200,12 +196,12 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
         if ys == 0.0:
             raise DataError("constant regression target on train split")
         y_out = (y - ym) / ys
-        rec = StandardizeRecord(mu[keep], sd[keep], ym, ys, keep)
+        rec = StandardizeRecord(ys)
     else:
         y_out = ds.targets
-        rec = StandardizeRecord(mu[keep], sd[keep], None, None, keep)
+        rec = StandardizeRecord(None)
 
-    return Dataset(xs, y_out, task=ds.task), rec
+    return replace(ds, features=xs, targets=y_out), rec
 
 
 def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:

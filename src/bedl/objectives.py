@@ -10,7 +10,7 @@ hyperprior MAP variant, and the deterministic evidential baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -41,7 +41,6 @@ class ObjectiveReport:
     total: Tensor
     nll: float
     regularizer: float
-    extra: dict = field(default_factory=dict)
 
 
 # -- marginal likelihoods ----------------------------------------------------
@@ -211,12 +210,6 @@ def _kl_gaussian(q_mean: np.ndarray, q_var: np.ndarray, p_mean: float, p_var: fl
     return value, diff * (1.0 / p_var), 0.5 * (1.0 / p_var - 1.0 / q_var)
 
 
-def kl_gaussian(q_mean: Tensor, q_var: Tensor, p_mean: float, p_var: float) -> Tensor:
-    """KL(N(q_mean, q_var) || N(p_mean, p_var)) elementwise."""
-    value, d_mean, d_var = _kl_gaussian(q_mean.data, q_var.data, p_mean, p_var)
-    return T.fused(value, (q_mean, q_var), lambda g: (g * d_mean, g * d_var), "kl_gaussian")
-
-
 # -- per-datum KL terms used by the PAC regularizer -------------------------
 
 
@@ -284,7 +277,7 @@ def pac_objective(log_marginals: Tensor, kl_per_datum: Tensor, n_data: int, delt
         return np.full(lm.shape, -(g * (1.0 / lm.size))), np.full(kl.shape, g_kl)
 
     total = T.fused(nll + bound, (log_marginals, kl_per_datum), vjp, "pac_objective")
-    return ObjectiveReport(total, float(nll), float(bound), {"kl_estimate": float(kl_total)})
+    return ObjectiveReport(total, float(nll), float(bound))
 
 
 def evidential_alpha(f: Tensor) -> Tensor:

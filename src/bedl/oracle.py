@@ -34,7 +34,6 @@ class MomentEstimate:
     var: np.ndarray
     mean_se: np.ndarray
     var_se: np.ndarray
-    n_samples: int
 
 
 def _det_activation(f: np.ndarray, spec: LayerSpec) -> np.ndarray:
@@ -126,14 +125,13 @@ def sample_forward(
     var = np.maximum(var, 0.0)
     mean_se = np.sqrt(var / n)
     var_se = np.sqrt(np.maximum(m4 - var**2, 0.0) / n)
-    return MomentEstimate(mean, var, mean_se, var_se, n_samples)
+    return MomentEstimate(mean, var, mean_se, var_se)
 
 
 @dataclass
 class LogMarginalEstimate:
     value: np.ndarray  # (N,)
     se: np.ndarray  # (N,) delta-method standard error of the log estimate
-    n_samples: int
 
 
 def _per_draw_loglik(f: np.ndarray, y: np.ndarray, beta: float | None) -> np.ndarray:
@@ -173,4 +171,4 @@ def sample_marginal_likelihood(
     # computed through ratios of shifted exponentials for stability.
     w = np.exp(ll - log_mean[None])  # lik / mean, O(1)
     se = np.sqrt(np.maximum(w.var(axis=0), 0.0) / n)
-    return LogMarginalEstimate(log_mean, se, n_samples)
+    return LogMarginalEstimate(log_mean, se)

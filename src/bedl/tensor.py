@@ -11,9 +11,8 @@ otherwise, so NaN/inf never propagate silently. ``fused`` is the only way
 to build a tape node: a closed-form value with a hand-written gradient.
 Every differentiable op of the model (each layer moment, likelihood head
 and objective) is one such node, and conv layers build their receptive
-fields inside theirs. add, mul, exp, log, reshape, take and tsum, with
-``+``, ``*`` and ``[]``, are one fused node each too; no model code uses
-them, they serve for composing nodes in tests and scripts.
+fields inside theirs. ``add`` is the one generic op left; no model code
+calls it, but the benchmark's tracer tests rebind it by name.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ class Tensor:
         else:
             self.grad += grad
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- backward ------------------------------------------------------------
 
     def backward(self) -> None:
@@ -112,36 +108,15 @@ class Tensor:
                 node._backward_fn(node.grad)
         self._spent = True
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
 
 class Parameter(Tensor):
     """Trainable tensor; gradient is accumulated across backward passes
-    until ``zero_grad()``."""
+    until ``grad`` is set to None (or to a zeroed buffer, as Adam does)."""
 
     __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(x) -> Tensor:
@@ -166,49 +141,6 @@ def fused(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:
     return Tensor(data, _parents=tuple(p for p, n in zip(parents, live) if n), _backward_fn=bw)
 
 
-# -- glue ops: each one fused node ------------------------------------------
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     return fused(a.data + b.data, (a, b),
                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)), "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return fused(a.data * b.data, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-        _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None), "mul")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return fused(out, (a,), lambda g: (g * out,), "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log of non-positive input")
-    return fused(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    return fused(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
-
-
-def take(a: Tensor, idx) -> Tensor:
-    """Basic indexing (ints/slices); backward scatters into the source."""
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return fused(np.array(a.data[idx], copy=True), (a,), vjp, "take")
-
-
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    def vjp(g):
-        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, a.data.shape).copy(),)
-
-    return fused(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, "sum")

@@ -27,20 +27,20 @@ OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
 EVAL_CHUNK = 64
 
 CHECKPOINT_MAGIC = b"BEDLCKP1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # Checkpoint arrays are named w{layer}.{field} after these WeightDistribution fields.
 _WEIGHT_FIELDS = ("mean", "log_var", "bias_mean", "bias_log_var")
-# Spec keys of older version 2 headers, and the one value each may hold.
-_FIXED_SPEC_KEYS = {"bias": True, "alpha": 1.0}
 
 
 class TrainingDiverged(RuntimeError):
-    """Objective or gradient became non-finite; carries the last good
-    checkpoint when one exists."""
+    """Objective, gradient or weights became non-finite; carries the last
+    good checkpoint, None before the first epoch finished, and the metric
+    rows of the epochs up to it."""
 
-    def __init__(self, msg: str, checkpoint: "Checkpoint | None" = None):
+    def __init__(self, msg: str, checkpoint: "Checkpoint | None" = None, metrics=()):
         super().__init__(msg)
         self.checkpoint = checkpoint
+        self.metrics = list(metrics)
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,14 @@ class Adam:
 # -- checkpoint binary format -----------------------------------------------
 #
 # magic (8 bytes) | u32 header length | JSON header | float64 LE blobs.
-# The version 2 header holds the TrainConfig, the layer specs, the array
+# The version 3 header holds the TrainConfig, the layer specs, the array
 # manifest in write order, the train-split std of regression targets, the
-# index and seed of that split (null when training was not on a split) and
-# the zlib.crc32 of the blobs, so that a flipped byte inside an array is a
-# load error (headers written before it was recorded lack the key).
-# Writing is fully deterministic, so save -> load -> save is byte-identical.
-# Header keys and arrays not named here are ignored; other versions are
-# rejected.
+# index and seed of that split, the CSV column of the targets (each of
+# these three null when there is none) and the zlib.crc32 of the blobs, so
+# that a flipped byte inside an array is a load error. Every key is
+# required. Writing is fully deterministic, so save -> load -> save is
+# byte-identical. Header keys and arrays not named here are ignored; other
+# versions are rejected.
 
 
 @dataclass
@@ -234,6 +234,7 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]  # weight means and log-variances
     target_std: float | None = None  # train-split std of regression targets
     split: SplitPlan | None = None  # the regression split it trained on
+    target_column: int | None = None  # of the CSV it trained on
 
     @property
     def task(self) -> str:
@@ -258,6 +259,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "target_std": ckpt.target_std,
         "split": None if ckpt.split is None else {"index": ckpt.split.split_index,
                                                   "seed": ckpt.split.seed},
+        "target_column": ckpt.target_column,
         "crc32": zlib.crc32(payload),
     }
     # a config or spec may hold numpy scalars: json writes the numbers they hold
@@ -277,16 +279,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{path} is not a valid checkpoint: {exc}") from exc
 
 
-def _without_fixed_keys(spec: dict) -> dict:
-    """A spec from a header, less the bias and ELU alpha keys that older
-    headers carry; they may hold only the values every layer has now."""
-    for key, fixed in _FIXED_SPEC_KEYS.items():
-        value = spec.pop(key, fixed)
-        if value != fixed:
-            raise ValueError(f"layer {key} {value!r} is not supported, only {fixed!r}")
-    return spec
-
-
 def _parse_checkpoint(raw: bytes) -> Checkpoint:
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ValueError("bad magic")
@@ -296,7 +288,7 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         raise ValueError(f"version {header['version']} checkpoints are not supported, "
                          f"only version {CHECKPOINT_VERSION}")
     offset = 12 + hlen
-    if "crc32" in header and zlib.crc32(raw[offset:]) != header["crc32"]:
+    if zlib.crc32(raw[offset:]) != header["crc32"]:
         raise ValueError("the array bytes do not match the header's checksum")
     arrays = {}
     for entry in header["arrays"]:
@@ -311,7 +303,7 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         offset += 8 * count
     if offset != len(raw):
         raise ValueError(f"{len(raw) - offset} bytes after the last array")
-    specs = [LayerSpec(**_without_fixed_keys(s)) for s in header["specs"]]
+    specs = [LayerSpec(**s) for s in header["specs"]]
     for i, spec in enumerate(specs):
         shapes = [spec.weight_shape] * 2 + [(spec.n_out,)] * 2
         for name, shape in zip(_WEIGHT_FIELDS, shapes):
@@ -326,21 +318,24 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
     missing = {f.name for f in fields(TrainConfig)} - set(header["config"])
     if missing:
         raise ValueError(f"config lacks {sorted(missing)}")
-    split = header.get("split")  # absent from headers written before it was recorded
+    split, column = header["split"], header["target_column"]
     if split is not None:
         split = SplitPlan(split["index"], split["seed"])
-    return Checkpoint(TrainConfig.from_dict(header["config"]), specs, arrays, target_std, split)
+    if column is not None and (type(column) is not int or column < 0):
+        raise ValueError(f"target_column {column!r} is not a non-negative integer")
+    return Checkpoint(TrainConfig.from_dict(header["config"]), specs, arrays, target_std, split,
+                      column)
 
 
 def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None,
-              split: SplitPlan | None = None) -> Checkpoint:
+              split: SplitPlan | None = None, target_column: int | None = None) -> Checkpoint:
     arrays = {
         f"w{i}.{name}": getattr(w, name).data.copy()
         for i, w in enumerate(net.weights)
         for name in _WEIGHT_FIELDS
     }
     return Checkpoint(cfg, net.specs, arrays, None if record is None else record.target_std,
-                      split)
+                      split, target_column)
 
 
 # -- training ----------------------------------------------------------------
@@ -416,10 +411,11 @@ def train(
 ) -> TrainResult:
     """Seeded, single-threaded, deterministic training run; the checkpoint
     records ``split``, the split of a regression table that ``dataset`` is
-    the train part of, so that evaluation scores its test part. A dataset of
-    another task than ``cfg``, or an output layer that is not as wide as the
-    head, is a ValueError before the first step, and one with no rows a
-    DataError."""
+    the train part of, so that evaluation scores its test part, and the
+    dataset's CSV target column. A dataset of another task than ``cfg``, or
+    an output layer that is not as wide as the head, is a ValueError before
+    the first step, and one with no rows a DataError. A run that diverges
+    raises TrainingDiverged."""
     if dataset.n == 0:
         raise DataError("no rows to train on")
     if dataset.task != cfg.task:
@@ -452,12 +448,14 @@ def train(
                 adam.step()
             except NumericsError as exc:
                 raise TrainingDiverged(
-                    f"numerical failure at epoch {epoch}: {exc}", last_good
+                    f"numerical failure at epoch {epoch}: {exc}", last_good, metrics
                 ) from exc
             tot += report.total.item()
             nll += report.nll
             reg += report.regularizer
             n_batches += 1
+        if not np.isfinite(adam.data).all():
+            raise TrainingDiverged(f"non-finite weights after epoch {epoch}", last_good, metrics)
         metrics.append(
             {
                 "epoch": epoch,
@@ -466,9 +464,7 @@ def train(
                 "regularizer": reg / n_batches,
             }
         )
-        if not np.isfinite(adam.data).all():
-            raise TrainingDiverged(f"non-finite weights after epoch {epoch}", last_good)
-        last_good = _snapshot(net, cfg, record, split)
+        last_good = _snapshot(net, cfg, record, split, dataset.target_column)
 
     return TrainResult(checkpoint=last_good, metrics=metrics)
 

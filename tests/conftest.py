@@ -1,5 +1,6 @@
-"""Shared test utilities: finite differences, quadrature oracles, and
-dataset-file gating for the benchmark-scale tests."""
+"""Shared test utilities: two tape nodes for building scalars, finite
+differences, quadrature oracles, and dataset-file gating for the
+benchmark-scale tests."""
 
 from __future__ import annotations
 
@@ -27,6 +28,18 @@ def require_data(*names: str) -> list[Path]:
     return paths
 
 
+def elementwise(x, f, df):
+    """f of a tensor, elementwise, as one tape node whose derivative is df."""
+    return T.fused(f(x.data), (x,), lambda g: (g * df(x.data),), "elementwise")
+
+
+def weighted_sum(*terms):
+    """The scalar sum of t * w over (tensor t, weights w) pairs, one tape node."""
+    value = np.asarray(sum((t.data * w).sum() for t, w in terms))
+    return T.fused(value, tuple(t for t, _ in terms),
+                   lambda g: [g * np.broadcast_to(w, t.shape) for t, w in terms], "weighted_sum")
+
+
 def finite_diff_grad(fn, params, h: float = 1e-5) -> list[np.ndarray]:
     """Central finite differences of a scalar-returning fn over a list of
     Parameters (perturbed in place)."""
@@ -51,7 +64,7 @@ def check_grads(fn, params, rel_tol: float = 1e-4, h: float = 1e-5) -> float:
     """Analytic vs finite-difference gradients; returns the worst relative
     error and asserts it is below rel_tol."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     out = fn()
     assert isinstance(out, T.Tensor) and out.size == 1
     out.backward()

@@ -107,6 +107,7 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["eval", "--n-classes", "2"], None, 1, id="eval-n-classes"),
     pytest.param(["eval", "--split-seed", "-1"], None, 1, id="eval-split-seed-negative"),
     pytest.param(["eval", "--split-index", "-3"], None, 1, id="eval-split-index-negative"),
+    pytest.param(["eval", "--target-column", "0"], None, 1, id="eval-target-column"),
     pytest.param([], {"epochs": 1.5}, 1, id="epochs-float"),
     pytest.param([], {"init": 5}, 1, id="init-int"),
     pytest.param([], {"batch_size": "32"}, 1, id="batch-string"),
@@ -232,6 +233,16 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     flipped = bytearray(raw)
     flipped[12 + hlen + 8] ^= 0x01
     (d / "flipped-byte.bin").write_bytes(bytes(flipped))
+    # headers of version 2, and version 3 headers that lack a key
+    for name, edit in (("version-2", lambda h: h.update(version=2)),
+                       ("no-crc32", lambda h: h.pop("crc32")),
+                       ("no-split", lambda h: h.pop("split")),
+                       ("no-target-column", lambda h: h.pop("target_column"))):
+        header = json.loads(raw[12 : 12 + hlen])
+        edit(header)
+        hb = json.dumps(header).encode()
+        (d / f"{name}.bin").write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb
+                                        + raw[12 + hlen :])
     # the first layer's spec patched in the header: every layer has a bias, every ELU alpha = 1
     for name, patch in (("alpha-minus-1", {"activation": "elu", "alpha": -1.0}),
                         ("alpha-nan", {"activation": "elu", "alpha": float("nan")}),
@@ -264,10 +275,15 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/kernel-float.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/stride-float.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/fan-out-bool.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/version-2.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-crc32.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-split.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-target-column.bin"],
 ], ids=["train-no-rows", "train-no-feature-column", "train-target-column-9",
         "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "eval-flipped-byte",
         "train-label-1.7", "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias",
-        "eval-kernel-float", "eval-stride-float", "eval-fan-out-bool"])
+        "eval-kernel-float", "eval-stride-float", "eval-fan-out-bool", "eval-version-2",
+        "eval-no-crc32", "eval-no-split", "eval-no-target-column"])
 def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
                                             capsys):
     # cli.main runs in this process, so an unmapped exception fails the test
@@ -304,7 +320,8 @@ def test_regression_csv_too_small_to_split_is_data_error(trained_checkpoint, tmp
     from bedl import cli
 
     tiny = tmp_path / "tiny.csv"
-    tiny.write_text("".join(f"{i},{i * i % 7},{0.5 * i}\n" for i in range(9)))
+    # four columns, as the checkpoint's CSV has: eval reads its target column 3
+    tiny.write_text("".join(f"{i},{i * i % 7},{i % 3},{0.5 * i}\n" for i in range(9)))
     for cmd in (["train", "--data", str(tiny), "--epochs", "1", "--out", str(tmp_path / "o")],
                 ["eval", "--data", str(tiny), "--checkpoint", str(trained_checkpoint)]):
         monkeypatch.setattr(sys, "argv", ["bedl", *cmd])
@@ -359,7 +376,7 @@ def test_eval_scores_under_the_trained_beta(csv_file, tmp_path):
 
 def test_eval_scores_the_split_the_model_trained_on(csv_file, tmp_path):
     # the checkpoint records its split, so eval scores that split's test rows;
-    # a checkpoint that records none is scored on split 0 with seed 0
+    # a checkpoint whose split is null is scored on split 0 with seed 0
     import struct
 
     from bedl.data import SplitPlan, load_csv, make_splits, standardize
@@ -385,12 +402,71 @@ def test_eval_scores_the_split_the_model_trained_on(csv_file, tmp_path):
     raw = (out / "checkpoint.bin").read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + hlen])
-    del header["split"]
+    header["split"] = None
     hb = json.dumps(header).encode()
     (out / "unsplit.bin").write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
     ev = run_cli("eval", "--data", str(csv_file), "--checkpoint", str(out / "unsplit.bin"))
     assert ev.returncode == 0, ev.stderr
     assert ev.stdout == scores[0]
+
+
+def test_eval_reads_the_target_column_the_model_trained_on(tmp_path):
+    # trained on column 0 of five, the model is scored on column 0, not on
+    # the last column that a plain load reads
+    from bedl.data import SplitPlan, load_csv, make_splits, standardize
+    from bedl.train import evaluate, load_checkpoint
+
+    data = tmp_path / "five.csv"
+    rows = np.random.default_rng(3).normal(size=(60, 5))
+    data.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in rows))
+    out = tmp_path / "run"
+    res = run_cli("train", "--data", str(data), "--target-column", "0", "--epochs", "3",
+                  "--hidden", "4", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    ckpt = load_checkpoint(out / "checkpoint.bin")
+    assert ckpt.target_column == 0
+    tr_idx, te_idx = make_splits(60, SplitPlan(0))
+    scores = {column: evaluate(ckpt, standardize(load_csv(data, target_column=column), tr_idx)[0]
+                               .subset(te_idx), ckpt.config).csv() for column in (0, -1)}
+    assert scores[0] != scores[-1]
+    ev = run_cli("eval", "--data", str(data), "--checkpoint", str(out / "checkpoint.bin"))
+    assert ev.returncode == 0, ev.stderr
+    assert ev.stdout == scores[0]
+
+
+def test_diverged_train_writes_its_last_finite_epoch(csv_file, tmp_path, monkeypatch, capsys):
+    # a weight turned NaN by the third step (one step per epoch at full
+    # batch) leaves the checkpoint and metrics rows of epoch 2, and exit 3;
+    # a run that diverges in its first epoch writes nothing
+    import importlib
+
+    from bedl import cli
+
+    btrain = importlib.import_module("bedl.train")  # bedl.train on the package is train()
+    args = ["train", "--data", str(csv_file), "--hidden", "4"]
+    monkeypatch.setattr(sys, "argv", ["bedl", *args, "--epochs", "2", "--out",
+                                      str(tmp_path / "finite")])
+    cli.main()
+    step = btrain.Adam.step
+    for bad_step, out in ((3, tmp_path / "diverged"), (1, tmp_path / "first")):
+        def poisoned(adam, bad_step=bad_step):
+            step(adam)
+            if adam.t == bad_step:
+                adam.params[0].data[0, 0] = np.nan
+
+        monkeypatch.setattr(btrain.Adam, "step", poisoned)
+        monkeypatch.setattr(sys, "argv", ["bedl", *args, "--epochs", "5", "--out", str(out)])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        err = capsys.readouterr().err
+        assert info.value.code == 3 and err.startswith("numerical failure:"), err
+    finite, diverged = (btrain.load_checkpoint(tmp_path / name / "checkpoint.bin")
+                        for name in ("finite", "diverged"))
+    for name, arr in finite.arrays.items():
+        assert diverged.arrays[name].tobytes() == arr.tobytes(), name
+    assert ((tmp_path / "diverged" / "metrics.csv").read_text()
+            == (tmp_path / "finite" / "metrics.csv").read_text())
+    assert not (tmp_path / "first").exists()
 
 
 def test_version_1_checkpoint_is_data_error(csv_file, tmp_path, monkeypatch, capsys):

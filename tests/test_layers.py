@@ -6,7 +6,8 @@ from bedl import oracle
 from bedl import tensor as T
 from bedl.oracle import make_rng, sample_forward
 
-from conftest import check_grads, finite_diff_grad, gaussian_activation_quadrature
+from conftest import (check_grads, elementwise, finite_diff_grad, gaussian_activation_quadrature,
+                      weighted_sum)
 
 rng = np.random.default_rng(11)
 
@@ -156,7 +157,7 @@ def test_forward_is_differentiable_end_to_end():
 
     def f():
         out = net.forward(x)
-        return T.tsum(out.mean) + T.tsum(T.log(out.var))
+        return weighted_sum((out.mean, 1.0), (elementwise(out.var, np.log, lambda v: 1.0 / v), 1.0))
 
     check_grads(f, net.parameters(), rel_tol=1e-5)
 
@@ -164,8 +165,8 @@ def test_forward_is_differentiable_end_to_end():
 def _weighted_moments(out: L.GaussianActivation):
     # a scalar that depends on every output mean and variance differently
     r = np.random.default_rng(out.mean.size)
-    return (T.tsum(out.mean * r.normal(size=out.mean.shape))
-            + T.tsum(out.var * r.normal(size=out.var.shape)))
+    return weighted_sum((out.mean, r.normal(size=out.mean.shape)),
+                        (out.var, r.normal(size=out.var.shape)))
 
 
 @pytest.mark.parametrize(
@@ -185,21 +186,22 @@ def test_dense_moments_gradcheck(input_var, rows):
 
 
 def test_dense_moments_of_image_rows_equal_flattened_rows():
-    # flattening inside the two nodes gives the bits of a reshape node per input
+    # flattening inside the two nodes gives the bits of flat input rows
     r = np.random.default_rng(13)
     w = _weights(12, 3, log_var=-1.0, r=r)
-    mean = T.Parameter(r.normal(size=(4, 2, 2, 3)))
-    var = T.Parameter(r.uniform(0.1, 1.0, size=(4, 2, 2, 3)))
+    mean = r.normal(size=(4, 2, 2, 3))
+    var = r.uniform(0.1, 1.0, size=(4, 2, 2, 3))
     runs = []
-    for flat in (False, True):
-        for p in w.parameters() + [mean, var]:
-            p.zero_grad()
-        rows = (T.reshape(mean, (4, -1)), T.reshape(var, (4, -1))) if flat else (mean, var)
-        out = L.dense_moments(w, *rows)
+    for rows in ((mean, var), (mean.reshape(4, -1), var.reshape(4, -1))):
+        inputs = [T.Parameter(a) for a in rows]
+        for p in w.parameters():
+            p.grad = None
+        out = L.dense_moments(w, *inputs)
         _weighted_moments(out).backward()
-        runs.append([out.mean.data, out.var.data] + [p.grad for p in w.parameters() + [mean, var]])
-    for direct, reshaped in zip(*runs):
-        np.testing.assert_array_equal(direct, reshaped)
+        runs.append([out.mean.data, out.var.data] + [p.grad for p in w.parameters()]
+                    + [p.grad.reshape(mean.shape) for p in inputs])
+    for direct, flat in zip(*runs):
+        np.testing.assert_array_equal(direct, flat)
 
 
 @pytest.mark.parametrize("shape,layer", [
@@ -226,7 +228,7 @@ def _check_grads_fourth_order(fn, params, rel_tol, h=1e-3):
     of 1e-3 keeps both it and the roundoff of f far below rel_tol, which the
     two-point difference at its 1e-5 step does not on every draw."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     fn().backward()
     analytic = [p.grad.copy() for p in params]
     near, far = (finite_diff_grad(lambda: fn().item(), params, step) for step in (h, 2 * h))
@@ -278,7 +280,7 @@ def test_receptive_fields_fold_gradcheck(kernel, stride):
     def f():
         z = T.fused(L._receptive_fields(p.data, kernel, stride) @ w, (p,),
                     lambda g: (L._fold_receptive_fields(g, w, p.shape, kernel, stride),), "conv")
-        return T.tsum(z * z)
+        return weighted_sum((elementwise(z, np.square, lambda v: 2.0 * v), 1.0))
 
     check_grads(f, [p], rel_tol=1e-6)
 
@@ -292,14 +294,14 @@ def test_activation_moments_gradcheck(act):
     log_var = T.Parameter(np.array([[0.3, -1.0, -2.0, 0.5, -40.0, -40.0, -3.0, 0.0]]))
 
     def f():
-        g = L.GaussianActivation(mu, T.exp(log_var))
+        g = L.GaussianActivation(mu, elementwise(log_var, np.exp, np.exp))
         out = L.relu_moments(g) if act == "relu" else L.elu_moments(g)
         return _weighted_moments(out)
 
     check_grads(f, [mu, log_var], rel_tol=1e-5)
     assert log_var.grad[0, 4] == 0.0 and log_var.grad[0, 5] == 0.0
     if act == "relu":
-        out = L.relu_moments(L.GaussianActivation(mu, T.exp(log_var)))
+        out = L.relu_moments(L.GaussianActivation(mu, elementwise(log_var, np.exp, np.exp)))
         assert out.var.data[0, 6] == 0.0 and out.var.data[0, 7] == 0.0
 
 
@@ -320,7 +322,7 @@ def test_units_at_the_variance_floor_leave_the_other_rows_bitwise_unchanged(act)
         pm, pv = T.Parameter(m), T.Parameter(v)
         out = moments(L.GaussianActivation(pm, pv))
         n = len(m)
-        (T.tsum(out.mean * weights[0, :n]) + T.tsum(out.var * weights[1, :n])).backward()
+        weighted_sum((out.mean, weights[0, :n]), (out.var, weights[1, :n])).backward()
         return out.mean.data, out.var.data, pm.grad, pv.grad
 
     base = run(mu, var)

@@ -8,9 +8,13 @@ from bedl import layers as L
 from bedl import objectives as O
 from bedl import tensor as T
 
-from conftest import check_grads, gauss_hermite_class_marginal
+from conftest import check_grads, elementwise, gauss_hermite_class_marginal, weighted_sum
 
 rng = np.random.default_rng(21)
+
+
+def _exp(x):
+    return elementwise(x, np.exp, np.exp)
 
 
 def _moments(mean, var):
@@ -147,18 +151,18 @@ def test_kl_dirichlet_uniform_gradcheck():
                                     [np.exp(20.0), 2.0, 0.01]]))
 
     def f():
-        kl = O.kl_dirichlet_uniform(T.exp(log_alpha))
-        return T.tsum(kl * np.array([1.0, -0.5, 0.7, 0.4]))
+        kl = O.kl_dirichlet_uniform(_exp(log_alpha))
+        return weighted_sum((kl, np.array([1.0, -0.5, 0.7, 0.4])))
 
     check_grads(f, [log_alpha], rel_tol=1e-6)
 
 
 def test_kl_gaussian_identity_and_value():
-    zero = O.kl_gaussian(T.constant(np.array([0.5])), T.constant(np.array([2.0])), 0.5, 2.0)
-    np.testing.assert_allclose(zero.data, 0.0, atol=1e-12)
-    out = O.kl_gaussian(T.constant(np.array([1.0])), T.constant(np.array([0.5])), 0.0, 2.0)
+    zero, _, _ = O._kl_gaussian(np.array([0.5]), np.array([2.0]), 0.5, 2.0)
+    np.testing.assert_allclose(zero, 0.0, atol=1e-12)
+    out, _, _ = O._kl_gaussian(np.array([1.0]), np.array([0.5]), 0.0, 2.0)
     expected = 0.5 * (math.log(2.0 / 0.5) + 0.5 / 2.0 + 1.0 / 2.0 - 1.0)
-    np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(out[0], expected, rtol=1e-12)
 
 
 # -- objectives --------------------------------------------------------------
@@ -272,8 +276,8 @@ def test_regression_head_gradcheck_past_exponent_clamp():
     y = np.array([0.5, 0.0, 1.0])
 
     def f():
-        mm = L.GaussianActivation(mean, T.exp(log_var))
-        return T.tsum(O.regression_log_marginal(mm, y, 100.0) * np.array([1.0, -0.7, 0.4]))
+        mm = L.GaussianActivation(mean, _exp(log_var))
+        return weighted_sum((O.regression_log_marginal(mm, y, 100.0), np.array([1.0, -0.7, 0.4])))
 
     check_grads(f, [mean, log_var], rel_tol=1e-5)
     assert mean.grad[2, 1] == 0.0 and log_var.grad[2, 1] == 0.0
@@ -285,11 +289,11 @@ def test_regression_kl_and_pac_gradcheck():
     y = np.array([0.5, 0.0, 1.0])
 
     def f():
-        mm = L.GaussianActivation(mean, T.exp(log_var))
+        mm = L.GaussianActivation(mean, _exp(log_var))
         kl = O.regression_kl(mm, 2.0)
         lm = O.regression_log_marginal(mm, y, 100.0)
         pac = O.pac_objective(lm, kl, 30, 0.05, 100.0 / (2 * math.pi))
-        return pac.total + T.tsum(kl * np.array([0.3, -0.2, 0.1]))
+        return weighted_sum((pac.total, 1.0), (kl, np.array([0.3, -0.2, 0.1])))
 
     check_grads(f, [mean, log_var], rel_tol=1e-5)
 
@@ -297,22 +301,28 @@ def test_regression_kl_and_pac_gradcheck():
 def test_batched_classification_head_and_kl_gradcheck():
     # the S draws are one (S, N, C) node. Datum 0 sits past the logit clamp
     # in the head only: its KL, with alpha = exp(30), loses to cancellation
-    # far more than the finite-difference step
-    mean = T.Parameter(np.vstack([[40.0, 0.1, -0.2], rng.normal(size=(4, 3))]))
-    log_var = T.Parameter(np.vstack([[-6.0, -1.0, -1.0], rng.uniform(-2.0, 0.0, size=(4, 3))]))
+    # far more than the finite-difference step. So its moments are
+    # parameters of their own, and the head takes the rows in two nodes
+    mean = np.vstack([[40.0, 0.1, -0.2], rng.normal(size=(4, 3))])
+    log_var = np.vstack([[-6.0, -1.0, -1.0], rng.uniform(-2.0, 0.0, size=(4, 3))])
+    params = [T.Parameter(a) for a in (mean[:1], log_var[:1], mean[1:], log_var[1:])]
     y = np.eye(3)[[0, 1, 2, 0, 1]]
     eps = np.random.default_rng(8).standard_normal((4, 5, 3))
+    weights = np.linspace(-1.0, 1.0, 5)
 
     def f():
-        var = T.exp(log_var)
-        lm = O.classification_log_marginal(L.GaussianActivation(mean, var), y, eps=eps)
-        kl = O.classification_kl(L.GaussianActivation(mean[1:], var[1:]), eps=eps[:, 1:])
-        assert lm.shape == (5,) and kl.shape == (4,)
-        pac = O.pac_objective(lm[1:], kl, 50, 0.05, 1.0)
-        return pac.total + T.tsum(lm * np.linspace(-1.0, 1.0, 5))
+        mean_0, log_var_0, mean_rest, log_var_rest = params
+        rest = L.GaussianActivation(mean_rest, _exp(log_var_rest))
+        lm_0 = O.classification_log_marginal(L.GaussianActivation(mean_0, _exp(log_var_0)), y[:1],
+                                             eps=eps[:, :1])
+        lm = O.classification_log_marginal(rest, y[1:], eps=eps[:, 1:])
+        kl = O.classification_kl(rest, eps=eps[:, 1:])
+        assert lm.shape == (4,) and kl.shape == (4,)
+        pac = O.pac_objective(lm, kl, 50, 0.05, 1.0)
+        return weighted_sum((pac.total, 1.0), (lm_0, weights[:1]), (lm, weights[1:]))
 
-    check_grads(f, [mean, log_var], rel_tol=1e-5)
-    assert mean.grad[0, 0] == 0.0
+    check_grads(f, params, rel_tol=1e-5)
+    assert params[0].grad[0, 0] == 0.0
 
 
 def test_classification_kl_gradcheck_at_the_logit_clamp():
@@ -324,8 +334,8 @@ def test_classification_kl_gradcheck_at_the_logit_clamp():
     eps = r.standard_normal((4, 3, 3))
 
     def f():
-        kl = O.classification_kl(L.GaussianActivation(mean, T.exp(log_var)), eps=eps)
-        return T.tsum(kl * np.array([1.0, -0.6, 0.3]))
+        kl = O.classification_kl(L.GaussianActivation(mean, _exp(log_var)), eps=eps)
+        return weighted_sum((kl, np.array([1.0, -0.6, 0.3])))
 
     check_grads(f, [mean, log_var], rel_tol=1e-6)
     assert mean.grad[0, 0] == 0.0

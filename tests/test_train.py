@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bedl.layers import LayerSpec, WeightMoments, build_network
 from bedl.objectives import HyperpriorConfig
 from bedl.uncertainty import decompose
 
-from conftest import check_grads
+from conftest import check_grads, weighted_sum
 
 rng = np.random.default_rng(61)
 
@@ -130,7 +131,6 @@ def test_adam_minimizes_quadratic():
     p = T.Parameter(np.array([1.0]))
     adam = tr.Adam([p], lr=0.1)
     for _ in range(100):
-        p.zero_grad()
         p.grad = 2.0 * p.data
         adam.step()
     assert abs(p.data[0]) < 0.05
@@ -198,7 +198,7 @@ class _ReferenceAdam:
 
     def zero_grad(self):
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     @property
     def data(self):  # what train() checks for finite weights after each epoch
@@ -232,8 +232,8 @@ def test_adam_owns_the_parameter_storage():
     adam = tr.Adam([p, q], lr=0.1)
     assert np.shares_memory(p.data, adam.data) and np.shares_memory(q.data, adam.data)
     adam.zero_grad()
-    T.tsum(p * 3.0).backward()
-    T.tsum(p * 2.0).backward()
+    weighted_sum((p, 3.0)).backward()
+    weighted_sum((p, 2.0)).backward()
     np.testing.assert_array_equal(adam.grad, [5.0] * 4 + [0.0] * 3)
     adam.step()
     np.testing.assert_allclose(p.data, 0.9)
@@ -293,19 +293,34 @@ def test_checkpoint_with_a_flipped_payload_byte_is_data_error(tmp_path):
         tr.load_checkpoint(path)
 
 
-def test_checkpoint_header_without_a_checksum_loads(tmp_path):
-    # headers written before the checksum was recorded lack the key
-    result, ds, cfg = _train_small(epochs=1)
-    path = tmp_path / "c.bin"
-    tr.save_checkpoint(result.checkpoint, path)
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint file at ``path``."""
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + hlen])
-    del header["crc32"]
+    edit(header)
     hb = json.dumps(header).encode()
     path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
-    loaded = tr.load_checkpoint(path)
-    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(result.checkpoint, ds, cfg).values
+
+
+def test_checkpoint_header_without_a_checksum_is_data_error(tmp_path):
+    # every key of a version 3 header is required: none has a default
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    _rewrite_header(path, lambda h: h.pop("crc32"))
+    with pytest.raises(DataError, match="'crc32'"):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 2, 4])
+def test_checkpoint_of_another_version_is_data_error_naming_it(tmp_path, version):
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    _rewrite_header(path, lambda h: h.update(version=version))
+    with pytest.raises(DataError, match=f"version {version} checkpoints are not supported"):
+        tr.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -316,7 +331,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
-    # header keys and arrays that version 2 does not name are ignored: here
+    # header keys and arrays that version 3 does not name are ignored: here
     # Adam moments (arrays adam.m*/adam.v*) and adam_t, rng_state and
     # config_hash header keys
     result, ds, cfg = _train_small()
@@ -326,8 +341,9 @@ def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
         arrays[f"adam.m{i}"] = np.full_like(ckpt.arrays[name], 0.5)
         arrays[f"adam.v{i}"] = np.full_like(ckpt.arrays[name], 0.25)
     names = sorted(arrays)
+    payload = b"".join(arrays[n].astype("<f8").tobytes() for n in names)
     header = {
-        "version": 2,
+        "version": 3,
         "config": dataclasses.asdict(ckpt.config),
         "specs": [dataclasses.asdict(s) for s in ckpt.specs],
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
@@ -336,11 +352,13 @@ def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
                       "state": {"inc": 2**100 + 1, "state": 2**120 + 7}},
         "config_hash": "0123456789abcdef",
         "target_std": 1.5,
+        "split": None,
+        "target_column": None,
+        "crc32": zlib.crc32(payload),
     }
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = tmp_path / "old.bin"
-    path.write_bytes(b"BEDLCKP1" + struct.pack("<I", len(hb)) + hb
-                     + b"".join(arrays[n].astype("<f8").tobytes() for n in names))
+    path.write_bytes(b"BEDLCKP1" + struct.pack("<I", len(hb)) + hb + payload)
     loaded = tr.load_checkpoint(path)
     assert loaded.specs == ckpt.specs and loaded.config == ckpt.config
     assert loaded.target_std == 1.5
@@ -348,24 +366,16 @@ def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
     assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(ckpt, ds, cfg).values
 
 
-def test_checkpoint_header_with_the_old_bias_and_alpha_keys_loads(tmp_path):
-    # headers written while LayerSpec had bias and alpha fields carry them at
-    # their one value, 24 bytes per layer
-    result, ds, cfg = _train_small()
-    path, old = tmp_path / "c.bin", tmp_path / "old.bin"
-    tr.save_checkpoint(result.checkpoint, path)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen])
-    for spec in header["specs"]:
-        assert "alpha" not in spec and "bias" not in spec
-        spec.update(alpha=1.0, bias=True)
-    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    old.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
-    assert len(old.read_bytes()) == len(raw) + 24 * len(header["specs"])
-    loaded = tr.load_checkpoint(old)
-    assert loaded.specs == tr.load_checkpoint(path).specs == result.checkpoint.specs
-    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(result.checkpoint, ds, cfg).values
+def test_checkpoint_spec_with_the_old_bias_or_alpha_key_is_data_error(tmp_path):
+    # LayerSpec lost its bias and alpha fields: a spec that names one, even
+    # at the value every layer has, names an unknown field
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    for key, value in (("bias", True), ("alpha", 1.0)):
+        tr.save_checkpoint(result.checkpoint, path)
+        _rewrite_header(path, lambda h: h["specs"][0].update({key: value}))
+        with pytest.raises(DataError, match=key):
+            tr.load_checkpoint(path)
 
 
 def test_checkpoint_config_with_numpy_integers_saves_and_loads(tmp_path):
@@ -402,7 +412,11 @@ def test_evaluation_builds_no_tape():
 @pytest.mark.parametrize("bad", [
     pytest.param(lambda h: h["config"].pop("task"), id="no-task"),
     pytest.param(lambda h: h["config"].pop("beta"), id="config-without-beta"),
-    pytest.param(lambda h: h.update(version=3), id="version-3"),
+    pytest.param(lambda h: h.pop("split"), id="no-split"),
+    pytest.param(lambda h: h.pop("target_column"), id="no-target-column"),
+    pytest.param(lambda h: h.update(target_column=-1), id="target-column-negative"),
+    pytest.param(lambda h: h.update(target_column=2.0), id="target-column-float"),
+    pytest.param(lambda h: h.update(target_column=True), id="target-column-bool"),
     pytest.param(lambda h: h["config"].update(beta=-1.0), id="config-beta-negative"),
     pytest.param(lambda h: h["config"].update(epohcs=3), id="config-unknown-key"),
     pytest.param(lambda h: h.update(arrays=5), id="arrays-not-a-list"),
@@ -418,12 +432,7 @@ def test_malformed_checkpoint_header_is_data_error(tmp_path, bad):
     result, _, _ = _train_small(epochs=1)
     path = tmp_path / "c.bin"
     tr.save_checkpoint(result.checkpoint, path)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen])
-    bad(header)
-    hb = json.dumps(header).encode()
-    path.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + raw[12 + hlen :])
+    _rewrite_header(path, bad)
     with pytest.raises(DataError):
         tr.load_checkpoint(path)
 
@@ -671,7 +680,10 @@ def test_train_checks_task_and_head_width_before_the_first_step():
 
 
 def test_diverged_run_keeps_the_last_finite_checkpoint(monkeypatch):
-    # a weight turned NaN by the epoch's last step must not reach a checkpoint
+    # a weight turned NaN by the epoch's last step must not reach a
+    # checkpoint; the checkpoint and the metric rows are those of epoch 2
+    ds, specs = _regression_ds(n=20), tr.default_specs("regression", 3, hidden=4)
+    finite = tr.train(ds, specs, tr.TrainConfig(epochs=2))
     step = tr.Adam.step
 
     def poisoned(adam):
@@ -680,11 +692,12 @@ def test_diverged_run_keeps_the_last_finite_checkpoint(monkeypatch):
             adam.params[0].data[0, 0] = np.nan
 
     monkeypatch.setattr(tr.Adam, "step", poisoned)
-    ds = _regression_ds(n=20)  # full batch: one step per epoch
     with pytest.raises(tr.TrainingDiverged, match="epoch 3") as info:
-        tr.train(ds, tr.default_specs("regression", 3, hidden=4), tr.TrainConfig(epochs=5))
+        tr.train(ds, specs, tr.TrainConfig(epochs=5))  # full batch: one step per epoch
     arrays = info.value.checkpoint.arrays
     assert all(np.isfinite(a).all() for a in arrays.values())
+    assert all(a.tobytes() == finite.checkpoint.arrays[k].tobytes() for k, a in arrays.items())
+    assert info.value.metrics == finite.metrics
 
 
 def test_one_datum_linear_fit_approaches_beta_floor():
