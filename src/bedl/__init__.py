@@ -8,13 +8,12 @@ from .layers import (
     WeightDistribution,
     build_network,
 )
-from .objectives import HyperpriorConfig, ObjectiveReport
+from .objectives import ObjectiveReport
 from .tensor import NumericsError, Parameter, Tensor
 from .train import TrainConfig, evaluate, train
 
 __all__ = [
     "GaussianActivation",
-    "HyperpriorConfig",
     "LayerSpec",
     "MomentNetwork",
     "NumericsError",

@@ -106,7 +106,7 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
     tcol = target_column % width
     y = mat[:, tcol]
     x = np.delete(mat, tcol, axis=1)
-    const = np.flatnonzero(x.std(axis=0) == 0.0)
+    const = np.flatnonzero(np.ptp(x, axis=0) == 0.0)
     if const.size:
         warnings.warn(f"{path}: dropping constant feature columns {const.tolist()}")
         x = np.delete(x, const, axis=1)
@@ -175,14 +175,17 @@ class StandardizeRecord:
 def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, StandardizeRecord]:
     """Z-score features (and regression targets) by train-split statistics.
 
-    Feature columns with zero train standard deviation are dropped.
+    Feature columns that are constant on the train split are dropped: the
+    test is max == min, since the float std of a constant column need not
+    be 0 (7.77 over 455 rows gives 2.7e-15), and dividing by it would blow
+    the column's other values up.
     """
     x = ds.features.astype(np.float64)
     if x.ndim != 2:
         raise DataError("standardize expects flat (N, d) features")
-    mu = x[train_idx].mean(axis=0)
-    sd = x[train_idx].std(axis=0)
-    keep = np.flatnonzero(sd > 0.0)
+    xt = x[train_idx]
+    mu, sd = xt.mean(axis=0), xt.std(axis=0)
+    keep = np.flatnonzero(np.ptp(xt, axis=0) > 0.0)
     if keep.size == 0:
         raise DataError("no feature column varies on the train split")
     if keep.size < x.shape[1]:
@@ -193,7 +196,7 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
         y = ds.targets.astype(np.float64)
         ym = float(y[train_idx].mean())
         ys = float(y[train_idx].std())
-        if ys == 0.0:
+        if np.ptp(y[train_idx]) == 0.0:
             raise DataError("constant regression target on train split")
         y_out = (y - ym) / ys
         rec = StandardizeRecord(ys)

@@ -24,6 +24,8 @@ from .tensor import Parameter, Tensor
 # Below this variance the activation moments switch to their deterministic
 # limit to avoid 0/0 in mean/std ratios.
 SIGMA2_MIN = 1e-12
+# The default mean and variance of the normal that initial log-variances are drawn from.
+INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR = -9.0, 0.001
 
 
 @dataclass(frozen=True)
@@ -410,12 +412,8 @@ class MomentNetwork:
         return h
 
 
-def init_weights(
-    spec: LayerSpec,
-    rng: np.random.Generator,
-    log_var_mean: float = -9.0,
-    log_var_var: float = 0.001,
-) -> WeightDistribution:
+def init_weights(spec: LayerSpec, rng: np.random.Generator, log_var_mean: float = INIT_LOG_VAR_MEAN,
+                 log_var_var: float = INIT_LOG_VAR_VAR) -> WeightDistribution:
     """He-Normal weight means (std sqrt(2/fan_in)), zero bias means, and
     near-deterministic log-variances drawn from N(log_var_mean, log_var_var)."""
     shape = spec.weight_shape

@@ -22,15 +22,7 @@ from .tensor import Tensor
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOGIT_CLAMP = 30.0  # sampled logits are clamped to +-30 so that exp(f) stays finite
-
-
-@dataclass(frozen=True)
-class HyperpriorConfig:
-    """Gaussian prior on weight means, inverse-gamma prior on variances."""
-
-    alpha0: float = 1.0
-    a0: float = 2.0
-    b0: float = 1.0
+EDL_WEIGHT = 100.0  # of the evidential baseline's sum of squares against its KL
 
 
 @dataclass
@@ -199,26 +191,24 @@ def kl_dirichlet_uniform(alpha: Tensor) -> Tensor:
     return T.fused(value, (alpha,), lambda g: (g[..., None] * grad(),), "kl_dirichlet_uniform")
 
 
-def _kl_gaussian(q_mean: np.ndarray, q_var: np.ndarray, p_mean: float, p_var: float):
-    """KL(N(q_mean, q_var) || N(p_mean, p_var)) elementwise, with its
-    partials in q_mean and q_var."""
-    if p_var <= 0 or np.any(q_var <= 0.0):
+def _kl_gaussian(mean: np.ndarray, var: np.ndarray):
+    """KL(N(mean, var) || N(0, 1)) elementwise, with its partials in mean
+    and var."""
+    if np.any(var <= 0.0):
         raise ValueError("variances must be positive")
-    ratio = q_var * (1.0 / p_var)
-    diff = q_mean - p_mean
-    value = 0.5 * (-np.log(ratio) + ratio + diff * diff * (1.0 / p_var) - 1.0)
-    return value, diff * (1.0 / p_var), 0.5 * (1.0 / p_var - 1.0 / q_var)
+    value = 0.5 * (-np.log(var) + var + mean * mean - 1.0)
+    return value, mean, 0.5 * (1.0 - 1.0 / var)
 
 
 # -- per-datum KL terms used by the PAC regularizer -------------------------
 
 
-def regression_kl(moments: GaussianActivation, alpha_prior: float) -> Tensor:
+def regression_kl(moments: GaussianActivation) -> Tensor:
     """KL of the moment-matched latent N(m1, s1^2 + exp(m2 + s2^2/2))
-    against the zero-mean prior with precision alpha_prior; one tape node."""
+    against the standard-normal prior; one tape node."""
     mean, var = moments.mean.data, moments.var.data
     latent, d_latent = _latent_var(mean, var)
-    value, d_mean, d_var = _kl_gaussian(mean[:, 0], var[:, 0] + latent, 0.0, 1.0 / alpha_prior)
+    value, d_mean, d_var = _kl_gaussian(mean[:, 0], var[:, 0] + latent)
     return _head_node(moments, value, d_mean, d_var, d_latent, "regression_kl")
 
 
@@ -287,10 +277,11 @@ def evidential_alpha(f: Tensor) -> Tensor:
                    "evidential_alpha")
 
 
-def edl_loss(alpha: Tensor, y_onehot: np.ndarray, beta_edl: float = 100.0) -> ObjectiveReport:
-    """Deterministic evidential baseline: expected sum of squares between
-    the one-hot target and the Dirichlet-distributed class probabilities,
-    plus KL against the uniform Dirichlet. Batch mean; one tape node."""
+def edl_loss(alpha: Tensor, y_onehot: np.ndarray) -> ObjectiveReport:
+    """Deterministic evidential baseline: EDL_WEIGHT/2 times the expected
+    sum of squares between the one-hot target and the Dirichlet-distributed
+    class probabilities, plus KL against the uniform Dirichlet. Batch mean;
+    one tape node."""
     a = alpha.data
     kl, kl_grad = _kl_dirichlet(a)
     y = _check_onehot(y_onehot, alpha.shape[1])
@@ -298,7 +289,7 @@ def edl_loss(alpha: Tensor, y_onehot: np.ndarray, beta_edl: float = 100.0) -> Ob
     p = a / a0
     spread = p * (1.0 - p) / (a0 + 1.0)
     resid = y - p
-    fit = _batch_mean(0.5 * beta_edl * (resid * resid + spread).sum(axis=1))
+    fit = _batch_mean(0.5 * EDL_WEIGHT * (resid * resid + spread).sum(axis=1))
     kl_mean = _batch_mean(kl)
 
     def vjp(g):
@@ -306,33 +297,29 @@ def edl_loss(alpha: Tensor, y_onehot: np.ndarray, beta_edl: float = 100.0) -> Ob
         d_p = (1.0 - 2.0 * p) / (a0 + 1.0) - 2.0 * resid
         d_fit = ((d_p - (p * d_p).sum(axis=1, keepdims=True)) / a0
                  - spread.sum(axis=1, keepdims=True) / (a0 + 1.0))
-        return ((g * (1.0 / len(a))) * (0.5 * beta_edl * d_fit + kl_grad()),)
+        return ((g * (1.0 / len(a))) * (0.5 * EDL_WEIGHT * d_fit + kl_grad()),)
 
     total = T.fused(fit + kl_mean, (alpha,), vjp, "edl_loss")
     return ObjectiveReport(total=total, nll=float(fit), regularizer=float(kl_mean))
 
 
-def hyperprior_penalty(weights: list[WeightDistribution], cfg: HyperpriorConfig) -> Tensor:
+def hyperprior_penalty(weights: list[WeightDistribution]) -> Tensor:
     """Negative log hyperprior density over all weight hyperparameters:
-    N(mu | 0, 1/alpha0) on means, InvGamma(a0, b0) on variances. One tape
-    node, with gradient alpha0 mu in the means and (a0 + 1) - b0 / sigma^2
-    in the log-variances."""
+    N(mu | 0, 1) on means and InvGamma(sigma^2 | 2, 1) on variances, whose
+    log densities are -(log 2 pi + mu^2)/2 and -3 log sigma^2 - 1/sigma^2.
+    One tape node, with gradient mu in the means and 3 - 1/sigma^2 in the
+    log-variances."""
     pairs = [pair for w in weights for pair in ((w.mean, w.log_var), (w.bias_mean, w.bias_log_var))]
     if not pairs:
         raise ValueError("no weights given")
-    log_norm_mu = 0.5 * (math.log(cfg.alpha0) - LOG_2PI)
-    log_norm_var = cfg.a0 * math.log(cfg.b0) - math.lgamma(cfg.a0)
     total = 0.0
     for mean, log_var in pairs:
-        n = mean.size
-        lp_mu = n * log_norm_mu - 0.5 * cfg.alpha0 * (mean.data * mean.data).sum()
-        # log InvGamma(sigma^2) with sigma^2 = exp(log_var)
-        lp_var = (n * log_norm_var - (cfg.a0 + 1.0) * log_var.data.sum()
-                  - cfg.b0 * np.exp(-log_var.data).sum())
+        lp_mu = mean.size * (-0.5 * LOG_2PI) - 0.5 * (mean.data * mean.data).sum()
+        lp_var = -3.0 * log_var.data.sum() - np.exp(-log_var.data).sum()
         total += -(lp_mu + lp_var)
 
     def vjp(g):
-        return [grad for mean, log_var in pairs for grad in (
-            g * cfg.alpha0 * mean.data, g * ((cfg.a0 + 1.0) - cfg.b0 * np.exp(-log_var.data)))]
+        return [grad for mean, log_var in pairs
+                for grad in (g * mean.data, g * (3.0 - np.exp(-log_var.data)))]
 
     return T.fused(total, tuple(t for pair in pairs for t in pair), vjp, "hyperprior_penalty")

@@ -7,16 +7,17 @@ import math
 import numbers
 import struct
 import zlib
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import objectives as obj
 from . import tensor as T
 from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels, one_hot
-from .layers import (GaussianActivation, LayerSpec, MomentNetwork, Parameter,
-                     WeightDistribution, build_network, check_rows)
+from .layers import (INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR, GaussianActivation, LayerSpec,
+                     MomentNetwork, Parameter, WeightDistribution, build_network, check_rows)
 from .tensor import NumericsError, Tensor
 from .uncertainty import UncertaintyReport, decompose, ecdf_auc, test_error
 
@@ -25,28 +26,21 @@ OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
 # Rows per forward pass and decompose call in evaluation. Memory is
 # O(EVAL_CHUNK * eval_samples * C) instead of O(N * eval_samples * C).
 EVAL_CHUNK = 64
+EVAL_SEED = 12345  # of the draws of the classification decomposition at evaluation
 
 CHECKPOINT_MAGIC = b"BEDLCKP1"
-CHECKPOINT_VERSION = 3
-# Checkpoint arrays are named w{layer}.{field} after these WeightDistribution fields.
-_WEIGHT_FIELDS = ("mean", "log_var", "bias_mean", "bias_log_var")
+CHECKPOINT_VERSION = 4
 
 
 class TrainingDiverged(RuntimeError):
-    """Objective, gradient or weights became non-finite; carries the last
-    good checkpoint, None before the first epoch finished, and the metric
-    rows of the epochs up to it."""
+    """Objective, gradient, weights or weight moments became non-finite;
+    carries the last good checkpoint, None before the first epoch finished,
+    and the metric rows of the epochs up to it."""
 
     def __init__(self, msg: str, checkpoint: "Checkpoint | None" = None, metrics=()):
         super().__init__(msg)
         self.checkpoint = checkpoint
         self.metrics = list(metrics)
-
-
-@dataclass(frozen=True)
-class InitConfig:
-    log_var_mean: float = -9.0
-    log_var_var: float = 0.001
 
 
 @dataclass(frozen=True)
@@ -56,18 +50,14 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int | None = None  # None: full batch below 2000, else 128
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     beta: float = 100.0
     n_classes: int = 10
     mc_samples: int = 5
     delta: float = 0.05
-    alpha_prior: float = 1.0
-    beta_edl: float = 100.0
-    hyper: obj.HyperpriorConfig = field(default_factory=obj.HyperpriorConfig)
-    init: InitConfig = field(default_factory=InitConfig)
+    # the initial log-variances are drawn from N(init_log_var_mean, init_log_var_var)
+    init_log_var_mean: float = INIT_LOG_VAR_MEAN
+    init_log_var_var: float = INIT_LOG_VAR_VAR
 
     def __post_init__(self):
         """The one check of every setting, so that a bad one fails before
@@ -87,18 +77,12 @@ class TrainConfig:
             "n_classes >= 2": self.n_classes >= 2,
             "mc_samples >= 1": self.mc_samples >= 1,
             "0 < learning_rate < inf": 0 < self.learning_rate < math.inf,
-            "0 <= beta1 < 1": 0 <= self.beta1 < 1,
-            "0 <= beta2 < 1": 0 <= self.beta2 < 1,
-            "0 < adam_eps < inf": 0 < self.adam_eps < math.inf,
             "0 < beta < inf": 0 < self.beta < math.inf,
             "0 < delta <= 1": 0 < self.delta <= 1,
-            "0 < alpha_prior < inf": 0 < self.alpha_prior < math.inf,
-            "0 < beta_edl < inf": 0 < self.beta_edl < math.inf,
-            "0 < hyper.alpha0, a0, b0 < inf": all(0 < v < math.inf for v in astuple(self.hyper)),
-            # the initial log-variances are drawn as N(mean, var) and exponentiated
-            "-inf < init.log_var_mean < log(max float)":
-                -math.inf < self.init.log_var_mean < np.log(np.finfo(float).max),
-            "0 <= init.log_var_var < inf": 0 <= self.init.log_var_var < math.inf,
+            # the initial log-variances are exponentiated
+            "-inf < init_log_var_mean < log(max float)":
+                -math.inf < self.init_log_var_mean < np.log(np.finfo(float).max),
+            "0 <= init_log_var_var < inf": 0 <= self.init_log_var_var < math.inf,
         }
         broken = [rule for rule, ok in rules.items() if not ok]
         if broken:
@@ -107,14 +91,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> TrainConfig:
         """The config that plain JSON values describe, as in a ``--config``
-        file or a checkpoint header: nested dicts build the hyperprior and
-        init configs, and a key that names no field is a ValueError."""
+        file or a checkpoint header; a key that names no field is a
+        ValueError."""
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        nested = {"hyper": obj.HyperpriorConfig, "init": InitConfig}
-        return cls(**{key: nested[key](**value) if key in nested and isinstance(value, dict)
-                      else value for key, value in raw.items()})
+        return cls(**raw)
+
+    @property
+    def init(self) -> SimpleNamespace:
+        """The two init_* settings under their former nested names, which
+        perfbench/setup_probe.py reads."""
+        return SimpleNamespace(log_var_mean=self.init_log_var_mean,
+                               log_var_var=self.init_log_var_var)
 
     @property
     def likelihood_bound(self) -> float:
@@ -130,10 +119,10 @@ class TrainConfig:
         return n if n < 2000 else 128
 
 
-def _check_types(cfg) -> None:
-    """Each field of a config dataclass holds its annotated type: integers
-    (not bools or floats) for int fields, any real number but a bool for
-    float fields, the nested config classes for nested configs."""
+def _check_types(cfg: TrainConfig) -> None:
+    """Each field of the config holds its annotated type: integers (not
+    bools or floats) for int fields, any real number but a bool for float
+    fields, a string for str fields."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in ("int", "int | None"):
@@ -141,12 +130,8 @@ def _check_types(cfg) -> None:
                 isinstance(value, numbers.Integral) and not isinstance(value, bool))
         elif f.type == "float":
             ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        elif f.type == "str":
-            ok = isinstance(value, str)
         else:
-            ok = isinstance(value, type(f.default_factory()))
-            if ok:
-                _check_types(value)
+            ok = isinstance(value, str)
         if not ok:
             raise TypeError(f"{f.name} must be {f.type}, not {type(value).__name__} {value!r}")
 
@@ -165,12 +150,14 @@ class Adam:
     in-place passes over the whole buffer, in the arithmetic order of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     p -= lr*m_hat / (sqrt(v_hat) + eps), so every parameter gets the same
-    bits as from a per-parameter loop."""
+    bits as from a per-parameter loop. b1, b2 and eps are Kingma & Ba's
+    defaults, the class constants BETA1, BETA2 and EPS."""
 
-    def __init__(self, params: list[Parameter], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._ends = np.cumsum([p.data.size for p in params])
         self.data = np.concatenate([p.data.ravel() for p in params])
@@ -187,7 +174,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for p, view in zip(self.params, self._grads):
             if p.grad is not view:  # rebound by other code; None is no gradient
                 view[...] = 0.0 if p.grad is None else p.grad
@@ -205,7 +192,7 @@ class Adam:
         a *= self.lr
         np.divide(v, 1 - b2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += self.EPS
         self.data -= np.divide(a, b, out=a)
 
     def zero_grad(self) -> None:
@@ -216,22 +203,22 @@ class Adam:
 
 # -- checkpoint binary format -----------------------------------------------
 #
-# magic (8 bytes) | u32 header length | JSON header | float64 LE blobs.
-# The version 3 header holds the TrainConfig, the layer specs, the array
-# manifest in write order, the train-split std of regression targets, the
-# index and seed of that split, the CSV column of the targets (each of
-# these three null when there is none) and the zlib.crc32 of the blobs, so
-# that a flipped byte inside an array is a load error. Every key is
-# required. Writing is fully deterministic, so save -> load -> save is
-# byte-identical. Header keys and arrays not named here are ignored; other
-# versions are rejected.
+# magic (8 bytes) | u32 header length | JSON header | float64 LE arrays.
+# The version 4 header holds the TrainConfig, the layer specs, the
+# train-split std of regression targets, the index and seed of that split,
+# the CSV column of the targets (each of these three null when there is
+# none) and the zlib.crc32 of the arrays, so that a flipped byte inside an
+# array is a load error. Every key is required; other keys are ignored. The
+# arrays follow in MomentNetwork.parameters() order, with the shapes the
+# specs give them. Writing is fully deterministic, so save -> load -> save
+# is byte-identical. Other versions are rejected.
 
 
 @dataclass
 class Checkpoint:
     config: TrainConfig  # the one source of the task, beta and head at evaluation
     specs: list[LayerSpec]
-    arrays: dict[str, np.ndarray]  # weight means and log-variances
+    arrays: list[np.ndarray]  # weight means and log-variances, in parameters() order
     target_std: float | None = None  # train-split std of regression targets
     split: SplitPlan | None = None  # the regression split it trained on
     target_column: int | None = None  # of the CSV it trained on
@@ -243,19 +230,16 @@ class Checkpoint:
     def build_network(self) -> MomentNetwork:
         """The network for evaluation: plain tensors that record no tape
         (a checkpoint cannot resume training)."""
-        return MomentNetwork(self.specs, [
-            WeightDistribution(*(Tensor(self.arrays[f"w{i}.{name}"]) for name in _WEIGHT_FIELDS))
-            for i in range(len(self.specs))])
+        return MomentNetwork(self.specs, [WeightDistribution(*map(Tensor, self.arrays[i : i + 4]))
+                                          for i in range(0, len(self.arrays), 4)])
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    names = sorted(ckpt.arrays)
-    payload = b"".join(np.ascontiguousarray(ckpt.arrays[n], dtype="<f8").tobytes() for n in names)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in ckpt.arrays)
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
         "specs": [asdict(s) for s in ckpt.specs],
-        "arrays": [{"name": n, "shape": list(ckpt.arrays[n].shape)} for n in names],
         "target_std": ckpt.target_std,
         "split": None if ckpt.split is None else {"index": ckpt.split.split_index,
                                                   "seed": ckpt.split.seed},
@@ -287,30 +271,20 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
     if header["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"version {header['version']} checkpoints are not supported, "
                          f"only version {CHECKPOINT_VERSION}")
-    offset = 12 + hlen
-    if zlib.crc32(raw[offset:]) != header["crc32"]:
+    payload = raw[12 + hlen :]
+    if zlib.crc32(payload) != header["crc32"]:
         raise ValueError("the array bytes do not match the header's checksum")
-    arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = math.prod(shape)
-        if min(shape, default=0) < 0 or offset + 8 * count > len(raw):
-            raise ValueError("arrays shorter than the manifest")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{entry['name']} holds non-finite values")
-        arrays[entry["name"]] = arr.astype(np.float64)
-        offset += 8 * count
-    if offset != len(raw):
-        raise ValueError(f"{len(raw) - offset} bytes after the last array")
     specs = [LayerSpec(**s) for s in header["specs"]]
-    for i, spec in enumerate(specs):
-        shapes = [spec.weight_shape] * 2 + [(spec.n_out,)] * 2
-        for name, shape in zip(_WEIGHT_FIELDS, shapes):
-            if arrays[f"w{i}.{name}"].shape != shape:
-                raise ValueError(f"w{i}.{name} does not have the shape {shape} of layer {i}")
     if not specs:
         raise ValueError("no layers")
+    shapes = [shape for s in specs for shape in (s.weight_shape,) * 2 + ((s.n_out,),) * 2]
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"{len(payload)} array bytes where the layer specs need {8 * sum(sizes)}")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError("the arrays hold non-finite values")
+    arrays = [a.reshape(shape) for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     target_std = header["target_std"]
     if target_std is not None and not 0 < target_std < math.inf:
         raise ValueError("target_std must be positive")
@@ -329,13 +303,8 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
 
 def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None,
               split: SplitPlan | None = None, target_column: int | None = None) -> Checkpoint:
-    arrays = {
-        f"w{i}.{name}": getattr(w, name).data.copy()
-        for i, w in enumerate(net.weights)
-        for name in _WEIGHT_FIELDS
-    }
-    return Checkpoint(cfg, net.specs, arrays, None if record is None else record.target_std,
-                      split, target_column)
+    return Checkpoint(cfg, net.specs, [p.data.copy() for p in net.parameters()],
+                      None if record is None else record.target_std, split, target_column)
 
 
 # -- training ----------------------------------------------------------------
@@ -369,12 +338,12 @@ def _batch_objective(
     if cfg.objective == "edl":
         # ReLU evidence + 1 on the mean output: the baseline ignores weight variances
         alpha = obj.evidential_alpha(net.forward(x).mean)
-        return obj.edl_loss(alpha, one_hot(y, cfg.n_classes), cfg.beta_edl)
+        return obj.edl_loss(alpha, one_hot(y, cfg.n_classes))
 
     moments = net.forward(x)
     if cfg.task == "regression":
         lm = obj.regression_log_marginal(moments, y, cfg.beta)
-        kl = obj.regression_kl(moments, cfg.alpha_prior) if cfg.objective == "bedl+reg" else None
+        kl = obj.regression_kl(moments) if cfg.objective == "bedl+reg" else None
     else:
         eps = rng.standard_normal((cfg.mc_samples, len(x), cfg.n_classes))
         lm = obj.classification_log_marginal(moments, one_hot(y, cfg.n_classes), eps=eps)
@@ -385,12 +354,22 @@ def _batch_objective(
 
     if cfg.objective == "bedl-hyper":
         # the penalty over the whole dataset, taken per datum as the nll is
-        penalty, scale = obj.hyperprior_penalty(net.weights, cfg.hyper), 1.0 / n_data
+        penalty, scale = obj.hyperprior_penalty(net.weights), 1.0 / n_data
         regularizer = penalty.data * scale
         total = T.fused(report.total.data + regularizer, (report.total, penalty),
                         lambda g: (g, g * scale), "bedl_hyper_objective")
         return obj.ObjectiveReport(total=total, nll=report.nll, regularizer=float(regularizer))
     return report
+
+
+def _evaluable(net: MomentNetwork) -> bool:
+    """Whether the weights and the weight moments that evaluation reads,
+    such as exp(log_var), are all finite; an overflow prints nothing."""
+    with np.errstate(all="ignore"):
+        moments = net.weight_moments()
+    arrays = [p.data for p in net.parameters()] + [
+        a for m in moments for a in (m.var, m.bias_var, m.second) if a is not None]
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def default_specs(task: str, d_in: int, hidden: int = 50, n_classes: int = 10) -> list[LayerSpec]:
@@ -425,9 +404,9 @@ def train(
         raise ValueError(f"the output layer has {specs[-1].n_out} units but the {cfg.task} "
                          f"head reads {width}")
     rng = np.random.default_rng(cfg.seed)
-    net = build_network(specs, rng, log_var_mean=cfg.init.log_var_mean,
-                        log_var_var=cfg.init.log_var_var)
-    adam = Adam(net.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    net = build_network(specs, rng, log_var_mean=cfg.init_log_var_mean,
+                        log_var_var=cfg.init_log_var_var)
+    adam = Adam(net.parameters(), cfg.learning_rate)
     n = dataset.n
     batch = cfg.resolve_batch_size(n)
     metrics: list[dict] = []
@@ -454,8 +433,9 @@ def train(
             nll += report.nll
             reg += report.regularizer
             n_batches += 1
-        if not np.isfinite(adam.data).all():
-            raise TrainingDiverged(f"non-finite weights after epoch {epoch}", last_good, metrics)
+        if not _evaluable(net):
+            raise TrainingDiverged(f"non-finite weights or weight moments after epoch {epoch}",
+                                   last_good, metrics)
         metrics.append(
             {
                 "epoch": epoch,
@@ -483,14 +463,15 @@ class EvalMetrics:
         return f"{head}\n{row}\n"
 
 
-def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int, seed: int):
+def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int):
     """The checkpoint's output moments on the dataset and, for
     classification, their sampled predictive decomposition.
 
     Rows go through the forward pass and ``decompose`` EVAL_CHUNK at a time
-    with one rng, so memory does not grow with the dataset; ``decompose``
-    draws row by row, so no value depends on the chunk size. The weight
-    moments are computed once, before the first chunk."""
+    with one rng seeded with EVAL_SEED, so memory does not grow with the
+    dataset; ``decompose`` draws row by row, so no value depends on the
+    chunk size. The weight moments are computed once, before the first
+    chunk."""
     if ckpt.task != cfg.task:
         raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
     if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
@@ -502,7 +483,7 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
         check_rows(ckpt.specs, x.shape[1:])
     except ValueError as exc:
         raise DataError(f"the data does not fit the checkpoint: {exc}") from exc
-    net, rng = ckpt.build_network(), np.random.default_rng(seed)
+    net, rng = ckpt.build_network(), np.random.default_rng(EVAL_SEED)
     weight_moments = net.weight_moments()
     parts, reports = [], []
     for start in range(0, len(x), EVAL_CHUNK):
@@ -518,13 +499,8 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
         *(np.concatenate([getattr(r, f.name) for r in reports]) for f in fields(UncertaintyReport)))
 
 
-def evaluate(
-    ckpt: Checkpoint,
-    dataset: Dataset,
-    cfg: TrainConfig,
-    eval_samples: int = 100,
-    seed: int = 12345,
-) -> EvalMetrics:
+def evaluate(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
+             eval_samples: int = 100) -> EvalMetrics:
     """Test metrics for a checkpoint, scored under its own config; ``cfg``
     must agree with it in task and, for regression, in beta.
 
@@ -534,7 +510,7 @@ def evaluate(
     over [0, log C], with C the width of the output layer; a label outside
     the C classes is a DataError.
     """
-    moments, rep = _predict(ckpt, dataset, cfg, eval_samples, seed)
+    moments, rep = _predict(ckpt, dataset, cfg, eval_samples)
     if rep is None:
         lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.beta)
         correction = 0.0 if ckpt.target_std is None else -math.log(ckpt.target_std)
@@ -555,10 +531,9 @@ def evaluate(
     return EvalMetrics(values)
 
 
-def evaluate_entropies(
-    ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int = 100, seed: int = 12345
-) -> np.ndarray:
+def evaluate_entropies(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
+                       eval_samples: int = 100) -> np.ndarray:
     """Predictive entropies of a classification checkpoint, one per datum."""
     if cfg.task != "classification":
         raise ValueError(f"predictive entropies need task 'classification', not {cfg.task!r}")
-    return _predict(ckpt, dataset, cfg, eval_samples, seed)[1].entropy
+    return _predict(ckpt, dataset, cfg, eval_samples)[1].entropy

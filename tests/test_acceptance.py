@@ -126,7 +126,7 @@ def test_criterion_03_gradient_integrity():
     def reg_pac():
         mm = reg_net.forward(x)
         lm = O.regression_log_marginal(mm, y, 100.0)
-        return O.pac_objective(lm, O.regression_kl(mm, 1.0), 4, 0.05, bound).total
+        return O.pac_objective(lm, O.regression_kl(mm), 4, 0.05, bound).total
 
     worst = max(worst, check_grads(reg_bedl, reg_net.parameters(), rel_tol=1e-4))
     worst = max(worst, check_grads(reg_pac, reg_net.parameters(), rel_tol=1e-4))

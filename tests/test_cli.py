@@ -1,18 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 BEDL = [sys.executable, "-m", "bedl.cli"]
+# the repository's sources come first on the path, so bedl needs no install
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args, **kw):
-    return subprocess.run(
-        BEDL + list(args), capture_output=True, text=True, timeout=600, **kw
-    )
+def run_cli(*args):
+    return subprocess.run(BEDL + list(args), capture_output=True, text=True, timeout=600, env=ENV)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,17 @@ def test_unknown_config_key_is_usage_error(csv_file, tmp_path):
     assert "unknown config keys" in res.stderr
 
 
+def test_config_naming_a_removed_setting_is_usage_error_naming_it(csv_file, tmp_path):
+    # Adam's betas are constants now: naming one is refused even at its value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "beta1": 0.9}))
+    res = run_cli("train", "--data", str(csv_file), "--config", str(cfg),
+                  "--out", str(tmp_path / "x"))
+    assert res.returncode == 1 and res.stderr.startswith("error:"), res.stderr
+    assert "unknown config keys: ['beta1']" in res.stderr
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(csv_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -99,9 +114,8 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["--delta", "2"], None, 1, id="delta-2"),
     pytest.param(["--n-classes", "1", "--task", "classification"], None, 1, id="n-classes-1"),
     pytest.param(["--objective", "edl"], None, 1, id="edl-regression"),
-    pytest.param([], {"init": {"log_var_mean": -8}}, 0, id="init-dict"),
-    pytest.param([], {"init": {"log_var_men": -8}}, 1, id="init-unknown-key"),
-    pytest.param([], {"hyper": {"a0": -1.0}}, 1, id="hyper-a0-negative"),
+    pytest.param([], {"init_log_var_mean": -8, "init_log_var_var": 0.01}, 0, id="init-flat"),
+    pytest.param([], {"init_log_var_men": -8}, 1, id="init-unknown-key"),
     # eval scores under the checkpoint's own beta, classes and split: no flag sets them
     pytest.param(["eval", "--beta", "-1"], None, 1, id="eval-beta-negative"),
     pytest.param(["eval", "--n-classes", "2"], None, 1, id="eval-n-classes"),
@@ -109,10 +123,9 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["eval", "--split-index", "-3"], None, 1, id="eval-split-index-negative"),
     pytest.param(["eval", "--target-column", "0"], None, 1, id="eval-target-column"),
     pytest.param([], {"epochs": 1.5}, 1, id="epochs-float"),
-    pytest.param([], {"init": 5}, 1, id="init-int"),
     pytest.param([], {"batch_size": "32"}, 1, id="batch-string"),
-    pytest.param([], {"init": {"log_var_var": -1}}, 1, id="init-negative-variance"),
-    pytest.param([], {"init": {"log_var_mean": 800}}, 1, id="init-exp-overflow"),
+    pytest.param([], {"init_log_var_var": -1}, 1, id="init-negative-variance"),
+    pytest.param([], {"init_log_var_mean": 800}, 1, id="init-exp-overflow"),
     pytest.param(["--hidden", "0"], None, 1, id="hidden-0"),
     pytest.param(["eval", "--eval-samples", "1"], None, 1, id="eval-samples-1"),
     pytest.param([], [1, 2], 1, id="config-not-an-object"),
@@ -123,12 +136,17 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param(["--lr", "nan"], None, 1, id="lr-nan"),
     pytest.param(["--lr", "inf"], None, 1, id="lr-inf"),
     pytest.param(["--beta", "inf"], None, 1, id="beta-inf"),
+    # settings that are constants now, and the former nested init config:
+    # a config file that names one is refused whatever the value
     pytest.param([], {"beta1": 1.0}, 1, id="beta1-1"),
     pytest.param([], {"beta2": -0.1}, 1, id="beta2-negative"),
     pytest.param([], {"adam_eps": 0}, 1, id="adam-eps-0"),
     pytest.param([], {"alpha_prior": float("nan")}, 1, id="alpha-prior-nan"),
     pytest.param([], {"beta_edl": -1.0}, 1, id="beta-edl-negative"),
+    pytest.param([], {"hyper": {"a0": -1.0}}, 1, id="hyper-a0-negative"),
     pytest.param([], {"hyper": {"b0": float("nan")}}, 1, id="hyper-b0-nan"),
+    pytest.param([], {"init": {"log_var_mean": -8}}, 1, id="init-dict"),
+    pytest.param([], {"init": 5}, 1, id="init-int"),
     pytest.param(["--limit", "0"], None, 1, id="limit-0"),
     pytest.param(["--limit", "-3"], None, 1, id="limit-negative"),
     pytest.param(["verify", "--n-samples", "50"], None, 1, id="verify-n-samples-50"),
@@ -233,8 +251,9 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     flipped = bytearray(raw)
     flipped[12 + hlen + 8] ^= 0x01
     (d / "flipped-byte.bin").write_bytes(bytes(flipped))
-    # headers of version 2, and version 3 headers that lack a key
+    # headers of versions 2 and 3, and version 4 headers that lack a key
     for name, edit in (("version-2", lambda h: h.update(version=2)),
+                       ("version-3", lambda h: h.update(version=3)),
                        ("no-crc32", lambda h: h.pop("crc32")),
                        ("no-split", lambda h: h.pop("split")),
                        ("no-target-column", lambda h: h.pop("target_column"))):
@@ -276,6 +295,7 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/stride-float.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/fan-out-bool.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/version-2.bin"],
+    ["eval", "--data", "{csv}", "--checkpoint", "{d}/version-3.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-crc32.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-split.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-target-column.bin"],
@@ -283,7 +303,7 @@ def bad_data(trained_checkpoint, tmp_path_factory):
         "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "eval-flipped-byte",
         "train-label-1.7", "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias",
         "eval-kernel-float", "eval-stride-float", "eval-fan-out-bool", "eval-version-2",
-        "eval-no-crc32", "eval-no-split", "eval-no-target-column"])
+        "eval-version-3", "eval-no-crc32", "eval-no-split", "eval-no-target-column"])
 def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
                                             capsys):
     # cli.main runs in this process, so an unmapped exception fails the test
@@ -462,11 +482,49 @@ def test_diverged_train_writes_its_last_finite_epoch(csv_file, tmp_path, monkeyp
         assert info.value.code == 3 and err.startswith("numerical failure:"), err
     finite, diverged = (btrain.load_checkpoint(tmp_path / name / "checkpoint.bin")
                         for name in ("finite", "diverged"))
-    for name, arr in finite.arrays.items():
-        assert diverged.arrays[name].tobytes() == arr.tobytes(), name
+    assert [a.tobytes() for a in diverged.arrays] == [a.tobytes() for a in finite.arrays]
     assert ((tmp_path / "diverged" / "metrics.csv").read_text()
             == (tmp_path / "finite" / "metrics.csv").read_text())
     assert not (tmp_path / "first").exists()
+
+
+def test_run_whose_weight_moments_overflow_writes_nothing(tmp_path):
+    # at lr 1e300 the first step leaves finite weights whose exp(log_var)
+    # overflows: such a checkpoint cannot be evaluated, so none is written,
+    # and the check prints no numpy warning
+    data = tmp_path / "s60.csv"
+    rows = np.random.default_rng(1).normal(size=(60, 5))
+    data.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in rows))
+    res = run_cli("train", "--data", str(data), "--lr", "1e300", "--epochs", "2",
+                  "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("numerical failure:") and "after epoch 1" in res.stderr
+    assert "Warning" not in res.stderr, res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_feature_constant_on_the_train_rows_is_dropped(tmp_path):
+    # a column that is 7.77 on every train row of split 0 and 7.78 on one
+    # test row: its float std over the train rows is 1.8e-15, not 0, and
+    # dividing by it put that test row at 1e12 and test_rmse at 1e11
+    from bedl.data import SplitPlan, make_splits
+
+    r = np.random.default_rng(4)
+    x = r.normal(size=(80, 2))
+    y = np.sin(x[:, 0]) + 0.5 * x[:, 1] + 0.05 * r.normal(size=80)
+    const = np.full(80, 7.77)
+    const[make_splits(80, SplitPlan(0))[1][0]] = 7.78
+    data = tmp_path / "const.csv"
+    data.write_text("".join(f"{a:.8f},{c:.2f},{b:.8f},{t:.8f}\n"
+                            for a, c, b, t in zip(x[:, 0], const, x[:, 1], y)))
+    out = tmp_path / "run"
+    res = run_cli("train", "--data", str(data), "--epochs", "5", "--hidden", "8", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    ev = run_cli("eval", "--data", str(data), "--checkpoint", str(out / "checkpoint.bin"))
+    assert ev.returncode == 0, ev.stderr
+    assert "dropping 1 zero-variance train columns" in ev.stderr
+    values = dict(zip(*(line.split(",") for line in ev.stdout.splitlines())))
+    assert float(values["test_rmse"]) < 10.0, values
 
 
 def test_version_1_checkpoint_is_data_error(csv_file, tmp_path, monkeypatch, capsys):

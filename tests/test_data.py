@@ -85,6 +85,11 @@ def test_load_csv_drops_constant_columns(tmp_path):
     np.testing.assert_array_equal(ds.features, [[1.0], [3.0], [5.0]])
     np.testing.assert_array_equal(ds.targets, [2.0, 4.0, 6.0])
     assert ds.target_column == 2
+    # constancy is tested exactly: the float std of 455 values of 7.77 is 2.7e-15
+    p.write_text("".join(f"{i},7.77,{i % 5}\n" for i in range(455)))
+    assert np.full(455, 7.77).std() > 0.0
+    with pytest.warns(UserWarning, match=r"constant feature columns \[1\]"):
+        assert load_csv(p).features.shape == (455, 1)
 
 
 # -- IDX ---------------------------------------------------------------------
@@ -189,14 +194,23 @@ def test_standardize_drops_zero_variance_columns():
         out, _ = standardize(ds, np.arange(10))
     mean, std = (stat(x[:10], axis=0)[[0, 2]] for stat in (np.mean, np.std))
     np.testing.assert_array_equal(out.features, (x[:, [0, 2]] - mean) / std)
+    # a column of 7.77 on 455 train rows has a float std of 2.7e-15, not 0:
+    # it is dropped all the same, so the 7.78 of a test row is not put at 1e12
+    x = np.column_stack([rng.normal(size=456), np.full(456, 7.77)])
+    x[455, 1] = 7.78
+    ds = Dataset(x, rng.normal(size=456), task="regression")
+    with pytest.warns(UserWarning, match="dropping 1 zero-variance train columns"):
+        out, _ = standardize(ds, np.arange(455))
+    assert out.features.shape == (456, 1) and np.abs(out.features).max() < 10.0
 
 
 def test_standardize_constant_target_rejected():
     from bedl.data import Dataset
 
-    ds = Dataset(rng.normal(size=(10, 2)), np.ones(10), task="regression")
-    with pytest.raises(DataError, match="constant regression target"):
-        standardize(ds, np.arange(10))
+    for y in (np.ones(10), np.full(455, 7.77)):  # the float std of the second is 2.7e-15
+        ds = Dataset(rng.normal(size=(len(y), 2)), y, task="regression")
+        with pytest.raises(DataError, match="constant regression target"):
+            standardize(ds, np.arange(len(y)))
 
 
 def test_one_hot():

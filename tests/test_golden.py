@@ -25,7 +25,7 @@ import scipy
 
 from bedl.data import Dataset
 from bedl.layers import LayerSpec
-from bedl.train import InitConfig, TrainConfig, default_specs, evaluate, train
+from bedl.train import TrainConfig, default_specs, evaluate, train
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -89,7 +89,7 @@ def digest(name: str) -> dict:
     # weight variances far above the default init's, so that the activation
     # moments' variance terms reach the outputs
     cfg = TrainConfig(objective=objective, task=ds.task, epochs=20, learning_rate=0.01,
-                      batch_size=16, n_classes=3, seed=5, init=InitConfig(log_var_mean=-3.0))
+                      batch_size=16, n_classes=3, seed=5, init_log_var_mean=-3.0)
     result = train(ds, specs, cfg)
     values = evaluate(result.checkpoint, ds, cfg, eval_samples=20).values
     return {"metrics_csv_sha256": hashlib.sha256(result.metrics_csv().encode()).hexdigest(),

@@ -14,7 +14,6 @@ from bedl import tensor as T
 tr = importlib.import_module("bedl.train")
 from bedl.data import DataError, Dataset
 from bedl.layers import LayerSpec, WeightMoments, build_network
-from bedl.objectives import HyperpriorConfig
 from bedl.uncertainty import decompose
 
 from conftest import check_grads, weighted_sum
@@ -48,19 +47,11 @@ def test_config_validation():
         {"learning_rate": -1.0},
         {"learning_rate": nan},
         {"learning_rate": inf},
-        {"beta1": 1.0},
-        {"beta2": -0.1},
-        {"adam_eps": 0.0},
         {"beta": inf},
         {"beta": nan},
-        {"alpha_prior": nan},
-        {"beta_edl": -1.0},
-        {"hyper": HyperpriorConfig(b0=nan)},
-        {"hyper": HyperpriorConfig(alpha0=inf)},
         {"batch_size": 0},
         {"beta": -1.0},
         {"delta": 2.0},
-        {"alpha_prior": 0.0},
         {"task": "ranking"},
         {"objective": "edl"},
         {"task": "classification", "mc_samples": 0},
@@ -70,23 +61,22 @@ def test_config_validation():
         with pytest.raises(ValueError):
             tr.TrainConfig(**kw)
     # the initial log-variances must be drawable and their exp finite
-    for kw in ({"log_var_var": -1.0}, {"log_var_mean": 800.0}, {"log_var_mean": float("nan")},
-               {"log_var_var": float("inf")}):
+    for kw in ({"init_log_var_var": -1.0}, {"init_log_var_mean": 800.0},
+               {"init_log_var_mean": float("nan")}, {"init_log_var_var": float("inf")}):
         with pytest.raises(ValueError):
-            tr.TrainConfig(init=tr.InitConfig(**kw))
+            tr.TrainConfig(**kw)
 
 
 def test_config_types():
-    # integer fields take no floats or bools, float fields take ints, and
-    # the nested configs must be their classes
+    # integer fields take no floats or bools, float fields take ints but
+    # no bools or strings
     for kw in (
         {"epochs": 1.5},
         {"seed": True},
         {"batch_size": "32"},
         {"learning_rate": "0.1"},
-        {"init": 5},
-        {"hyper": {"a0": 2.0}},
-        {"init": tr.InitConfig(log_var_mean="-8")},
+        {"init_log_var_mean": "-8"},
+        {"init_log_var_var": False},
     ):
         with pytest.raises(TypeError):
             tr.TrainConfig(**kw)
@@ -172,10 +162,10 @@ class _ReferenceAdam:
     (None after zero_grad): the per-parameter loop the flat Adam must equal
     bit for bit."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -200,10 +190,6 @@ class _ReferenceAdam:
         for p in self.params:
             p.grad = None
 
-    @property
-    def data(self):  # what train() checks for finite weights after each epoch
-        return np.concatenate([p.data.ravel() for p in self.params])
-
 
 @pytest.mark.parametrize("net", ["regression", "dense-classifier", "conv-classifier"])
 def test_training_equals_the_reference_adam_bit_for_bit(monkeypatch, net):
@@ -220,9 +206,9 @@ def test_training_equals_the_reference_adam_bit_for_bit(monkeypatch, net):
     monkeypatch.setattr(tr, "Adam", _ReferenceAdam)
     reference = tr.train(ds, specs, cfg)
     assert flat.metrics_csv() == reference.metrics_csv()
-    assert flat.checkpoint.arrays.keys() == reference.checkpoint.arrays.keys()
-    for name, arr in reference.checkpoint.arrays.items():
-        assert flat.checkpoint.arrays[name].tobytes() == arr.tobytes(), name
+    assert len(flat.checkpoint.arrays) == len(reference.checkpoint.arrays)
+    for i, (a, b) in enumerate(zip(flat.checkpoint.arrays, reference.checkpoint.arrays)):
+        assert a.tobytes() == b.tobytes(), i
 
 
 def test_adam_owns_the_parameter_storage():
@@ -304,7 +290,7 @@ def _rewrite_header(path, edit):
 
 
 def test_checkpoint_header_without_a_checksum_is_data_error(tmp_path):
-    # every key of a version 3 header is required: none has a default
+    # every key of a version 4 header is required: none has a default
     result, _, _ = _train_small(epochs=1)
     path = tmp_path / "c.bin"
     tr.save_checkpoint(result.checkpoint, path)
@@ -313,7 +299,7 @@ def test_checkpoint_header_without_a_checksum_is_data_error(tmp_path):
         tr.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 5])
 def test_checkpoint_of_another_version_is_data_error_naming_it(tmp_path, version):
     result, _, _ = _train_small(epochs=1)
     path = tmp_path / "c.bin"
@@ -331,39 +317,54 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_with_optimizer_and_rng_state_loads(tmp_path):
-    # header keys and arrays that version 3 does not name are ignored: here
-    # Adam moments (arrays adam.m*/adam.v*) and adam_t, rng_state and
-    # config_hash header keys
+    # header keys that version 4 does not name are ignored: here adam_t,
+    # rng_state and config_hash, and an array manifest as version 3 wrote
     result, ds, cfg = _train_small()
-    ckpt = result.checkpoint
-    arrays = dict(ckpt.arrays)
-    for i, name in enumerate(sorted(ckpt.arrays)):
-        arrays[f"adam.m{i}"] = np.full_like(ckpt.arrays[name], 0.5)
-        arrays[f"adam.v{i}"] = np.full_like(ckpt.arrays[name], 0.25)
-    names = sorted(arrays)
-    payload = b"".join(arrays[n].astype("<f8").tobytes() for n in names)
-    header = {
-        "version": 3,
-        "config": dataclasses.asdict(ckpt.config),
-        "specs": [dataclasses.asdict(s) for s in ckpt.specs],
-        "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
-        "adam_t": 6,
-        "rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                      "state": {"inc": 2**100 + 1, "state": 2**120 + 7}},
-        "config_hash": "0123456789abcdef",
-        "target_std": 1.5,
-        "split": None,
-        "target_column": None,
-        "crc32": zlib.crc32(payload),
-    }
-    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path = tmp_path / "old.bin"
-    path.write_bytes(b"BEDLCKP1" + struct.pack("<I", len(hb)) + hb + payload)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    _rewrite_header(path, lambda h: h.update(
+        adam_t=6, config_hash="0123456789abcdef", arrays=[{"name": "w0.mean", "shape": [3, 8]}],
+        rng_state={"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                   "state": {"inc": 2**100 + 1, "state": 2**120 + 7}}))
     loaded = tr.load_checkpoint(path)
-    assert loaded.specs == ckpt.specs and loaded.config == ckpt.config
-    assert loaded.target_std == 1.5
-    ckpt.target_std = 1.5
-    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(ckpt, ds, cfg).values
+    assert loaded.specs == result.checkpoint.specs and loaded.config == cfg
+    assert tr.evaluate(loaded, ds, cfg).values == tr.evaluate(result.checkpoint, ds, cfg).values
+
+
+@pytest.mark.parametrize("edit", ["optimizer-arrays-appended", "last-value-cut"])
+def test_checkpoint_whose_array_bytes_do_not_match_the_specs_is_data_error(tmp_path, edit):
+    # the specs give every array's shape: extra arrays, such as Adam's
+    # moments, and missing values are data errors even under a checksum
+    # that matches them
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    payload = raw[12 + hlen :]
+    if edit == "optimizer-arrays-appended":
+        payload += b"".join(np.full_like(a, 0.5).tobytes() for a in result.checkpoint.arrays)
+    else:
+        payload = payload[:-8]
+    path.write_bytes(raw[: 12 + hlen] + payload)
+    _rewrite_header(path, lambda h: h.update(crc32=zlib.crc32(payload)))
+    with pytest.raises(DataError, match="array bytes where the layer specs need"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_arrays_follow_the_parameters_in_order(tmp_path):
+    # the payload is the parameters' float64 values, layer by layer in
+    # mean, log_var, bias_mean, bias_log_var order, and nothing else
+    result, _, _ = _train_small(epochs=1)
+    path = tmp_path / "c.bin"
+    tr.save_checkpoint(result.checkpoint, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    net = result.checkpoint.build_network()
+    assert raw[12 + hlen :] == b"".join(p.data.astype("<f8").tobytes() for p in net.parameters())
+    assert [p.data.shape for p in net.parameters()] == [(3, 8), (3, 8), (8,), (8,),
+                                                        (8, 2), (8, 2), (2,), (2,)]
+    assert "arrays" not in json.loads(raw[12 : 12 + hlen])
 
 
 def test_checkpoint_spec_with_the_old_bias_or_alpha_key_is_data_error(tmp_path):
@@ -404,7 +405,7 @@ def test_evaluate_task_mismatch():
 def test_evaluation_builds_no_tape():
     for task in ("regression", "classification"):
         result, ds, cfg = _train_small(task=task, epochs=1)
-        moments, _ = tr._predict(result.checkpoint, ds, cfg, eval_samples=10, seed=0)
+        moments, _ = tr._predict(result.checkpoint, ds, cfg, eval_samples=10)
         for t in (moments.mean, moments.var):
             assert t._parents == () and t._backward_fn is None and not t.requires_grad
 
@@ -419,7 +420,7 @@ def test_evaluation_builds_no_tape():
     pytest.param(lambda h: h.update(target_column=True), id="target-column-bool"),
     pytest.param(lambda h: h["config"].update(beta=-1.0), id="config-beta-negative"),
     pytest.param(lambda h: h["config"].update(epohcs=3), id="config-unknown-key"),
-    pytest.param(lambda h: h.update(arrays=5), id="arrays-not-a-list"),
+    pytest.param(lambda h: h.update(specs=5), id="specs-not-a-list"),
     pytest.param(lambda h: h["specs"][0].update(fan_in=4), id="spec-array-mismatch"),
     pytest.param(lambda h: h["specs"][0].update(kind="lstm"), id="unknown-layer"),
     pytest.param(lambda h: h.update(target_std=-1.0), id="negative-target-std"),
@@ -627,8 +628,8 @@ def test_training_is_bitwise_deterministic():
     r1, _, _ = _train_small(epochs=4)
     r2, _, _ = _train_small(epochs=4)
     assert r1.metrics_csv() == r2.metrics_csv()
-    for name in r1.checkpoint.arrays:
-        np.testing.assert_array_equal(r1.checkpoint.arrays[name], r2.checkpoint.arrays[name])
+    for a, b in zip(r1.checkpoint.arrays, r2.checkpoint.arrays, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("objective", ["bedl", "bedl+reg", "bedl-hyper", "edl"])
@@ -695,8 +696,8 @@ def test_diverged_run_keeps_the_last_finite_checkpoint(monkeypatch):
     with pytest.raises(tr.TrainingDiverged, match="epoch 3") as info:
         tr.train(ds, specs, tr.TrainConfig(epochs=5))  # full batch: one step per epoch
     arrays = info.value.checkpoint.arrays
-    assert all(np.isfinite(a).all() for a in arrays.values())
-    assert all(a.tobytes() == finite.checkpoint.arrays[k].tobytes() for k, a in arrays.items())
+    assert all(np.isfinite(a).all() for a in arrays)
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in finite.checkpoint.arrays]
     assert info.value.metrics == finite.metrics
 
 
@@ -733,6 +734,13 @@ def test_training_diverged_carries_last_checkpoint():
     cfg = tr.TrainConfig(epochs=3, learning_rate=1e30, seed=0)
     with np.errstate(over="ignore"), pytest.raises(tr.TrainingDiverged) as info:
         tr.train(ds, specs, cfg)
-    # divergence in the first epochs may or may not leave a snapshot;
-    # the attribute must exist either way
-    assert hasattr(info.value, "checkpoint")
+    # a diverged run keeps no checkpoint, or one that evaluation can read:
+    # finite weights whose moments, such as exp(log_var), are finite too
+    ckpt = info.value.checkpoint
+    if ckpt is not None:
+        net = ckpt.build_network()
+        with np.errstate(all="raise"):
+            moments = net.weight_moments()
+        assert all(np.isfinite(p.data).all() for p in net.parameters())
+        assert all(np.isfinite(a).all() for m in moments for a in (m.var, m.bias_var, m.second)
+                   if a is not None)
