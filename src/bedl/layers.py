@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,13 +374,33 @@ def activation_moments(f: GaussianActivation, spec: LayerSpec) -> GaussianActiva
     return f
 
 
-@dataclass
 class MomentNetwork:
     """A chain of layers with Gaussian weights, evaluated by recursive
-    moment matching from the (deterministic) input upward."""
+    moment matching from the (deterministic) input upward.
 
-    specs: list[LayerSpec]
-    weights: list[WeightDistribution] = field(default_factory=list)
+    The network owns its trainable state as one flat float64 buffer
+    ``data``. Layer by layer, the weight mean and log-variance (weight_shape
+    each) and the bias mean and log-variance (n_out each) are views of it, in
+    parameters() order; this constructor is the one place that lays them
+    out. Given a gradient buffer ``grad`` of the same size, the views are
+    Parameters whose grads are the views of ``grad`` at the same place, so
+    backward passes add into it; without one they are plain tensors that
+    record no tape. A buffer of another size is a ValueError."""
+
+    def __init__(self, specs: list[LayerSpec], data: np.ndarray, grad: np.ndarray | None = None):
+        if not specs:
+            raise ValueError("network has no layers")
+        shapes = [shape for s in specs for shape in (s.weight_shape,) * 2 + ((s.n_out,),) * 2]
+        ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        if data.shape != (ends[-1],):
+            raise ValueError(f"{data.size} values where the layer specs need {ends[-1]}")
+        tensors = []
+        for a, b, shape in zip(ends, ends[1:], shapes):
+            view = data[a:b].reshape(shape)
+            tensors.append(Tensor(view) if grad is None
+                           else Parameter(view, grad[a:b].reshape(shape)))
+        self.specs, self.data, self.grad = specs, data, grad
+        self.weights = [WeightDistribution(*tensors[i : i + 4]) for i in range(0, len(tensors), 4)]
 
     def parameters(self) -> list[Parameter]:
         return [p for w in self.weights for p in w.parameters()]
@@ -390,7 +410,7 @@ class MomentNetwork:
         input is deterministic, so only it goes without E[w^2]."""
         return [WeightMoments.of(w, i > 0) for i, w in enumerate(self.weights)]
 
-    def forward(self, x: np.ndarray | Tensor,
+    def forward(self, x: np.ndarray,
                 moments: list[WeightMoments] | None = None) -> GaussianActivation:
         """Propagate a deterministic input batch; returns final-layer
         pre-activation moments (the last spec's activation is applied only
@@ -398,10 +418,7 @@ class MomentNetwork:
         ValueError that names it (see check_rows). ``moments``, from
         ``weight_moments()`` on the current weights, saves recomputing them
         when many batches go through unchanged weights."""
-        if not (self.specs and self.weights):
-            raise ValueError("network has no layers")
-        mean = x if isinstance(x, Tensor) else T.constant(np.asarray(x, dtype=np.float64))
-        var = None  # the input is deterministic
+        mean, var = Tensor(x), None  # the input is deterministic
         check_rows(self.specs, mean.shape[1:])
         moments = moments or [None] * len(self.weights)
         for spec, w, wm in zip(self.specs, self.weights, moments):
@@ -413,16 +430,18 @@ class MomentNetwork:
 
 
 def init_weights(spec: LayerSpec, rng: np.random.Generator, log_var_mean: float = INIT_LOG_VAR_MEAN,
-                 log_var_var: float = INIT_LOG_VAR_VAR) -> WeightDistribution:
+                 log_var_var: float = INIT_LOG_VAR_VAR) -> list[np.ndarray]:
     """He-Normal weight means (std sqrt(2/fan_in)), zero bias means, and
-    near-deterministic log-variances drawn from N(log_var_mean, log_var_var)."""
+    near-deterministic log-variances drawn from N(log_var_mean, log_var_var),
+    in WeightDistribution.parameters() order."""
     shape = spec.weight_shape
-    fan_in = shape[0]
-    mean = Parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
-    log_var = Parameter(rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape))
-    bias_log_var = Parameter(rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape[1]))
-    return WeightDistribution(mean, log_var, Parameter(np.zeros(shape[1])), bias_log_var)
+    mean = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+    log_var = rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape)
+    bias_log_var = rng.normal(log_var_mean, np.sqrt(log_var_var), size=shape[1])
+    return [mean, log_var, np.zeros(shape[1]), bias_log_var]
 
 
 def build_network(specs: list[LayerSpec], rng: np.random.Generator, **init_kw) -> MomentNetwork:
-    return MomentNetwork(specs, [init_weights(s, rng, **init_kw) for s in specs])
+    """A freshly initialized network with a zeroed gradient buffer, for training."""
+    data = np.concatenate([a.ravel() for s in specs for a in init_weights(s, rng, **init_kw)])
+    return MomentNetwork(specs, data, np.zeros_like(data))

@@ -110,17 +110,14 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor; gradient is accumulated across backward passes
-    until ``grad`` is set to None (or to a zeroed buffer, as Adam does)."""
+    """Trainable tensor; backward passes add into ``grad``: a given buffer,
+    such as a view of a network's flat gradient, or else a fresh array."""
 
     __slots__ = ()
 
-    def __init__(self, data):
+    def __init__(self, data, grad: np.ndarray | None = None):
         super().__init__(data, requires_grad=True)
-
-
-def constant(x) -> Tensor:
-    return Tensor(x)
+        self.grad = grad
 
 
 def fused(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:

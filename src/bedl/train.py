@@ -17,7 +17,7 @@ from . import objectives as obj
 from . import tensor as T
 from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels, one_hot
 from .layers import (INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR, GaussianActivation, LayerSpec,
-                     MomentNetwork, Parameter, WeightDistribution, build_network, check_rows)
+                     MomentNetwork, build_network, check_rows)
 from .tensor import NumericsError, Tensor
 from .uncertainty import UncertaintyReport, decompose, ecdf_auc, test_error
 
@@ -140,49 +140,29 @@ def _check_types(cfg: TrainConfig) -> None:
 
 
 class Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980) over one flat float64 buffer.
+    """Adam (Kingma & Ba, arXiv:1412.6980) over a network's flat buffers.
 
-    The optimizer owns the parameter storage: ``__init__`` copies every
-    parameter into ``self.data`` and rebinds each ``p.data`` to a view of it,
-    so an array taken from ``p.data`` before then goes stale. ``zero_grad``
-    points each ``p.grad`` at its view of the flat gradient ``self.grad``, into
-    which backward passes accumulate in place. ``step`` runs the update as
-    in-place passes over the whole buffer, in the arithmetic order of
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    ``step`` updates ``net.data`` from ``net.grad``, into which backward
+    passes add, as in-place passes over the whole buffer, in the arithmetic
+    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     p -= lr*m_hat / (sqrt(v_hat) + eps), so every parameter gets the same
     bits as from a per-parameter loop. b1, b2 and eps are Kingma & Ba's
     defaults, the class constants BETA1, BETA2 and EPS."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Parameter], lr: float):
-        self.params = params
-        self.lr = lr
-        self.t = 0
-        self._ends = np.cumsum([p.data.size for p in params])
-        self.data = np.concatenate([p.data.ravel() for p in params])
-        self.grad = np.zeros_like(self.data)
-        self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
-        self._scratch = np.empty_like(self.data), np.empty_like(self.data)
-        for p, view in zip(params, self._views(self.data)):
-            p.data = view
-        self._grads = self._views(self.grad)
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[end - p.data.size : end].reshape(p.data.shape)
-                for p, end in zip(self.params, self._ends)]
+    def __init__(self, net: MomentNetwork, lr: float):
+        self.net, self.lr, self.t = net, lr, 0
+        self.m, self.v = np.zeros_like(net.data), np.zeros_like(net.data)
+        self._scratch = np.empty_like(net.data), np.empty_like(net.data)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        for p, view in zip(self.params, self._grads):
-            if p.grad is not view:  # rebound by other code; None is no gradient
-                view[...] = 0.0 if p.grad is None else p.grad
-        g, m, v, (a, b) = self.grad, self.m, self.v, self._scratch
+        g, m, v, (a, b) = self.net.grad, self.m, self.v, self._scratch
         if not np.isfinite(g).all():
-            bad = np.flatnonzero(~np.isfinite(g))[0]
-            i = int(np.searchsorted(self._ends, bad, side="right"))
-            raise NumericsError(f"non-finite gradient in parameter {i}")
+            bad = [not np.isfinite(p.grad).all() for p in self.net.parameters()]
+            raise NumericsError(f"non-finite gradient in parameter {bad.index(True)}")
         m *= b1
         m += np.multiply(g, 1 - b1, out=a)
         v *= b2
@@ -193,12 +173,10 @@ class Adam:
         np.divide(v, 1 - b2**self.t, out=b)
         np.sqrt(b, out=b)
         b += self.EPS
-        self.data -= np.divide(a, b, out=a)
+        self.net.data -= np.divide(a, b, out=a)
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-        for p, view in zip(self.params, self._grads):
-            p.grad = view
+        self.net.grad.fill(0.0)
 
 
 # -- checkpoint binary format -----------------------------------------------
@@ -209,16 +187,17 @@ class Adam:
 # the CSV column of the targets (each of these three null when there is
 # none) and the zlib.crc32 of the arrays, so that a flipped byte inside an
 # array is a load error. Every key is required; other keys are ignored. The
-# arrays follow in MomentNetwork.parameters() order, with the shapes the
-# specs give them. Writing is fully deterministic, so save -> load -> save
-# is byte-identical. Other versions are rejected.
+# arrays are the network's flat buffer MomentNetwork.data, whose size the
+# specs fix, and they must hold weights whose moments evaluation can read.
+# Writing is fully deterministic, so save -> load -> save is byte-identical.
+# Other versions are rejected.
 
 
 @dataclass
 class Checkpoint:
     config: TrainConfig  # the one source of the task, beta and head at evaluation
     specs: list[LayerSpec]
-    arrays: list[np.ndarray]  # weight means and log-variances, in parameters() order
+    data: np.ndarray  # the network's flat buffer of weight means and log-variances
     target_std: float | None = None  # train-split std of regression targets
     split: SplitPlan | None = None  # the regression split it trained on
     target_column: int | None = None  # of the CSV it trained on
@@ -228,14 +207,13 @@ class Checkpoint:
         return self.config.task
 
     def build_network(self) -> MomentNetwork:
-        """The network for evaluation: plain tensors that record no tape
-        (a checkpoint cannot resume training)."""
-        return MomentNetwork(self.specs, [WeightDistribution(*map(Tensor, self.arrays[i : i + 4]))
-                                          for i in range(0, len(self.arrays), 4)])
+        """The network for evaluation, with no gradient buffer (a
+        checkpoint cannot resume training)."""
+        return MomentNetwork(self.specs, self.data)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in ckpt.arrays)
+    payload = np.ascontiguousarray(ckpt.data, dtype="<f8").tobytes()
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.config),
@@ -274,17 +252,10 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
     payload = raw[12 + hlen :]
     if zlib.crc32(payload) != header["crc32"]:
         raise ValueError("the array bytes do not match the header's checksum")
-    specs = [LayerSpec(**s) for s in header["specs"]]
-    if not specs:
-        raise ValueError("no layers")
-    shapes = [shape for s in specs for shape in (s.weight_shape,) * 2 + ((s.n_out,),) * 2]
-    sizes = [math.prod(shape) for shape in shapes]
-    if len(payload) != 8 * sum(sizes):
-        raise ValueError(f"{len(payload)} array bytes where the layer specs need {8 * sum(sizes)}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if not np.isfinite(flat).all():
-        raise ValueError("the arrays hold non-finite values")
-    arrays = [a.reshape(shape) for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    net = MomentNetwork([LayerSpec(**s) for s in header["specs"]],
+                        np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    if not _evaluable(net):
+        raise ValueError("the weights or their moments, such as exp(log_var), are not finite")
     target_std = header["target_std"]
     if target_std is not None and not 0 < target_std < math.inf:
         raise ValueError("target_std must be positive")
@@ -297,13 +268,13 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
         split = SplitPlan(split["index"], split["seed"])
     if column is not None and (type(column) is not int or column < 0):
         raise ValueError(f"target_column {column!r} is not a non-negative integer")
-    return Checkpoint(TrainConfig.from_dict(header["config"]), specs, arrays, target_std, split,
-                      column)
+    return Checkpoint(TrainConfig.from_dict(header["config"]), net.specs, net.data, target_std,
+                      split, column)
 
 
 def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None,
               split: SplitPlan | None = None, target_column: int | None = None) -> Checkpoint:
-    return Checkpoint(cfg, net.specs, [p.data.copy() for p in net.parameters()],
+    return Checkpoint(cfg, net.specs, net.data.copy(),
                       None if record is None else record.target_std, split, target_column)
 
 
@@ -406,7 +377,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     net = build_network(specs, rng, log_var_mean=cfg.init_log_var_mean,
                         log_var_var=cfg.init_log_var_var)
-    adam = Adam(net.parameters(), cfg.learning_rate)
+    adam = Adam(net, cfg.learning_rate)
     n = dataset.n
     batch = cfg.resolve_batch_size(n)
     metrics: list[dict] = []

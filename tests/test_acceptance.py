@@ -14,7 +14,7 @@ import bedl.objectives as O
 from bedl.data import Dataset, SplitPlan, load_csv, load_idx, make_splits, standardize
 from bedl.layers import LayerSpec, build_network
 from bedl.oracle import make_rng, sample_forward, sample_marginal_likelihood
-from bedl.tensor import constant
+from bedl.tensor import Tensor
 from bedl.train import TrainConfig, default_specs, evaluate, evaluate_entropies, train
 from bedl.uncertainty import ecdf_auc
 from bedl.layers import GaussianActivation, elu_moments, relu_moments
@@ -91,7 +91,7 @@ def test_criterion_02_activation_moment_exactness():
         for mu in mus:
             for sigma in sigmas:
                 g = GaussianActivation(
-                    constant(np.array([[mu]])), constant(np.array([[sigma**2]]))
+                    Tensor(np.array([[mu]])), Tensor(np.array([[sigma**2]]))
                 )
                 out = fn(g)
                 qm, qv = gaussian_activation_quadrature(act, mu, sigma)
@@ -186,7 +186,7 @@ def test_criterion_04_marginal_likelihood_cross_checks():
     y1h = np.array([[0.0, 0.0, 1.0]])
     n_samples = 10_000
     eps = np.random.default_rng(7).standard_normal((n_samples, 1, 3))
-    moments = GaussianActivation(constant(m), constant(s2))
+    moments = GaussianActivation(Tensor(m), Tensor(s2))
     est = O.classification_log_marginal(moments, y1h, eps=eps).data[0]
     f = m[None] + np.sqrt(s2)[None] * eps
     p = np.exp(f - f.max(-1, keepdims=True))
@@ -304,7 +304,7 @@ def test_criterion_08_metric_exactness():
     a = ecdf_auc(np.full(7, log_c), 10)
     b = ecdf_auc(np.zeros(7), 10)
     c = ecdf_auc(np.array([0.0] * 4 + [log_c] * 4), 10)
-    kl = O.kl_dirichlet_uniform(constant(np.array([[2.0, 1.0]]))).data[0]
+    kl = O.kl_dirichlet_uniform(Tensor(np.array([[2.0, 1.0]]))).data[0]
     kl_err = abs(kl - (math.log(2.0) - 0.5))
     # "exact" up to float64 summation order inside the mean
     ok = (

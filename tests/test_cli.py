@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import zlib
@@ -321,6 +322,26 @@ def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, m
     assert not (tmp_path / "o").exists()
 
 
+def test_checkpoint_whose_weight_moments_overflow_is_data_error(csv_file, trained_checkpoint,
+                                                                tmp_path):
+    # a first-layer log-variance of 800 under a checksum that matches it:
+    # the weights are finite but exp(800) is not, so the file cannot be
+    # scored, and the check prints no numpy warning
+    raw = trained_checkpoint.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    payload = np.frombuffer(raw[12 + hlen :], dtype="<f8").copy()
+    spec = header["specs"][0]
+    payload[spec["fan_in"] * spec["fan_out"]] = 800.0  # the first log-variance
+    header["crc32"] = zlib.crc32(payload.tobytes())
+    hb = json.dumps(header).encode()
+    bad = tmp_path / "overflow.bin"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(hb)) + hb + payload.tobytes())
+    res = run_cli("eval", "--data", str(csv_file), "--checkpoint", str(bad))
+    assert res.returncode == 2 and res.stderr.startswith("data error:"), res.stderr
+    assert "RuntimeWarning" not in res.stderr and "Traceback" not in res.stderr
+
+
 def test_usage_error_exit_code():
     res = run_cli("train", "--no-such-flag")
     assert res.returncode == 1
@@ -472,7 +493,7 @@ def test_diverged_train_writes_its_last_finite_epoch(csv_file, tmp_path, monkeyp
         def poisoned(adam, bad_step=bad_step):
             step(adam)
             if adam.t == bad_step:
-                adam.params[0].data[0, 0] = np.nan
+                adam.net.data[0] = np.nan
 
         monkeypatch.setattr(btrain.Adam, "step", poisoned)
         monkeypatch.setattr(sys, "argv", ["bedl", *args, "--epochs", "5", "--out", str(out)])
@@ -482,7 +503,7 @@ def test_diverged_train_writes_its_last_finite_epoch(csv_file, tmp_path, monkeyp
         assert info.value.code == 3 and err.startswith("numerical failure:"), err
     finite, diverged = (btrain.load_checkpoint(tmp_path / name / "checkpoint.bin")
                         for name in ("finite", "diverged"))
-    assert [a.tobytes() for a in diverged.arrays] == [a.tobytes() for a in finite.arrays]
+    assert diverged.data.tobytes() == finite.data.tobytes()
     assert ((tmp_path / "diverged" / "metrics.csv").read_text()
             == (tmp_path / "finite" / "metrics.csv").read_text())
     assert not (tmp_path / "first").exists()

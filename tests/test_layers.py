@@ -21,14 +21,14 @@ def _weights(fan_in, fan_out, log_var=-3.0, r=rng):
 
 
 def _gauss(mean, var):
-    return L.GaussianActivation(T.constant(mean), T.constant(var))
+    return L.GaussianActivation(T.Tensor(mean), T.Tensor(var))
 
 
 def test_dense_moments_closed_form():
     w = _weights(3, 2)
     hm = rng.normal(size=(4, 3))
     hv = rng.uniform(0.1, 1.0, size=(4, 3))
-    out = L.dense_moments(w, T.constant(hm), T.constant(hv))
+    out = L.dense_moments(w, T.Tensor(hm), T.Tensor(hv))
     wm, wv = w.mean.data, np.exp(w.log_var.data)
     np.testing.assert_allclose(out.mean.data, hm @ wm + w.bias_mean.data, rtol=1e-12)
     np.testing.assert_allclose(
@@ -41,7 +41,7 @@ def test_dense_moments_closed_form():
 def test_input_moments_zero_input_variance():
     w = _weights(3, 2)
     x = rng.normal(size=(5, 3))
-    out = L.dense_moments(w, T.constant(x), None)
+    out = L.dense_moments(w, T.Tensor(x), None)
     np.testing.assert_allclose(out.mean.data, x @ w.mean.data + w.bias_mean.data, rtol=1e-12)
     np.testing.assert_allclose(
         out.var.data, x**2 @ np.exp(w.log_var.data) + np.exp(w.bias_log_var.data), rtol=1e-12
@@ -338,13 +338,34 @@ def test_units_at_the_variance_floor_leave_the_other_rows_bitwise_unchanged(act)
     assert (g_var[6:8] == 0.0).all()
 
 
+def test_network_lays_its_parameters_out_in_one_flat_buffer():
+    # layer by layer: weight mean, log-variance, bias mean, bias
+    # log-variance, each a view of net.data; without a gradient buffer they
+    # are plain tensors that record no tape
+    specs = [L.LayerSpec("dense", fan_in=3, fan_out=2, activation="relu"),
+             L.LayerSpec("dense", fan_in=2, fan_out=1)]
+    data = np.arange(22.0)
+    net = L.MomentNetwork(specs, data)
+    params = net.parameters()
+    assert [p.shape for p in params] == [(3, 2), (3, 2), (2,), (2,), (2, 1), (2, 1), (1,), (1,)]
+    np.testing.assert_array_equal(np.concatenate([p.data.ravel() for p in params]), data)
+    assert all(np.shares_memory(p.data, data) and not p.requires_grad for p in params)
+    out = net.forward(np.ones((4, 3)))
+    assert not out.mean.requires_grad and out.mean._parents == ()
+    for bad in (np.arange(21.0), np.arange(23.0)):
+        with pytest.raises(ValueError, match=f"{bad.size} values where the layer specs need 22"):
+            L.MomentNetwork(specs, bad)
+    with pytest.raises(ValueError, match="no layers"):
+        L.MomentNetwork([], np.zeros(0))
+
+
 def test_init_weights_statistics():
     spec = L.LayerSpec("dense", fan_in=400, fan_out=300, activation="relu")
-    w = L.init_weights(spec, np.random.default_rng(3))
-    assert w.mean.shape == (400, 300)
-    assert abs(w.mean.data.std() - np.sqrt(2.0 / 400)) < 0.005
-    assert abs(w.log_var.data.mean() + 9.0) < 0.01
-    np.testing.assert_allclose(w.bias_mean.data, 0.0)
+    mean, log_var, bias_mean, bias_log_var = L.init_weights(spec, np.random.default_rng(3))
+    assert mean.shape == log_var.shape == (400, 300) and bias_log_var.shape == (300,)
+    assert abs(mean.std() - np.sqrt(2.0 / 400)) < 0.005
+    assert abs(log_var.mean() + 9.0) < 0.01
+    np.testing.assert_allclose(bias_mean, 0.0)
 
 
 def test_spec_validation():

@@ -18,7 +18,7 @@ def _exp(x):
 
 
 def _moments(mean, var):
-    return L.GaussianActivation(T.constant(np.asarray(mean, float)), T.constant(np.asarray(var, float)))
+    return L.GaussianActivation(T.Tensor(np.asarray(mean, float)), T.Tensor(np.asarray(var, float)))
 
 
 # -- regression head ---------------------------------------------------------
@@ -95,19 +95,19 @@ def test_onehot_validation():
 
 
 def test_kl_dirichlet_uniform_known_value():
-    out = O.kl_dirichlet_uniform(T.constant(np.array([[2.0, 1.0]])))
+    out = O.kl_dirichlet_uniform(T.Tensor(np.array([[2.0, 1.0]])))
     np.testing.assert_allclose(out.data[0], math.log(2.0) - 0.5, atol=1e-12)
 
 
 def test_kl_dirichlet_uniform_zero_at_prior():
-    out = O.kl_dirichlet_uniform(T.constant(np.ones((3, 4))))
+    out = O.kl_dirichlet_uniform(T.Tensor(np.ones((3, 4))))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_kl_dirichlet_uniform_vs_numeric_integral():
     # KL for Beta(a, b) vs Beta(1, 1) via direct expectation under Beta(a, b)
     a, b = 3.0, 1.7
-    out = O.kl_dirichlet_uniform(T.constant(np.array([[a, b]]))).data[0]
+    out = O.kl_dirichlet_uniform(T.Tensor(np.array([[a, b]]))).data[0]
     from scipy import integrate
 
     kl = integrate.quad(
@@ -137,9 +137,9 @@ def test_kl_dirichlet_uniform_at_the_logit_clamp_vs_mpmath():
         f[r.integers(c)] = 30.0
         cases.append(np.exp(f))
     for alpha in cases:
-        out = O.kl_dirichlet_uniform(T.constant(alpha[None])).data[0]
+        out = O.kl_dirichlet_uniform(T.Tensor(alpha[None])).data[0]
         np.testing.assert_allclose(out, _kl_dirichlet_mpmath(mpmath, alpha), rtol=1e-11)
-    np.testing.assert_allclose(O.kl_dirichlet_uniform(T.constant(cases[0][None])).data[0],
+    np.testing.assert_allclose(O.kl_dirichlet_uniform(T.Tensor(cases[0][None])).data[0],
                                57.42407974, rtol=1e-9)
 
 
@@ -170,8 +170,8 @@ def test_kl_gaussian_identity_and_value():
 
 
 def test_pac_objective_with_zero_kl():
-    lm = T.constant(np.array([-1.0, -3.0]))
-    kl = T.constant(np.zeros(2))
+    lm = T.Tensor(np.array([-1.0, -3.0]))
+    kl = T.Tensor(np.zeros(2))
     rep = O.pac_objective(lm, kl, 100, 0.05, 1.0)
     expected_bound = math.sqrt(-math.log(0.05) / 100.0 + 1.0)
     np.testing.assert_allclose(rep.nll, 2.0)
@@ -180,20 +180,20 @@ def test_pac_objective_with_zero_kl():
 
 
 def test_bedl_objective_is_mean_nll():
-    lm = T.constant(np.array([-1.0, -2.0, -3.0]))
+    lm = T.Tensor(np.array([-1.0, -2.0, -3.0]))
     rep = O.bedl_objective(lm)
     np.testing.assert_allclose(rep.total.item(), 2.0)
     assert rep.regularizer == 0.0
 
 
 def test_edl_loss_hand_computed():
-    alpha = T.constant(np.array([[3.0, 1.0]]))
+    alpha = T.Tensor(np.array([[3.0, 1.0]]))
     y = np.array([[1.0, 0.0]])
     rep = O.edl_loss(alpha, y)
     p = np.array([0.75, 0.25])
     var = p * (1 - p) / 5.0
     fit = 0.5 * 100.0 * (((y[0] - p) ** 2) + var).sum()
-    kl = O.kl_dirichlet_uniform(T.constant(np.array([[3.0, 1.0]]))).data[0]
+    kl = O.kl_dirichlet_uniform(T.Tensor(np.array([[3.0, 1.0]]))).data[0]
     np.testing.assert_allclose(rep.total.item(), fit + kl, rtol=1e-12)
 
 
@@ -201,7 +201,7 @@ def test_edl_loss_decreases_with_evidence_for_true_class():
     y = np.array([[1.0, 0.0, 0.0]])
     fits = []
     for a in (1.5, 3.0, 10.0, 40.0):
-        rep = O.edl_loss(T.constant(np.array([[a, 1.0, 1.0]])), y)
+        rep = O.edl_loss(T.Tensor(np.array([[a, 1.0, 1.0]])), y)
         fits.append(rep.nll)
     assert all(x > y_ for x, y_ in zip(fits, fits[1:]))
 

@@ -4,7 +4,6 @@ from scipy import stats
 
 from bedl import layers as L
 from bedl import oracle
-from bedl import tensor as T
 
 rng = np.random.default_rng(41)
 
@@ -12,13 +11,9 @@ rng = np.random.default_rng(41)
 def _linear_net(fan_in=3, fan_out=2, log_var=-2.0, seed=0):
     spec = L.LayerSpec("dense", fan_in=fan_in, fan_out=fan_out, activation="identity")
     r = np.random.default_rng(seed)
-    w = L.WeightDistribution(
-        T.Parameter(r.normal(size=(fan_in, fan_out))),
-        T.Parameter(np.full((fan_in, fan_out), log_var)),
-        T.Parameter(r.normal(size=fan_out)),
-        T.Parameter(np.full(fan_out, log_var)),
-    )
-    return L.MomentNetwork([spec], [w])
+    data = np.concatenate([r.normal(size=fan_in * fan_out), np.full(fan_in * fan_out, log_var),
+                           r.normal(size=fan_out), np.full(fan_out, log_var)])
+    return L.MomentNetwork([spec], data, np.zeros_like(data))
 
 
 def test_make_rng_is_reproducible_and_stream_separated():

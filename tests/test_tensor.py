@@ -53,7 +53,7 @@ def test_broadcast_gradcheck():
 
 def test_nonfinite_result_raises_numerics_error():
     with np.errstate(over="ignore"), pytest.raises(T.NumericsError):
-        elementwise(T.constant(1000.0), np.exp, np.exp)
+        elementwise(T.Tensor(1000.0), np.exp, np.exp)
 
 
 def test_backward_requires_scalar_and_single_use():
@@ -101,7 +101,7 @@ def test_first_gradient_is_copied():
 
 def test_fused_node():
     p = T.Parameter(np.array([0.5, 2.0]))
-    c = T.constant(np.array([1.0, -1.0]))
+    c = T.Tensor(np.array([1.0, -1.0]))
     out = T.fused(p.data * c.data, (p, None, c), lambda g: (g * c.data, None, None), "prod")
     assert out._parents == (p,)
     weighted_sum((out, 1.0)).backward()

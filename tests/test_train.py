@@ -9,11 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
-from bedl import tensor as T
 
 tr = importlib.import_module("bedl.train")
 from bedl.data import DataError, Dataset
-from bedl.layers import LayerSpec, WeightMoments, build_network
+from bedl.layers import LayerSpec, MomentNetwork, WeightMoments, build_network
 from bedl.uncertainty import decompose
 
 from conftest import check_grads, weighted_sum
@@ -100,75 +99,81 @@ def test_resolve_batch_size():
 # -- adam --------------------------------------------------------------------
 
 
+def _net(values):
+    """A one-unit dense network whose flat buffer holds the 4 ``values``:
+    weight mean, log-variance, bias mean, bias log-variance."""
+    data = np.array(values, dtype=float)
+    return MomentNetwork([LayerSpec("dense", fan_in=1, fan_out=1)], data, np.zeros_like(data))
+
+
 def test_adam_zero_grad_leaves_params_unchanged():
-    p = T.Parameter(np.array([1.0, -2.0]))
-    adam = tr.Adam([p], lr=0.1)
-    p.grad = np.zeros(2)
+    net = _net([1.0, -2.0, 3.0, -4.0])
+    adam = tr.Adam(net, lr=0.1)
     adam.step()
-    np.testing.assert_allclose(p.data, [1.0, -2.0])
+    np.testing.assert_allclose(net.data, [1.0, -2.0, 3.0, -4.0])
 
 
 def test_adam_first_step_is_lr_times_sign():
-    p = T.Parameter(np.array([1.0, -1.0]))
-    adam = tr.Adam([p], lr=0.1)
-    p.grad = np.array([3.0, -0.5])
+    net = _net([1.0, -1.0, 0.0, 2.0])
+    adam = tr.Adam(net, lr=0.1)
+    net.grad[:] = [3.0, -0.5, 0.25, -7.0]
     adam.step()
-    np.testing.assert_allclose(p.data, [1.0 - 0.1, -1.0 + 0.1], rtol=1e-6)
+    np.testing.assert_allclose(net.data, [1.0 - 0.1, -1.0 + 0.1, -0.1, 2.0 + 0.1], rtol=1e-6)
 
 
 def test_adam_minimizes_quadratic():
-    # 100 steps on f(x) = x^2 from x=1 at lr 0.1 reaches |x| < 0.05
-    p = T.Parameter(np.array([1.0]))
-    adam = tr.Adam([p], lr=0.1)
+    # 100 steps on f(x) = |x|^2 from x=1 at lr 0.1 reach |x| < 0.05
+    net = _net([1.0] * 4)
+    adam = tr.Adam(net, lr=0.1)
     for _ in range(100):
-        p.grad = 2.0 * p.data
+        adam.zero_grad()
+        net.grad += 2.0 * net.data
         adam.step()
-    assert abs(p.data[0]) < 0.05
+    assert np.abs(net.data).max() < 0.05
 
 
 def test_adam_updates_match_the_reference_formula():
     # the flat buffers are updated in place, in the arithmetic order of
     # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, so every parameter gets
-    # the bits of the formula; a gradient of None counts as zeros
-    # 1,200 values, so that a bias correction folded into one scalar,
-    # m * (lr / (1 - b1**t)), shows: over 19 values and 5 steps it rounds
-    # like the formula everywhere
+    # the bits of the formula. 1,250 values, so that a bias correction
+    # folded into one scalar, m * (lr / (1 - b1**t)), shows: over 19 values
+    # and 5 steps it rounds like the formula everywhere
     r = np.random.default_rng(3)
-    params = [T.Parameter(r.normal(size=shape)) for shape in ((500,), (20, 25), (4, 5, 10))]
+    net = build_network([LayerSpec("dense", fan_in=24, fan_out=25)], r)
+    params = net.parameters()
     refs = [p.data.copy() for p in params]
     ms = [np.zeros_like(x) for x in refs]
     vs = [np.zeros_like(x) for x in refs]
-    adam = tr.Adam(params, lr=0.01)
+    adam = tr.Adam(net, lr=0.01)
     for t in range(1, 6):
         grads = [r.normal(size=x.shape) for x in refs]
         if t % 2:
-            grads[2] = None
+            grads[2] = np.zeros_like(refs[2])
         for p, g in zip(params, grads):
-            p.grad = g
+            p.grad[...] = g
         adam.step()
         for i, g in enumerate(grads):
-            g = np.zeros_like(refs[i]) if g is None else g
             ms[i] = 0.9 * ms[i] + (1 - 0.9) * g
             vs[i] = 0.999 * vs[i] + (1 - 0.999) * g * g
             refs[i] -= 0.01 * (ms[i] / (1 - 0.9**t)) / (np.sqrt(vs[i] / (1 - 0.999**t)) + 1e-8)
             np.testing.assert_array_equal(params[i].data, refs[i])
-    params[1].grad = np.where(np.arange(500).reshape(20, 25) == 4, np.nan, 1.0)
+    params[1].grad[4, 7] = np.nan
     with pytest.raises(tr.NumericsError, match="parameter 1$"):
         adam.step()
 
 
 class _ReferenceAdam:
-    """Adam one parameter at a time, with a gradient array per parameter
-    (None after zero_grad): the per-parameter loop the flat Adam must equal
-    bit for bit."""
+    """Adam one parameter of the network at a time, with a gradient array
+    per parameter (None after zero_grad): the per-parameter loop the flat
+    Adam must equal bit for bit."""
 
-    def __init__(self, params, lr):
-        self.params = params
+    def __init__(self, net, lr):
+        self.params = net.parameters()
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
@@ -206,31 +211,33 @@ def test_training_equals_the_reference_adam_bit_for_bit(monkeypatch, net):
     monkeypatch.setattr(tr, "Adam", _ReferenceAdam)
     reference = tr.train(ds, specs, cfg)
     assert flat.metrics_csv() == reference.metrics_csv()
-    assert len(flat.checkpoint.arrays) == len(reference.checkpoint.arrays)
-    for i, (a, b) in enumerate(zip(flat.checkpoint.arrays, reference.checkpoint.arrays)):
-        assert a.tobytes() == b.tobytes(), i
+    assert flat.checkpoint.data.tobytes() == reference.checkpoint.data.tobytes()
 
 
-def test_adam_owns_the_parameter_storage():
-    # parameters become views of the flat buffers, so backward passes add
-    # into the flat gradient and the update writes where forward reads
-    p, q = T.Parameter(np.ones((2, 2))), T.Parameter(np.zeros(3))
-    adam = tr.Adam([p, q], lr=0.1)
-    assert np.shares_memory(p.data, adam.data) and np.shares_memory(q.data, adam.data)
+def test_the_parameters_are_views_of_the_network_buffers():
+    # backward passes add into net.grad, and Adam's step writes where
+    # forward reads
+    net = build_network([LayerSpec("dense", fan_in=2, fan_out=2)], np.random.default_rng(0))
+    params = net.parameters()
+    assert all(np.shares_memory(p.data, net.data) and np.shares_memory(p.grad, net.grad)
+               for p in params)
+    adam = tr.Adam(net, lr=0.1)
     adam.zero_grad()
-    weighted_sum((p, 3.0)).backward()
-    weighted_sum((p, 2.0)).backward()
-    np.testing.assert_array_equal(adam.grad, [5.0] * 4 + [0.0] * 3)
+    weighted_sum((params[0], 3.0)).backward()
+    weighted_sum((params[0], 2.0)).backward()
+    np.testing.assert_array_equal(net.grad, [5.0] * 4 + [0.0] * 8)
+    before = net.data.copy()
     adam.step()
-    np.testing.assert_allclose(p.data, 0.9)
-    np.testing.assert_array_equal(q.data, 0.0)
+    np.testing.assert_allclose(net.data, np.r_[before[:4] - 0.1, before[4:]], rtol=0, atol=1e-9)
+    out = net.forward(np.eye(2)).mean.data
+    np.testing.assert_allclose(out, net.data[:4].reshape(2, 2) + net.data[8:10], rtol=1e-12)
 
 
 def test_adam_rejects_nonfinite_gradient():
-    p = T.Parameter(np.array([1.0]))
-    adam = tr.Adam([p], lr=0.1)
-    p.grad = np.array([np.inf])
-    with pytest.raises(tr.NumericsError):
+    net = _net([1.0] * 4)
+    adam = tr.Adam(net, lr=0.1)
+    net.grad[3] = np.inf
+    with pytest.raises(tr.NumericsError, match="parameter 3$"):
         adam.step()
 
 
@@ -343,12 +350,12 @@ def test_checkpoint_whose_array_bytes_do_not_match_the_specs_is_data_error(tmp_p
     (hlen,) = struct.unpack("<I", raw[8:12])
     payload = raw[12 + hlen :]
     if edit == "optimizer-arrays-appended":
-        payload += b"".join(np.full_like(a, 0.5).tobytes() for a in result.checkpoint.arrays)
+        payload += np.full_like(result.checkpoint.data, 0.5).tobytes()
     else:
         payload = payload[:-8]
     path.write_bytes(raw[: 12 + hlen] + payload)
     _rewrite_header(path, lambda h: h.update(crc32=zlib.crc32(payload)))
-    with pytest.raises(DataError, match="array bytes where the layer specs need"):
+    with pytest.raises(DataError, match="values where the layer specs need"):
         tr.load_checkpoint(path)
 
 
@@ -628,8 +635,7 @@ def test_training_is_bitwise_deterministic():
     r1, _, _ = _train_small(epochs=4)
     r2, _, _ = _train_small(epochs=4)
     assert r1.metrics_csv() == r2.metrics_csv()
-    for a, b in zip(r1.checkpoint.arrays, r2.checkpoint.arrays, strict=True):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(r1.checkpoint.data, r2.checkpoint.data)
 
 
 @pytest.mark.parametrize("objective", ["bedl", "bedl+reg", "bedl-hyper", "edl"])
@@ -690,14 +696,13 @@ def test_diverged_run_keeps_the_last_finite_checkpoint(monkeypatch):
     def poisoned(adam):
         step(adam)
         if adam.t == 3:
-            adam.params[0].data[0, 0] = np.nan
+            adam.net.data[0] = np.nan
 
     monkeypatch.setattr(tr.Adam, "step", poisoned)
     with pytest.raises(tr.TrainingDiverged, match="epoch 3") as info:
         tr.train(ds, specs, tr.TrainConfig(epochs=5))  # full batch: one step per epoch
-    arrays = info.value.checkpoint.arrays
-    assert all(np.isfinite(a).all() for a in arrays)
-    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in finite.checkpoint.arrays]
+    data = info.value.checkpoint.data
+    assert np.isfinite(data).all() and data.tobytes() == finite.checkpoint.data.tobytes()
     assert info.value.metrics == finite.metrics
 
 
