@@ -135,8 +135,7 @@ def _write_run(out_dir: Path, result: TrainResult) -> None:
 @cli.command("eval")
 @_with(common_data_options)
 @click.option("--checkpoint", type=_FILE, required=True)
-@click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
-def eval_cmd(data, images, labels, checkpoint, eval_samples):
+def eval_cmd(data, images, labels, checkpoint):
     """Evaluate a checkpoint, under the config it was trained with, on the
     test part of the split it trained on (regression CSV; split 0 with seed
     0 when the checkpoint records none) or on a full IDX dataset
@@ -150,7 +149,7 @@ def eval_cmd(data, images, labels, checkpoint, eval_samples):
         tr_idx, te_idx = make_splits(ds.n, split)
         ds_std, _ = standardize(ds, tr_idx)
         ds = ds_std.subset(te_idx)
-    metrics = evaluate(ckpt, ds, ckpt.config, eval_samples=eval_samples)
+    metrics = evaluate(ckpt, ds, ckpt.config)
     click.echo(metrics.csv(), nl=False)
 
 
@@ -160,8 +159,7 @@ def eval_cmd(data, images, labels, checkpoint, eval_samples):
 @click.option("--in-labels", type=_FILE, required=True)
 @click.option("--ood-images", type=_FILE, required=True)
 @click.option("--ood-labels", type=_FILE, required=True)
-@click.option("--eval-samples", type=click.IntRange(min=2), default=100, show_default=True)
-def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, eval_samples):
+def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels):
     """In-domain test metrics plus out-of-domain entropy metrics, under the
     checkpoint's own config."""
     from .uncertainty import ecdf_auc
@@ -171,8 +169,8 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels, eval_
         raise click.UsageError(f"ood-eval needs a classification checkpoint, not {ckpt.task!r}")
     in_ds = load_idx(in_images, in_labels)
     ood_ds = load_idx(ood_images, ood_labels)
-    in_metrics = evaluate(ckpt, in_ds, ckpt.config, eval_samples=eval_samples)
-    ood_entropy = evaluate_entropies(ckpt, ood_ds, ckpt.config, eval_samples=eval_samples)
+    in_metrics = evaluate(ckpt, in_ds, ckpt.config)
+    ood_entropy = evaluate_entropies(ckpt, ood_ds, ckpt.config)
     values = {f"in_{k}": v for k, v in in_metrics.values.items()}
     values["ood_ecdf_auc"] = ecdf_auc(ood_entropy, ckpt.specs[-1].n_out)
     values["ood_mean_entropy"] = float(ood_entropy.mean())

@@ -1,5 +1,5 @@
-"""Gaussian numpy kernels shared by the tensor ops, the closed-form moment
-ops and evaluation, so that each formula is written once."""
+"""Gaussian numpy kernels shared by the tensor ops and the closed-form
+moment ops, so that each formula is written once."""
 
 from __future__ import annotations
 
@@ -47,13 +47,3 @@ def exp_scaled_cdf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     naive = 0.5 * np.exp(np.where(bpos, 0.0, a)) * special.erfc(np.where(bpos, 0.0, b) / SQRT2)
     return np.where(bpos, scaled, naive)
 
-
-def output_draws(mean: np.ndarray, var: np.ndarray, eps: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Reparameterized draws f = mean + sqrt(var) * eps, broadcast over the
-    sample axis of eps: (S, N, C) eps with (N, C) moments in training,
-    (N, S, C) eps with (N, 1, C) moments in evaluation. ``out``, which may
-    be eps itself, receives the draws."""
-    f = np.multiply(np.sqrt(var), eps, out=out)
-    f += mean
-    return f

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import gaussian as G
 from . import tensor as T
 from .layers import GaussianActivation, WeightDistribution
 from .tensor import Tensor
@@ -99,7 +98,7 @@ def _clamped_draws(moments: GaussianActivation, eps: np.ndarray):
     mean, var = moments.mean.data, moments.var.data
     if np.any(var < 0.0):
         raise ValueError("negative output variance")
-    f = G.output_draws(mean, var, eps)
+    f = mean + np.sqrt(var) * eps
     inside = (f > -LOGIT_CLAMP) & (f < LOGIT_CLAMP)
 
     def chain(g):
@@ -154,7 +153,12 @@ def _kl_dirichlet(alpha: np.ndarray):
     (a strength of e^30). So with m the largest strength and r the sum of
     the others, lgamma(alpha_0) - lgamma(m) - lgamma(r) is -betaln(m, r),
     and for alpha_i > 1e6 psi(alpha_i) - psi(alpha_0) and the gradient
-    come from asymptotic series in alpha_i and alpha_0 = alpha_i + r_i."""
+    come from asymptotic series in alpha_i and alpha_0 = alpha_i + r_i.
+    Two such strengths still cancel about 1e13 between -log B(alpha) and
+    the digamma sum. So a row with one sums a term per strength instead:
+    (alpha_i - 1) dig_i - lgamma(alpha_i) plus the share alpha_i / alpha_0
+    of lgamma(alpha_0), which for alpha_i > 1e6 is written in Stirling's
+    form, where its alpha log alpha and alpha parts cancel exactly."""
     if np.any(alpha <= 0.0):
         raise ValueError("Dirichlet strengths must be positive")
     c = alpha.shape[-1]
@@ -174,6 +178,14 @@ def _kl_dirichlet(alpha: np.ndarray):
                    special.digamma(alpha) - special.digamma(alpha0))
     log_beta = special.betaln(m, r_top) - special.gammaln(r_top) + lg_rest  # log B(alpha)
     value = ((alpha - 1.0) * dig).sum(axis=-1) - math.lgamma(c) - log_beta[..., 0]
+    if big.any():
+        share = alpha / alpha0
+        stirling = (0.5 * np.log1p(r / a_s) + (r / a0_s) * 0.5 * (np.log(a0_s) - LOG_2PI)
+                    - 1.0 / (12.0 * a_s) + share / (12.0 * a0_s)
+                    - (a_s - 1.0) * (r / (2.0 * a_s * a0_s) + q / 12.0))
+        plain = (alpha - 1.0) * dig - special.gammaln(alpha) + share * special.gammaln(alpha0)
+        value = np.where(big.any(axis=-1), np.where(big, stirling, plain).sum(axis=-1)
+                         - math.lgamma(c), value)
 
     def grad():
         # trigamma: zeta(2, .) gives the bits of polygamma(1, .) in less time

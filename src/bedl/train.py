@@ -19,14 +19,13 @@ from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels
 from .layers import (INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR, GaussianActivation, LayerSpec,
                      MomentNetwork, build_network, check_rows)
 from .tensor import NumericsError, Tensor
-from .uncertainty import UncertaintyReport, decompose, ecdf_auc, test_error
+from .uncertainty import decompose, ecdf_auc, test_error
 
 OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
 
-# Rows per forward pass and decompose call in evaluation. Memory is
-# O(EVAL_CHUNK * eval_samples * C) instead of O(N * eval_samples * C).
+# Rows per forward pass in evaluation, so that the memory of a conv net's
+# activations does not grow with the dataset.
 EVAL_CHUNK = 64
-EVAL_SEED = 12345  # of the draws of the classification decomposition at evaluation
 
 CHECKPOINT_MAGIC = b"BEDLCKP1"
 CHECKPOINT_VERSION = 4
@@ -352,6 +351,9 @@ def default_specs(task: str, d_in: int, hidden: int = 50, n_classes: int = 10) -
     ]
 
 
+# every op raises NumericsError on a non-finite result, so numpy's own overflow
+# and invalid-value warnings during training would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: Dataset,
     specs: list[LayerSpec],
@@ -397,9 +399,7 @@ def train(
                 report.total.backward()
                 adam.step()
             except NumericsError as exc:
-                raise TrainingDiverged(
-                    f"numerical failure at epoch {epoch}: {exc}", last_good, metrics
-                ) from exc
+                raise TrainingDiverged(f"at epoch {epoch}: {exc}", last_good, metrics) from exc
             tot += report.total.item()
             nll += report.nll
             reg += report.regularizer
@@ -434,15 +434,13 @@ class EvalMetrics:
         return f"{head}\n{row}\n"
 
 
-def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples: int):
+def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig):
     """The checkpoint's output moments on the dataset and, for
-    classification, their sampled predictive decomposition.
+    classification, their closed-form predictive decomposition.
 
-    Rows go through the forward pass and ``decompose`` EVAL_CHUNK at a time
-    with one rng seeded with EVAL_SEED, so memory does not grow with the
-    dataset; ``decompose`` draws row by row, so no value depends on the
-    chunk size. The weight moments are computed once, before the first
-    chunk."""
+    Rows go through the forward pass EVAL_CHUNK at a time, so memory does
+    not grow with the dataset; the weight moments are computed once,
+    before the first chunk."""
     if ckpt.task != cfg.task:
         raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
     if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
@@ -454,34 +452,31 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig, eval_samples:
         check_rows(ckpt.specs, x.shape[1:])
     except ValueError as exc:
         raise DataError(f"the data does not fit the checkpoint: {exc}") from exc
-    net, rng = ckpt.build_network(), np.random.default_rng(EVAL_SEED)
+    net = ckpt.build_network()
     weight_moments = net.weight_moments()
-    parts, reports = [], []
+    parts = []
     for start in range(0, len(x), EVAL_CHUNK):
         m = net.forward(x[start : start + EVAL_CHUNK], weight_moments)
         parts.append((m.mean.data, m.var.data))
-        if cfg.task == "classification":
-            reports.append(decompose(m.mean.data, m.var.data, n_samples=eval_samples, rng=rng))
     mean, var = (np.concatenate(a) for a in zip(*parts))
     moments = GaussianActivation(Tensor(mean), Tensor(var))
-    if not reports:
-        return moments, None
-    return moments, UncertaintyReport(
-        *(np.concatenate([getattr(r, f.name) for r in reports]) for f in fields(UncertaintyReport)))
+    return moments, decompose(mean, var) if cfg.task == "classification" else None
 
 
+# eval_samples is unread (evaluation draws nothing); perfbench/workloads.py still passes it
 def evaluate(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
-             eval_samples: int = 100) -> EvalMetrics:
+             eval_samples: int | None = None) -> EvalMetrics:
     """Test metrics for a checkpoint, scored under its own config; ``cfg``
     must agree with it in task and, for regression, in beta.
 
     Regression: mean per-datum log-likelihood in original target units
     (applies the -log std_y correction recorded at standardization time).
-    Classification: test error and the ECDF-AUC of predictive entropies
-    over [0, log C], with C the width of the output layer; a label outside
-    the C classes is a DataError.
+    Classification: test error, the ECDF-AUC of predictive entropies over
+    [0, log C], with C the width of the output layer, and the epistemic and
+    aleatoric parts of the predictive variance, each a mean over points and
+    classes; a label outside the C classes is a DataError.
     """
-    moments, rep = _predict(ckpt, dataset, cfg, eval_samples)
+    moments, rep = _predict(ckpt, dataset, cfg)
     if rep is None:
         lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.beta)
         correction = 0.0 if ckpt.target_std is None else -math.log(ckpt.target_std)
@@ -498,13 +493,16 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
         "test_error_pct": test_error(rep.predictive_mean, check_labels(dataset.targets, n_classes)),
         "ecdf_auc": ecdf_auc(rep.entropy, n_classes),
         "mean_entropy": float(rep.entropy.mean()),
+        "epistemic_mean": float(rep.epistemic.mean()),
+        "aleatoric_mean": float(rep.aleatoric.mean()),
     }
     return EvalMetrics(values)
 
 
+# eval_samples is unread (evaluation draws nothing); perfbench/workloads.py still passes it
 def evaluate_entropies(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
-                       eval_samples: int = 100) -> np.ndarray:
+                       eval_samples: int | None = None) -> np.ndarray:
     """Predictive entropies of a classification checkpoint, one per datum."""
     if cfg.task != "classification":
         raise ValueError(f"predictive entropies need task 'classification', not {cfg.task!r}")
-    return _predict(ckpt, dataset, cfg, eval_samples)[1].entropy
+    return _predict(ckpt, dataset, cfg)[1].entropy

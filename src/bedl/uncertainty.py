@@ -9,82 +9,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import output_draws
-
 
 @dataclass
 class UncertaintyReport:
-    """Per-datum, per-class uncertainty decomposition (law of total
-    variance over the sampled network outputs)."""
+    """Per-datum, per-class uncertainty decomposition of the predictive
+    class probabilities p = softmax(f) (law of total variance over the
+    network outputs f)."""
 
-    predictive_mean: np.ndarray  # (N, C)
-    epistemic: np.ndarray  # (N, C) variance of E[y | f] over f
-    aleatoric: np.ndarray  # (N, C) mean of var[y | f] over f
-    total: np.ndarray  # (N, C)
+    predictive_mean: np.ndarray  # (N, C) E[p]
+    epistemic: np.ndarray  # (N, C) Var[p], the variance of E[y | f] over f
+    aleatoric: np.ndarray  # (N, C) E[p(1 - p)], the mean of var[y | f] over f
+    total: np.ndarray  # (N, C) E[p](1 - E[p])
     entropy: np.ndarray  # (N,) entropy of the predictive mean, nats
 
 
-def _softmax(f: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place: exp(f - max) / sum. The max is
-    taken as pairwise np.maximum over the class slices, which is exact in
-    any order and faster than a reduction over a short last axis."""
-    shift = f[..., 0].copy()
-    for c in range(1, f.shape[-1]):
-        np.maximum(shift, f[..., c], out=shift)
-    f -= shift[..., None]
-    np.exp(f, out=f)
-    f /= np.add.reduce(f, axis=-1, keepdims=True)
-    return f
+def decompose(mean: np.ndarray, var: np.ndarray) -> UncertaintyReport:
+    """The predictive decomposition of p = softmax(f) for network outputs
+    f ~ N(mean, diag var), in closed form: no draws, so no rng.
 
+    With p = softmax(mean), a = sum_k var_k p_k^2, b = sum_k var_k p_k and
+    L_c = var_c (1 - 2 p_c) + a, a Taylor expansion of the softmax around
+    the mean gives E[p_c] ~ p_c (1 + (L_c + a - b)/2) to second order (it
+    sums to 1) and Var[p_c] ~ p_c^2 L_c to first order. The total,
+    E[p](1 - E[p]), is exact for any distribution of f, and the aleatoric
+    part is the total less the epistemic one.
 
-def decompose(
-    mean: np.ndarray,
-    var: np.ndarray,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> UncertaintyReport:
-    """Sample network outputs f ~ N(mean, var), map each draw to class
-    probabilities p = alpha/alpha_0 (softmax of f), and split the
-    predictive variance into epistemic (variance of p across draws) and
-    aleatoric (mean of p(1-p)) parts.
-
-    The standard normals are drawn in (N, S, C) order, row by row, so
-    calls on consecutive row chunks with one rng give exactly the numbers
-    of one call on all rows; evaluation streams its rows in fixed chunks
-    through here and relies on that.
-
-    The draws become the probabilities in place, and one scratch buffer of
-    the same shape holds first (p - pred)^2, then p(1 - p); the reductions
-    are those of np.mean and np.var, so every value has their bits."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    mean = np.asarray(mean, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
+    Where a variance of order 1 or more takes the expansion out of [0, 1],
+    the mean is clipped at 0 and renormalized in that row, and the
+    epistemic part clipped to [0, total]. So every finite input gives
+    probabilities that sum to 1 and an entropy in [0, log C]. Each row is
+    computed on its own."""
+    mean, var = (np.asarray(a, dtype=np.float64) for a in (mean, var))
     if mean.shape != var.shape or np.any(var < 0):
         raise ValueError("degenerate moments")
-    eps = rng.standard_normal((len(mean), n_samples) + mean.shape[1:])
-    p = _softmax(output_draws(mean[:, None], var[:, None], eps, out=eps))  # (N, S, C)
-    pred = np.add.reduce(p, axis=1, keepdims=True)
-    pred /= n_samples
-    scratch = np.subtract(p, pred)
-    np.square(scratch, out=scratch)
-    epistemic = np.add.reduce(scratch, axis=1)
-    epistemic /= n_samples
-    np.subtract(1.0, p, out=scratch)
-    scratch *= p
-    aleatoric = np.add.reduce(scratch, axis=1)
-    aleatoric /= n_samples
-    pred = pred[:, 0]
+    var = np.minimum(var, 1e300)  # so that no sum below overflows
+    p = np.exp(mean - mean.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    vp = var * p
+    b = vp.sum(axis=-1, keepdims=True)
+    a = (vp * p).sum(axis=-1, keepdims=True)
+    spread = var * (1.0 - 2.0 * p) + a  # L
+    pred = p * (1.0 + 0.5 * (spread + a - b))
+    low = (pred < 0.0).any(axis=-1)
+    if low.any():
+        clipped = np.maximum(pred[low], 0.0)
+        pred[low] = clipped / clipped.sum(axis=-1, keepdims=True)
+    total = pred * (1.0 - pred)
+    epistemic = np.clip(p * p * spread, 0.0, total)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(pred > 0, pred * np.log(pred), 0.0)
-    entropy = -plogp.sum(axis=-1)
-    return UncertaintyReport(
-        predictive_mean=pred,
-        epistemic=epistemic,
-        aleatoric=aleatoric,
-        total=epistemic + aleatoric,
-        entropy=entropy,
-    )
+    return UncertaintyReport(pred, epistemic, total - epistemic, total, -plogp.sum(axis=-1))
 
 
 def ecdf_auc(entropies: np.ndarray, n_classes: int) -> float:

@@ -128,6 +128,7 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"init_log_var_var": -1}, 1, id="init-negative-variance"),
     pytest.param([], {"init_log_var_mean": 800}, 1, id="init-exp-overflow"),
     pytest.param(["--hidden", "0"], None, 1, id="hidden-0"),
+    # evaluation draws nothing: the former sample-count flag is unknown
     pytest.param(["eval", "--eval-samples", "1"], None, 1, id="eval-samples-1"),
     pytest.param([], [1, 2], 1, id="config-not-an-object"),
     pytest.param(["--seed", "-1"], None, 1, id="seed-negative"),
@@ -586,6 +587,17 @@ def test_numerical_failure_exit_code(csv_file, tmp_path):
     assert "numerical failure" in res.stderr
 
 
+def test_diverged_train_prints_one_line(csv_file, tmp_path):
+    # the op that meets the overflow says so; numpy's own warnings and a
+    # second "numerical failure" prefix only repeated it
+    res = run_cli("train", "--data", str(csv_file), "--lr", "1e30", "--epochs", "3",
+                  "--batch", "16", "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("numerical failure: at epoch 1"), \
+        res.stderr
+    assert "RuntimeWarning" not in res.stderr and "Traceback" not in res.stderr
+
+
 def test_splits_subcommand():
     res = run_cli("splits", "--n", "20", "--splits", "2", "--seed", "5")
     assert res.returncode == 0
@@ -615,15 +627,17 @@ def test_verify_subcommand_agrees_with_oracle():
             assert abs(analytic - oracle) < slack, ln
 
 
-def test_ood_eval_subcommand(tmp_path):
-    # synthetic IDX pairs: train on bright-vs-dark images, evaluate noise OOD
-    import gzip
+@pytest.fixture(scope="module")
+def idx_run(tmp_path_factory):
+    """Synthetic IDX pairs, bright-vs-dark images with noise images as the
+    OOD set, and a 2-class checkpoint trained on them."""
     import struct
 
     def write_idx(path, magic, dims, payload):
         head = struct.pack(">I", magic) + b"".join(struct.pack(">I", d) for d in dims)
         path.write_bytes(head + payload)
 
+    tmp_path = tmp_path_factory.mktemp("idx")
     rng = np.random.default_rng(0)
     n = 60
     labels = rng.integers(0, 2, size=n).astype(np.uint8)
@@ -635,6 +649,7 @@ def test_ood_eval_subcommand(tmp_path):
     write_idx(tmp_path / "tr-lab.idx", 0x801, (n,), labels.tobytes())
     write_idx(tmp_path / "ood-img.idx", 0x803, (n, 6, 6), ood.tobytes())
     write_idx(tmp_path / "ood-lab.idx", 0x801, (n,), np.zeros(n, np.uint8).tobytes())
+    write_idx(tmp_path / "small-img.idx", 0x803, (n, 5, 5), ood[:, :5, :5].tobytes())
 
     out = tmp_path / "run"
     res = run_cli(
@@ -643,25 +658,35 @@ def test_ood_eval_subcommand(tmp_path):
         "--batch", "16", "--hidden", "8", "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
+    return tmp_path, out / "checkpoint.bin"
+
+
+def _csv_record(stdout):
+    head, row = stdout.strip().splitlines()
+    return dict(zip(head.split(","), map(float, row.split(","))))
+
+
+def test_ood_eval_subcommand(idx_run):
+    tmp_path, ckpt = idx_run
     res = run_cli(
-        "ood-eval", "--checkpoint", str(out / "checkpoint.bin"),
+        "ood-eval", "--checkpoint", str(ckpt),
         "--in-images", str(tmp_path / "tr-img.idx"), "--in-labels", str(tmp_path / "tr-lab.idx"),
         "--ood-images", str(tmp_path / "ood-img.idx"), "--ood-labels", str(tmp_path / "ood-lab.idx"),
     )
     assert res.returncode == 0, res.stderr
-    head, row = res.stdout.strip().splitlines()
-    record = dict(zip(head.split(","), map(float, row.split(","))))
-    assert {"in_test_error_pct", "in_ecdf_auc", "ood_ecdf_auc", "ood_mean_entropy"} <= set(record)
+    record = _csv_record(res.stdout)
+    assert {"in_test_error_pct", "in_ecdf_auc", "in_epistemic_mean", "in_aleatoric_mean",
+            "ood_ecdf_auc", "ood_mean_entropy"} <= set(record)
     assert record["in_test_error_pct"] < 50.0
     # the ECDF-AUC is taken over [0, log C] for the checkpoint's 2 classes
     assert 0.0 <= record["in_ecdf_auc"] <= np.log(2) and 0.0 <= record["ood_ecdf_auc"] <= np.log(2)
 
     # OOD images of another size than the checkpoint's input are a data
-    # error, and fewer than 2 eval samples a usage error
-    write_idx(tmp_path / "small-img.idx", 0x803, (n, 5, 5), ood[:, :5, :5].tobytes())
+    # error, and the removed --eval-samples flag a usage error
     for ood_images, extra, code, prefix in (("small-img.idx", [], 2, "data error:"),
-                                            ("ood-img.idx", ["--eval-samples", "1"], 1, "error:")):
-        res = run_cli("ood-eval", "--checkpoint", str(out / "checkpoint.bin"),
+                                            ("ood-img.idx", ["--eval-samples", "100"], 1,
+                                             "error:")):
+        res = run_cli("ood-eval", "--checkpoint", str(ckpt),
                       *(a for flag, name in (("--in-images", "tr-img.idx"),
                                              ("--in-labels", "tr-lab.idx"),
                                              ("--ood-images", ood_images),
@@ -670,3 +695,15 @@ def test_ood_eval_subcommand(tmp_path):
                       *extra)
         assert res.returncode == code, res.stderr
         assert res.stderr.startswith(prefix) and "Traceback" not in res.stderr
+
+
+def test_eval_reports_the_epistemic_and_aleatoric_parts(idx_run):
+    # each a mean over points and classes of the closed-form decomposition;
+    # the epistemic part is at most the total predictive variance
+    tmp_path, ckpt = idx_run
+    ev = run_cli("eval", "--checkpoint", str(ckpt), "--images", str(tmp_path / "tr-img.idx"),
+                 "--labels", str(tmp_path / "tr-lab.idx"))
+    assert ev.returncode == 0, ev.stderr
+    record = _csv_record(ev.stdout)
+    assert 0.0 <= record["epistemic_mean"] <= record["epistemic_mean"] + record["aleatoric_mean"]
+    assert record["epistemic_mean"] + record["aleatoric_mean"] <= 0.25, record

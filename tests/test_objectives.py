@@ -143,6 +143,37 @@ def test_kl_dirichlet_uniform_at_the_logit_clamp_vs_mpmath():
                                57.42407974, rtol=1e-9)
 
 
+def _kl_dirichlet_grad_mpmath(mpmath, alpha) -> np.ndarray:
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(x)) for x in alpha]
+        a0, c = sum(a), len(a)
+        return np.array([float((x - 1) * mpmath.psi(1, x) - (a0 - c) * mpmath.psi(1, a0))
+                         for x in a])
+
+
+def test_kl_dirichlet_uniform_with_several_strengths_near_the_clamp_vs_mpmath():
+    # two or three strengths near e^30: -log B(alpha) and the digamma sum
+    # are each about 1e13, and the plain forms gave 28.8535 for the first
+    # case and 14.406 for the second; rows with no strength above 1e6 keep
+    # their bits
+    mpmath = pytest.importorskip("mpmath")
+    cases = [np.exp([29.62462122, 28.95279148, 27.1513713]), np.exp([29.62, 28.95]),
+             np.exp([30.0, 30.0])]
+    r = np.random.default_rng(21)
+    for c, n_big in ((2, 2), (3, 2), (3, 3), (10, 2), (10, 3)):
+        f = r.uniform(-5.0, 5.0, size=c)
+        f[r.choice(c, n_big, replace=False)] = r.uniform(27.0, 30.0, size=n_big)
+        cases.append(np.exp(f))
+    for alpha in cases:
+        value, grad = O._kl_dirichlet(alpha[None])
+        np.testing.assert_allclose(value[0], _kl_dirichlet_mpmath(mpmath, alpha), rtol=1e-9)
+        np.testing.assert_allclose(grad()[0], _kl_dirichlet_grad_mpmath(mpmath, alpha),
+                                   rtol=1e-9)
+    small = np.exp([[1.0, 2.0, 0.5], [13.0, 12.0, -3.0]])
+    mixed = O._kl_dirichlet(np.concatenate([small, cases[0][None]]))[0]
+    assert mixed[:2].tolist() == O._kl_dirichlet(small)[0].tolist()
+
+
 def test_kl_dirichlet_uniform_gradcheck():
     # in log-strengths, as the head uses it. Rows 1 and 3 have a strength
     # above 1e6, whose digamma difference and gradient come from the series;

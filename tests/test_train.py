@@ -412,7 +412,7 @@ def test_evaluate_task_mismatch():
 def test_evaluation_builds_no_tape():
     for task in ("regression", "classification"):
         result, ds, cfg = _train_small(task=task, epochs=1)
-        moments, _ = tr._predict(result.checkpoint, ds, cfg, eval_samples=10)
+        moments, _ = tr._predict(result.checkpoint, ds, cfg)
         for t in (moments.mean, moments.var):
             assert t._parents == () and t._backward_fn is None and not t.requires_grad
 
@@ -471,18 +471,34 @@ def test_data_that_does_not_fit_the_checkpoint_is_data_error():
 
 
 def test_decompose_over_row_chunks_equals_one_call():
-    # decompose draws its normals row by row, so chunks of rows with one
-    # rng give the numbers of one call, bit for bit
+    # decompose works on each row alone, so chunks of rows give the numbers
+    # of one call, bit for bit, clipped rows (variances up to 3) included
     r = np.random.default_rng(5)
     mean, var = r.normal(size=(1000, 10)), r.uniform(0.0, 3.0, size=(1000, 10))
-    whole = decompose(mean, var, n_samples=20, rng=np.random.default_rng(9))
+    whole = decompose(mean, var)
     for bounds in ([0, 300, 600, 850, 1000], list(range(1001))):
-        rng_ = np.random.default_rng(9)
-        parts = [decompose(mean[a:b], var[a:b], n_samples=20, rng=rng_)
-                 for a, b in zip(bounds, bounds[1:])]
+        parts = [decompose(mean[a:b], var[a:b]) for a, b in zip(bounds, bounds[1:])]
         for f in dataclasses.fields(whole):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(p, f.name) for p in parts]), getattr(whole, f.name))
+
+
+def test_evaluation_builds_no_rng_and_starts_no_thread(monkeypatch):
+    import threading
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("evaluation built an rng")
+
+    for task in ("regression", "classification"):
+        result, ds, cfg = _train_small(task=task, epochs=1)
+        threads = threading.active_count()
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", no_rng)
+            values = tr.evaluate(result.checkpoint, ds, cfg).values
+            if task == "classification":
+                assert len(tr.evaluate_entropies(result.checkpoint, ds, cfg)) == ds.n
+        assert threading.active_count() == threads
+        assert all(np.isfinite(v) for v in values.values())
 
 
 @pytest.mark.parametrize("net", ["dense", "conv"])
@@ -501,8 +517,7 @@ def test_evaluation_does_not_depend_on_the_chunk_size(monkeypatch, net):
     runs = []
     for chunk in (1, 7, ds.n):
         monkeypatch.setattr(tr, "EVAL_CHUNK", chunk)
-        runs.append((tr.evaluate(ckpt, ds, cfg, eval_samples=30).values,
-                     tr.evaluate_entropies(ckpt, ds, cfg, eval_samples=30)))
+        runs.append((tr.evaluate(ckpt, ds, cfg).values, tr.evaluate_entropies(ckpt, ds, cfg)))
     for values, entropies in runs[:-1]:
         assert values.keys() == runs[-1][0].keys()
         for k in values:
@@ -527,7 +542,7 @@ def test_evaluation_computes_weight_moments_once_per_layer(monkeypatch, net):
     monkeypatch.setattr(WeightMoments, "of",
                         classmethod(lambda cls, *a: calls.append(a[1]) or of(cls, *a)))
     monkeypatch.setattr(tr, "EVAL_CHUNK", 1)
-    tr.evaluate(ckpt, ds, cfg, eval_samples=5)
+    tr.evaluate(ckpt, ds, cfg)
     assert calls == [False] + [True] * (len(ckpt.specs) - 1)
 
 
@@ -543,8 +558,8 @@ def test_regression_evaluation_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_evaluation_memory_does_not_grow_with_the_dataset():
-    # 4,096 rows through a 784-256-10 net with 100 samples: one pass over
-    # all rows allocates about 160 MB, fixed row chunks about 5 MB
+    # 4,096 rows through a 784-256-10 net: one forward pass over all rows
+    # allocates about 86 MB, fixed row chunks about 6 MB
     specs = tr.default_specs("classification", 784, hidden=256)
     cfg = tr.TrainConfig(task="classification")
     ckpt = tr._snapshot(build_network(specs, np.random.default_rng(0)), cfg, None)
@@ -552,7 +567,7 @@ def test_evaluation_memory_does_not_grow_with_the_dataset():
     ds = Dataset(r.normal(size=(4096, 784)), r.integers(0, 10, size=4096), "classification")
     tracemalloc.start()
     try:
-        tr.evaluate(ckpt, ds, cfg, eval_samples=100)
+        tr.evaluate(ckpt, ds, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
