@@ -65,10 +65,10 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
     """Parse a comma-separated numeric CSV with an optional (auto-detected)
     header row.
 
-    Constant feature columns are dropped with a warning; a cell that does
-    not parse raises DataError with its row and column, and so do a header
-    with no rows, a target column outside the rows, no feature column left
-    and a class label that is not an integer.
+    Every other column than the target is a feature, constant or not; a cell
+    that does not parse raises DataError with its row and column, and so do
+    a header with no rows, a target column outside the rows, no column
+    besides the target and a class label that is not an integer.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
@@ -106,12 +106,8 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
     tcol = target_column % width
     y = mat[:, tcol]
     x = np.delete(mat, tcol, axis=1)
-    const = np.flatnonzero(np.ptp(x, axis=0) == 0.0)
-    if const.size:
-        warnings.warn(f"{path}: dropping constant feature columns {const.tolist()}")
-        x = np.delete(x, const, axis=1)
     if x.shape[1] == 0:
-        raise DataError(f"{path}: no feature column besides the target is left")
+        raise DataError(f"{path}: no feature column besides the target")
     if task == "classification":
         fractional = np.flatnonzero(y != np.trunc(y))
         if fractional.size:
@@ -175,29 +171,36 @@ class StandardizeRecord:
 def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, StandardizeRecord]:
     """Z-score features (and regression targets) by train-split statistics.
 
-    Feature columns that are constant on the train split are dropped: the
-    test is max == min, since the float std of a constant column need not
-    be 0 (7.77 over 455 rows gives 2.7e-15), and dividing by it would blow
-    the column's other values up.
+    The one place that drops feature columns, with a warning that names
+    them: those constant (max == min) on the train split, since the float std
+    of a constant column need not be 0 (7.77 over 455 rows gives 2.7e-15).
+    A kept column or a target whose std overflows is a DataError naming it.
     """
     x = ds.features.astype(np.float64)
     if x.ndim != 2:
         raise DataError("standardize expects flat (N, d) features")
     xt = x[train_idx]
-    mu, sd = xt.mean(axis=0), xt.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sd = xt.mean(axis=0), xt.std(axis=0)
     keep = np.flatnonzero(np.ptp(xt, axis=0) > 0.0)
     if keep.size == 0:
         raise DataError("no feature column varies on the train split")
     if keep.size < x.shape[1]:
-        warnings.warn(f"dropping {x.shape[1] - keep.size} zero-variance train columns")
+        dropped = np.setdiff1d(np.arange(x.shape[1]), keep).tolist()
+        warnings.warn(f"dropping {len(dropped)} zero-variance train columns {dropped}")
+    huge = keep[~np.isfinite(sd[keep])]
+    if huge.size:
+        raise DataError(f"feature columns {huge.tolist()} are too large to standardize")
     xs = (x[:, keep] - mu[keep]) / sd[keep]
 
     if ds.task == "regression":
         y = ds.targets.astype(np.float64)
-        ym = float(y[train_idx].mean())
-        ys = float(y[train_idx].std())
+        with np.errstate(over="ignore", invalid="ignore"):
+            ym, ys = float(y[train_idx].mean()), float(y[train_idx].std())
         if np.ptp(y[train_idx]) == 0.0:
             raise DataError("constant regression target on train split")
+        if not np.isfinite(ys):
+            raise DataError("the regression targets are too large to standardize")
         y_out = (y - ym) / ys
         rec = StandardizeRecord(ys)
     else:

@@ -16,8 +16,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from . import gaussian as G
 from . import tensor as T
 from .tensor import Parameter, Tensor
 
@@ -26,6 +26,7 @@ from .tensor import Parameter, Tensor
 SIGMA2_MIN = 1e-12
 # The default mean and variance of the normal that initial log-variances are drawn from.
 INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR = -9.0, 0.001
+_SQRT2, _INV_SQRT_2PI = math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,15 @@ class LayerSpec:
 
 def check_rows(specs: list[LayerSpec], row_shape: tuple) -> None:
     """Raise a ValueError that names the first layer that input rows of
-    ``row_shape`` do not fit."""
+    ``row_shape`` do not fit, and what that layer needs."""
     shape = row_shape
     for i, spec in enumerate(specs):
         out = spec.out_shape(shape)
         if out is None:
+            needs = (f"rows of {spec.fan_in} values" if spec.kind == "dense" else
+                     f"(H, W, {spec.in_channels}) images at least {spec.kernel} high and wide")
             raise ValueError(f"input rows of shape {row_shape} do not fit layer {i} "
-                             f"({spec.kind}), which gets rows of shape {shape}")
+                             f"({spec.kind}), which needs {needs}")
         shape = out
 
 
@@ -104,10 +107,6 @@ class WeightDistribution:
     log_var: Parameter
     bias_mean: Parameter
     bias_log_var: Parameter
-
-    def __post_init__(self):
-        if self.mean.shape != self.log_var.shape:
-            raise ValueError("weight mean/log-variance shape mismatch")
 
     def parameters(self) -> list[Parameter]:
         return [self.mean, self.log_var, self.bias_mean, self.bias_log_var]
@@ -241,6 +240,42 @@ def conv2d_moments(
                          moments)
 
 
+def _cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array, 0.5 * (1 + erf(x / sqrt 2)), in one
+    buffer."""
+    out = np.divide(x, _SQRT2)
+    special.erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density of an array, exp(-0.5 * x * x) / sqrt(2 pi),
+    in one buffer."""
+    out = np.multiply(x, -0.5)
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return out
+
+
+def _exp_scaled_cdf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(a) * Phi(-b), computed without overflow.
+
+    For b > 0 uses exp(a)*Phi(-b) = 0.5*erfcx(b/sqrt(2))*exp(a - b^2/2),
+    which stays finite whenever a - b^2/2 is bounded, even when exp(a)
+    alone would overflow. For b <= 0 erfcx itself overflows, but there
+    Phi(-b) is in [0.5, 1] and the naive product is safe.
+    """
+    bpos = b > 0.0
+    scaled = 0.5 * special.erfcx(np.where(bpos, b, 0.0) / _SQRT2) * np.exp(
+        np.where(bpos, a - 0.5 * b * b, 0.0)
+    )
+    naive = 0.5 * np.exp(np.where(bpos, 0.0, a)) * special.erfc(np.where(bpos, 0.0, b) / _SQRT2)
+    return np.where(bpos, scaled, naive)
+
+
 def _relu_core(mean: np.ndarray, var: np.ndarray):
     """Shared by the ReLU and ELU moments: the clamped variance, sigma,
     r = mu/sigma, Phi(r), pdf(r), E[relu(f)] = mu*Phi(r) + sigma*pdf(r) and
@@ -250,7 +285,7 @@ def _relu_core(mean: np.ndarray, var: np.ndarray):
     safe_var = np.maximum(var, SIGMA2_MIN)
     sigma = np.sqrt(safe_var)
     r = mean / sigma
-    cdf, pdf = G.cdf(r), G.pdf(r)
+    cdf, pdf = _cdf(r), _pdf(r)
     first = mean * cdf
     term = np.multiply(sigma, pdf)
     first += term
@@ -348,10 +383,10 @@ def elu_moments(f: GaussianActivation) -> GaussianActivation:
     mu = f.mean.data
     safe_var, sigma, r, cdf, _, relu_mean, relu_second = _relu_core(mu, f.var.data)
     # exp(mu + s^2/2) Phi(-(mu + s^2)/sigma)
-    t1 = G.exp_scaled_cdf(mu + 0.5 * safe_var, (mu + safe_var) / sigma)
+    t1 = _exp_scaled_cdf(mu + 0.5 * safe_var, (mu + safe_var) / sigma)
     # exp(2 mu + 2 s^2) Phi(-(mu + 2 s^2)/sigma)
-    t2 = G.exp_scaled_cdf(2.0 * mu + 2.0 * safe_var, (mu + 2.0 * safe_var) / sigma)
-    cdf_neg = G.cdf(-r)
+    t2 = _exp_scaled_cdf(2.0 * mu + 2.0 * safe_var, (mu + 2.0 * safe_var) / sigma)
+    cdf_neg = _cdf(-r)
     first = t1 - cdf_neg + relu_mean
     second = t2 - 2.0 * t1 + cdf_neg + relu_second
 

@@ -335,3 +335,15 @@ def hyperprior_penalty(weights: list[WeightDistribution]) -> Tensor:
                 for grad in (g * mean.data, g * (3.0 - np.exp(-log_var.data)))]
 
     return T.fused(total, tuple(t for pair in pairs for t in pair), vjp, "hyperprior_penalty")
+
+
+def hyperprior_objective(log_marginals: Tensor, weights: list[WeightDistribution],
+                         n_data: int) -> ObjectiveReport:
+    """The MAP objective: bedl_objective plus the hyperprior penalty over the
+    whole dataset, taken per datum as the nll is; one tape node on the two."""
+    report, penalty = bedl_objective(log_marginals), hyperprior_penalty(weights)
+    scale = 1.0 / n_data
+    regularizer = penalty.data * scale
+    total = T.fused(report.total.data + regularizer, (report.total, penalty),
+                    lambda g: (g, g * scale), "bedl_hyper_objective")
+    return ObjectiveReport(total=total, nll=report.nll, regularizer=float(regularizer))

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import objectives as obj
-from . import tensor as T
 from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels, one_hot
 from .layers import (INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR, GaussianActivation, LayerSpec,
                      MomentNetwork, build_network, check_rows)
@@ -320,16 +319,9 @@ def _batch_objective(
         kl = obj.classification_kl(moments, eps=eps) if cfg.objective == "bedl+reg" else None
     if kl is not None:
         return obj.pac_objective(lm, kl, n_data, cfg.delta, cfg.likelihood_bound)
-    report = obj.bedl_objective(lm)
-
     if cfg.objective == "bedl-hyper":
-        # the penalty over the whole dataset, taken per datum as the nll is
-        penalty, scale = obj.hyperprior_penalty(net.weights), 1.0 / n_data
-        regularizer = penalty.data * scale
-        total = T.fused(report.total.data + regularizer, (report.total, penalty),
-                        lambda g: (g, g * scale), "bedl_hyper_objective")
-        return obj.ObjectiveReport(total=total, nll=report.nll, regularizer=float(regularizer))
-    return report
+        return obj.hyperprior_objective(lm, net.weights, n_data)
+    return obj.bedl_objective(lm)
 
 
 def _evaluable(net: MomentNetwork) -> bool:

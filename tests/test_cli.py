@@ -12,7 +12,9 @@ import pytest
 BEDL = [sys.executable, "-m", "bedl.cli"]
 # the repository's sources come first on the path, so bedl needs no install
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-ENV = {**os.environ,
+# an overflow or invalid value inside numpy fails the command, and so the
+# test, as pyproject.toml arranges for in-process tests
+ENV = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
@@ -544,9 +546,53 @@ def test_feature_constant_on_the_train_rows_is_dropped(tmp_path):
     assert res.returncode == 0, res.stderr
     ev = run_cli("eval", "--data", str(data), "--checkpoint", str(out / "checkpoint.bin"))
     assert ev.returncode == 0, ev.stderr
-    assert "dropping 1 zero-variance train columns" in ev.stderr
+    assert "dropping 1 zero-variance train columns [1]" in ev.stderr
     values = dict(zip(*(line.split(",") for line in ev.stdout.splitlines())))
     assert float(values["test_rmse"]) < 10.0, values
+
+
+def test_classification_eval_reads_csv_columns_by_position(tmp_path):
+    # the train file's feature 0 and the test file's feature 3 are constant:
+    # a load that dropped constant columns read the test file's features
+    # 0, 1, 2 into the inputs that trained on features 1, 2, 3
+    from bedl.data import Dataset
+    from bedl.train import evaluate, load_checkpoint
+
+    r = np.random.default_rng(23)
+    labels = r.integers(0, 3, size=500)
+    x = r.normal(size=(500, 4)) + np.eye(3, 4, 1)[labels] * 2.0
+    x[:400, 0], x[400:, 3] = 0.0, 0.0
+    x[401, 0] = 1.5
+    for name, rows in (("train", slice(0, 400)), ("test", slice(400, 500))):
+        (tmp_path / f"{name}.csv").write_text("".join(
+            ",".join(f"{v:.6f}" for v in row) + f",{c}\n" for row, c in zip(x[rows], labels[rows])))
+    out = tmp_path / "run"
+    res = run_cli("train", "--data", str(tmp_path / "train.csv"), "--task", "classification",
+                  "--n-classes", "3", "--epochs", "3", "--hidden", "8", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    ev = run_cli("eval", "--data", str(tmp_path / "test.csv"),
+                 "--checkpoint", str(out / "checkpoint.bin"))
+    assert ev.returncode == 0, ev.stderr
+    table = np.loadtxt(tmp_path / "test.csv", delimiter=",")
+    ckpt = load_checkpoint(out / "checkpoint.bin")
+    expected = evaluate(ckpt, Dataset(table[:, :-1], table[:, -1].astype(np.int64),
+                                      "classification"), ckpt.config)
+    assert ev.stdout == expected.csv()
+
+
+def test_feature_too_large_to_standardize_is_data_error(tmp_path):
+    # the square inside the std of a column of N(0, 1) * 1e200 overflows;
+    # that column was zeroed with a numpy warning and the run went on
+    r = np.random.default_rng(6)
+    rows = r.normal(size=(80, 4))
+    rows[:, 0] *= 1e200
+    data = tmp_path / "huge.csv"
+    data.write_text("".join(",".join(f"{v:.8g}" for v in row) + "\n" for row in rows))
+    res = run_cli("train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("data error: feature columns [0] are too large"), res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_version_1_checkpoint_is_data_error(csv_file, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -77,19 +78,21 @@ def test_load_csv_nonfinite_rejected(tmp_path):
         load_csv(p)
 
 
-def test_load_csv_drops_constant_columns(tmp_path):
+def test_load_csv_keeps_constant_columns(tmp_path):
+    # only standardize drops columns, by the train rows of a regression
+    # split, so every file is read by column position
     p = tmp_path / "d.csv"
-    p.write_text("1,7,2\n3,7,4\n5,7,6\n")
-    with pytest.warns(UserWarning, match=r"constant feature columns \[1\]"):
-        ds = load_csv(p)
-    np.testing.assert_array_equal(ds.features, [[1.0], [3.0], [5.0]])
-    np.testing.assert_array_equal(ds.targets, [2.0, 4.0, 6.0])
-    assert ds.target_column == 2
-    # constancy is tested exactly: the float std of 455 values of 7.77 is 2.7e-15
-    p.write_text("".join(f"{i},7.77,{i % 5}\n" for i in range(455)))
-    assert np.full(455, 7.77).std() > 0.0
-    with pytest.warns(UserWarning, match=r"constant feature columns \[1\]"):
-        assert load_csv(p).features.shape == (455, 1)
+    p.write_text("1,7,2\n3,7,1\n5,7,0\n")
+    for task in ("regression", "classification"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(p, task=task)
+        np.testing.assert_array_equal(ds.features, [[1.0, 7.0], [3.0, 7.0], [5.0, 7.0]])
+        np.testing.assert_array_equal(ds.targets, [2, 1, 0])
+        assert ds.target_column == 2
+    p.write_text("1\n2\n3\n")
+    with pytest.raises(DataError, match="no feature column besides the target"):
+        load_csv(p)
 
 
 # -- IDX ---------------------------------------------------------------------
@@ -187,10 +190,10 @@ def test_standardize_drops_zero_variance_columns():
     from bedl.data import Dataset
 
     x = rng.normal(size=(20, 3))
-    x[:10, 1] = 2.0  # constant on the train half
+    x[:10, 1] = 2.0  # constant on the train half; the warning names it
     x[10:, 1] = 3.0
     ds = Dataset(x, rng.normal(size=20), task="regression")
-    with pytest.warns(UserWarning, match="dropping 1 zero-variance train columns"):
+    with pytest.warns(UserWarning, match=r"dropping 1 zero-variance train columns \[1\]"):
         out, _ = standardize(ds, np.arange(10))
     mean, std = (stat(x[:10], axis=0)[[0, 2]] for stat in (np.mean, np.std))
     np.testing.assert_array_equal(out.features, (x[:, [0, 2]] - mean) / std)
@@ -199,9 +202,26 @@ def test_standardize_drops_zero_variance_columns():
     x = np.column_stack([rng.normal(size=456), np.full(456, 7.77)])
     x[455, 1] = 7.78
     ds = Dataset(x, rng.normal(size=456), task="regression")
-    with pytest.warns(UserWarning, match="dropping 1 zero-variance train columns"):
+    with pytest.warns(UserWarning, match=r"dropping 1 zero-variance train columns \[1\]"):
         out, _ = standardize(ds, np.arange(455))
     assert out.features.shape == (456, 1) and np.abs(out.features).max() < 10.0
+
+
+def test_standardize_values_too_large_to_scale_are_data_errors():
+    # the square inside std overflows for values of about 1e154 and up; a
+    # column constant at 1e200 is dropped before that matters
+    from bedl.data import Dataset
+
+    x = rng.normal(size=(20, 3))
+    x[:, 1] *= 1e200
+    x[:, 2] = 1e200
+    ds = Dataset(x, rng.normal(size=20), task="regression")
+    with (pytest.warns(UserWarning, match=r"columns \[2\]"),
+          pytest.raises(DataError, match=r"feature columns \[1\] are too large to standardize")):
+        standardize(ds, np.arange(10))
+    ds = Dataset(x[:, :1], rng.normal(size=20) * 1e200, task="regression")
+    with pytest.raises(DataError, match="regression targets are too large to standardize"):
+        standardize(ds, np.arange(10))
 
 
 def test_standardize_constant_target_rejected():

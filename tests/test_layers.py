@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -204,19 +206,23 @@ def test_dense_moments_of_image_rows_equal_flattened_rows():
         np.testing.assert_array_equal(direct, flat)
 
 
-@pytest.mark.parametrize("shape,layer", [
-    ((2, 9, 9, 2), 0),  # one channel too many
-    ((2, 2, 2, 1), 0),  # smaller than the first kernel
-    ((2, 4, 4, 1), 1),  # the first layer's 2x2 output is smaller than the second kernel
-    ((2, 11, 11, 1), 2),  # 4x4x3 values for a dense layer that takes 27
-    ((2, 81), 0),  # not images
+@pytest.mark.parametrize("shape,layer,needs", [
+    ((2, 9, 9, 2), 0, "(H, W, 1) images at least 3 high and wide"),  # one channel too many
+    ((2, 2, 2, 1), 0, "(H, W, 1) images at least 3 high and wide"),  # smaller than the kernel
+    # the first layer's 2x2 output is smaller than the second kernel
+    ((2, 4, 4, 1), 1, "(H, W, 4) images at least 3 high and wide"),
+    ((2, 11, 11, 1), 2, "rows of 27 values"),  # 4x4x3 values for a dense layer that takes 27
+    ((2, 81), 0, "(H, W, 1) images at least 3 high and wide"),  # not images
 ], ids=["channels", "below-kernel", "below-second-kernel", "flat-width", "flat-rows"])
-def test_forward_names_the_layer_that_rows_do_not_fit(shape, layer):
+def test_forward_names_the_layer_that_rows_do_not_fit(shape, layer, needs):
+    # the message names the layer and what it needs, not the shape it gets
     specs = [L.LayerSpec("conv2d", in_channels=1, out_channels=4, kernel=3, activation="relu"),
              L.LayerSpec("conv2d", in_channels=4, out_channels=3, kernel=3, stride=2),
              L.LayerSpec("dense", fan_in=27, fan_out=3)]
     net = L.build_network(specs, np.random.default_rng(0))
-    with pytest.raises(ValueError, match=rf"fit layer {layer} \({specs[layer].kind}\)"):
+    kind = specs[layer].kind
+    message = f"fit layer {layer} ({kind}), which needs {needs}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         net.forward(np.zeros(shape))
     assert net.forward(np.zeros((2, 9, 9, 1))).mean.shape == (2, 3)
 

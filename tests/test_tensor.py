@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bedl import gaussian as G
+from bedl import layers as L
 from bedl import tensor as T
 
 from conftest import check_grads, elementwise, weighted_sum
@@ -16,21 +16,21 @@ def _param(shape):
 
 def test_gaussian_cdf_pdf_match_scipy():
     x = rng.normal(size=(3, 4)) * 3.0
-    np.testing.assert_allclose(G.cdf(x), stats.norm.cdf(x), atol=1e-14)
-    np.testing.assert_allclose(G.pdf(x), stats.norm.pdf(x), atol=1e-14)
+    np.testing.assert_allclose(L._cdf(x), stats.norm.cdf(x), atol=1e-14)
+    np.testing.assert_allclose(L._pdf(x), stats.norm.pdf(x), atol=1e-14)
 
 
 def test_exp_scaled_cdf_matches_definition():
     # exp(a) * Phi(-b), checked where the naive form is still finite
     a = np.array([0.5, -2.0, 3.0])
     b = np.array([1.0, -1.5, 4.0])
-    out = G.exp_scaled_cdf(a, b)
+    out = L._exp_scaled_cdf(a, b)
     np.testing.assert_allclose(out, np.exp(a) * stats.norm.cdf(-b), rtol=1e-12)
 
 
 def test_exp_scaled_cdf_no_overflow():
     # elu-moment regime: a huge but a - b^2/2 <= 0
-    out = G.exp_scaled_cdf(np.array(500.0), np.array(40.0))
+    out = L._exp_scaled_cdf(np.array(500.0), np.array(40.0))
     assert np.isfinite(out)
     # log of exp(500)*Phi(-40) via log of Mills-ratio form
     expected = 500.0 + stats.norm.logcdf(-40.0)
