@@ -19,6 +19,7 @@ from .layers import LayerSpec, build_network
 from .oracle import make_rng, sample_forward, sample_marginal_likelihood
 from .tensor import NumericsError
 from .train import (
+    OBJECTIVES,
     EvalMetrics,
     TrainConfig,
     TrainingDiverged,
@@ -45,13 +46,13 @@ def _load_dataset(data, images, labels, task, target_column) -> Dataset:
     raise click.UsageError("provide either --data (CSV) or --images/--labels (IDX)")
 
 
-def _build_config(config_path, task, **overrides) -> TrainConfig:
-    """The JSON config file, if any, with the task and the flags that were
-    given on top; a file that is not a JSON object is a usage error too."""
+def _build_config(config_path, **overrides) -> TrainConfig:
+    """The JSON config file, if any, with the flags that were given on top;
+    a file that is not a JSON object is a usage error too."""
     try:
         raw = json.loads(Path(config_path).read_text()) if config_path is not None else {}
         flags = {key: value for key, value in overrides.items() if value is not None}
-        return TrainConfig.from_dict({**raw, "task": task, **flags})
+        return TrainConfig.from_dict({**raw, **flags})
     except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -59,27 +60,21 @@ def _build_config(config_path, task, **overrides) -> TrainConfig:
 # an existing file: a directory is a usage error, not an IsADirectoryError traceback
 _FILE = click.Path(exists=True, dir_okay=False)
 
-common_data_options = [
-    click.option("--data", type=_FILE, help="CSV data file"),
-    click.option("--images", type=_FILE, help="IDX image file"),
-    click.option("--labels", type=_FILE, help="IDX label file"),
-]
 
-def _with(options):
-    def deco(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-
-    return deco
+def _data_options(fn):
+    """The --data, --images and --labels options of a command that reads a dataset."""
+    for name, kind in (("--labels", "IDX label"), ("--images", "IDX image"), ("--data", "CSV data")):
+        fn = click.option(name, type=_FILE, help=f"{kind} file")(fn)
+    return fn
 
 
 @cli.command("train")
-@_with(common_data_options)
+@_data_options
 @click.option("--target-column", type=int, default=-1, show_default=True)
-@click.option("--task", type=click.Choice(["regression", "classification"]), default="regression")
+# not given: the config file's task, else TrainConfig's default
+@click.option("--task", type=click.Choice(["regression", "classification"]))
 @click.option("--config", "config_path", type=_FILE, help="JSON config file")
-@click.option("--objective", type=click.Choice(["bedl", "bedl+reg", "bedl-hyper", "edl"]))
+@click.option("--objective", type=click.Choice(OBJECTIVES))
 @click.option("--epochs", type=int)
 @click.option("--lr", "learning_rate", type=float)
 @click.option("--batch", "batch_size", type=int)
@@ -95,16 +90,16 @@ def _with(options):
 @click.option("--limit", type=click.IntRange(min=1), help="Use only the first N training points")
 @click.option("--out", type=click.Path(), required=True, help="Results directory")
 def train_cmd(
-    data, images, labels, target_column, task, config_path, hidden,
+    data, images, labels, target_column, config_path, hidden,
     split_index, split_seed, limit, out, **overrides
 ):
     """Train a model and write metrics CSV plus a checkpoint; a run that
     diverges writes those of its last finite epoch, if any, and exits 3."""
-    cfg = _build_config(config_path, task, **overrides)
-    ds = _load_dataset(data, images, labels, task, target_column)
+    cfg = _build_config(config_path, **overrides)
+    ds = _load_dataset(data, images, labels, cfg.task, target_column)
 
     record = split = None
-    if task == "regression":
+    if cfg.task == "regression":
         split = SplitPlan(split_index, seed=split_seed)
         tr_idx, _ = make_splits(ds.n, split)
         ds_std, record = standardize(ds, tr_idx)
@@ -115,7 +110,7 @@ def train_cmd(
         train_ds = train_ds.subset(np.arange(min(limit, train_ds.n)))
 
     d_in = int(np.prod(train_ds.features.shape[1:]))
-    specs = default_specs(task, d_in, hidden=hidden, n_classes=cfg.n_classes)
+    specs = default_specs(cfg.task, d_in, hidden=hidden, n_classes=cfg.n_classes)
     try:
         result = train(train_ds, specs, cfg, record=record, split=split)
     except TrainingDiverged as exc:
@@ -133,7 +128,7 @@ def _write_run(out_dir: Path, result: TrainResult) -> None:
 
 
 @cli.command("eval")
-@_with(common_data_options)
+@_data_options
 @click.option("--checkpoint", type=_FILE, required=True)
 def eval_cmd(data, images, labels, checkpoint):
     """Evaluate a checkpoint, under the config it was trained with, on the
@@ -143,8 +138,8 @@ def eval_cmd(data, images, labels, checkpoint):
     trained on, the last one when the checkpoint records none."""
     ckpt = load_checkpoint(checkpoint)
     column = -1 if ckpt.target_column is None else ckpt.target_column
-    ds = _load_dataset(data, images, labels, ckpt.task, column)
-    if ckpt.task == "regression":
+    ds = _load_dataset(data, images, labels, ckpt.config.task, column)
+    if ckpt.config.task == "regression":
         split = ckpt.split if ckpt.split is not None else SplitPlan(0)
         tr_idx, te_idx = make_splits(ds.n, split)
         ds_std, _ = standardize(ds, tr_idx)
@@ -165,8 +160,9 @@ def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels):
     from .uncertainty import ecdf_auc
 
     ckpt = load_checkpoint(checkpoint)
-    if ckpt.task != "classification":
-        raise click.UsageError(f"ood-eval needs a classification checkpoint, not {ckpt.task!r}")
+    if ckpt.config.task != "classification":
+        raise click.UsageError(
+            f"ood-eval needs a classification checkpoint, not {ckpt.config.task!r}")
     in_ds = load_idx(in_images, in_labels)
     ood_ds = load_idx(ood_images, ood_labels)
     in_metrics = evaluate(ckpt, in_ds, ckpt.config)

@@ -154,9 +154,7 @@ def _affine_nodes(w, mean, var, h, v, op, out_shape, fold, moments) -> GaussianA
     variances v (None: a deterministic input): one flattened input row per
     dense datum, one receptive field per conv output pixel. The nodes have
     ``out_shape``, and ``fold(g, w)`` maps g @ w.T back onto the input mean.
-    ``moments`` are the layer's WeightMoments, or None to compute them here."""
-    if moments is None:
-        moments = WeightMoments.of(w, v is not None)
+    ``moments`` are the layer's WeightMoments."""
     wm, wvar, bvar, w2 = w.mean.data, moments.var, moments.bias_var, moments.second
     h2 = h * h
     out_mean = h @ wm
@@ -188,7 +186,7 @@ def _affine_nodes(w, mean, var, h, v, op, out_shape, fold, moments) -> GaussianA
 
 
 def dense_moments(w: WeightDistribution, mean: Tensor, var: Tensor | None,
-                  moments: WeightMoments | None = None) -> GaussianActivation:
+                  moments: WeightMoments) -> GaussianActivation:
     """Affine layer moments of N input rows of any shape that hold fan_in
     values each, such as the (N, H, W, C) output of a conv layer: the rows
     are flattened inside the two nodes; see _affine_nodes."""
@@ -226,7 +224,7 @@ def _fold_receptive_fields(g, w, shape, kernel, stride) -> np.ndarray:
 
 def conv2d_moments(
     w: WeightDistribution, mean: Tensor, var: Tensor | None, kernel: int, stride: int,
-    moments: WeightMoments | None = None,
+    moments: WeightMoments,
 ) -> GaussianActivation:
     """Valid strided convolution moments: the affine moments of every
     receptive field, which are built inside the two nodes and never taped.
@@ -455,7 +453,7 @@ class MomentNetwork:
         when many batches go through unchanged weights."""
         mean, var = Tensor(x), None  # the input is deterministic
         check_rows(self.specs, mean.shape[1:])
-        moments = moments or [None] * len(self.weights)
+        moments = moments or self.weight_moments()
         for spec, w, wm in zip(self.specs, self.weights, moments):
             h = (conv2d_moments(w, mean, var, spec.kernel, spec.stride, wm)
                  if spec.kind == "conv2d" else dense_moments(w, mean, var, wm))

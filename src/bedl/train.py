@@ -200,10 +200,6 @@ class Checkpoint:
     split: SplitPlan | None = None  # the regression split it trained on
     target_column: int | None = None  # of the CSV it trained on
 
-    @property
-    def task(self) -> str:
-        return self.config.task
-
     def build_network(self) -> MomentNetwork:
         """The network for evaluation, with no gradient buffer (a
         checkpoint cannot resume training)."""
@@ -285,15 +281,13 @@ class TrainResult:
     metrics: list[dict]  # one row per epoch
 
     def metrics_csv(self) -> str:
-        cols = ["epoch", "objective", "nll", "regularizer"]
-        lines = [",".join(cols)]
-        for row in self.metrics:
-            lines.append(
-                ",".join(
-                    f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c]) for c in cols
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(["epoch", "objective", "nll", "regularizer"], self.metrics)
+
+
+def _csv(cols: list[str], rows: list[dict]) -> str:
+    """A header line of ``cols``, then one line per row, each number as %.12g."""
+    lines = [cols] + [[f"{row[c]:.12g}" for c in cols] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _batch_objective(
@@ -329,9 +323,26 @@ def _evaluable(net: MomentNetwork) -> bool:
     such as exp(log_var), are all finite; an overflow prints nothing."""
     with np.errstate(all="ignore"):
         moments = net.weight_moments()
-    arrays = [p.data for p in net.parameters()] + [
-        a for m in moments for a in (m.var, m.bias_var, m.second) if a is not None]
+    arrays = [net.data] + [a for m in moments for a in (m.var, m.bias_var, m.second)
+                           if a is not None]
     return all(np.isfinite(a).all() for a in arrays)
+
+
+def _check_data(specs: list[LayerSpec], dataset: Dataset, doing: str) -> None:
+    """The one check that admits data to a network of ``specs``: no rows,
+    rows that do not fit its layers, or a feature column whose square would
+    overflow in the first layer (found by column max and min, so with no
+    data-sized copy) is a DataError that names it."""
+    x, big = dataset.features, math.sqrt(np.finfo(float).max)
+    if len(x) == 0:
+        raise DataError(f"no rows to {doing}")
+    try:
+        check_rows(specs, x.shape[1:])
+    except ValueError as exc:
+        raise DataError(f"the data does not fit the network: {exc}") from exc
+    huge = np.flatnonzero((x.max(axis=0) > big) | (x.min(axis=0) < -big))
+    if huge.size:
+        raise DataError(f"feature columns {huge.tolist()} are too large for the first layer")
 
 
 def default_specs(task: str, d_in: int, hidden: int = 50, n_classes: int = 10) -> list[LayerSpec]:
@@ -358,16 +369,15 @@ def train(
     the train part of, so that evaluation scores its test part, and the
     dataset's CSV target column. A dataset of another task than ``cfg``, or
     an output layer that is not as wide as the head, is a ValueError before
-    the first step, and one with no rows a DataError. A run that diverges
-    raises TrainingDiverged."""
-    if dataset.n == 0:
-        raise DataError("no rows to train on")
+    the first step, and data that _check_data refuses a DataError. A run
+    that diverges raises TrainingDiverged."""
     if dataset.task != cfg.task:
         raise ValueError(f"a {dataset.task} dataset cannot train a {cfg.task} config")
     width = 2 if cfg.task == "regression" else cfg.n_classes
     if specs[-1].n_out != width:
         raise ValueError(f"the output layer has {specs[-1].n_out} units but the {cfg.task} "
                          f"head reads {width}")
+    _check_data(specs, dataset, "train on")
     rng = np.random.default_rng(cfg.seed)
     net = build_network(specs, rng, log_var_mean=cfg.init_log_var_mean,
                         log_var_var=cfg.init_log_var_var)
@@ -420,10 +430,7 @@ class EvalMetrics:
     values: dict
 
     def csv(self) -> str:
-        cols = sorted(self.values)
-        head = ",".join(cols)
-        row = ",".join(f"{self.values[c]:.12g}" for c in cols)
-        return f"{head}\n{row}\n"
+        return _csv(sorted(self.values), [self.values])
 
 
 def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig):
@@ -433,17 +440,12 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig):
     Rows go through the forward pass EVAL_CHUNK at a time, so memory does
     not grow with the dataset; the weight moments are computed once,
     before the first chunk."""
-    if ckpt.task != cfg.task:
-        raise ValueError(f"checkpoint task {ckpt.task!r} does not match {cfg.task!r}")
+    if ckpt.config.task != cfg.task:
+        raise ValueError(f"checkpoint task {ckpt.config.task!r} does not match {cfg.task!r}")
     if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
         raise ValueError(f"beta {cfg.beta} does not match the checkpoint's {ckpt.config.beta}")
+    _check_data(ckpt.specs, dataset, "evaluate")
     x = dataset.features
-    if len(x) == 0:
-        raise DataError("no rows to evaluate")
-    try:
-        check_rows(ckpt.specs, x.shape[1:])
-    except ValueError as exc:
-        raise DataError(f"the data does not fit the checkpoint: {exc}") from exc
     net = ckpt.build_network()
     weight_moments = net.weight_moments()
     parts = []

@@ -81,6 +81,28 @@ def test_config_file_plus_override(csv_file, tmp_path):
     assert len((out / "metrics.csv").read_text().strip().splitlines()) == 3  # header + 2
 
 
+
+def test_config_file_task_holds_unless_the_flag_is_given(tmp_path):
+    # the --task flag's former default "regression" overrode the file's task,
+    # and a classification config trained a regression checkpoint
+    from bedl.train import load_checkpoint
+
+    r = np.random.default_rng(8)
+    labels = r.integers(0, 2, size=120)
+    x = r.normal(size=(120, 4)) + labels[:, None]
+    data = tmp_path / "cls.csv"
+    data.write_text("".join(",".join(f"{v:.6f}" for v in row) + f",{c}\n"
+                            for row, c in zip(x, labels)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "classification", "n_classes": 2, "epochs": 2}))
+    for flag, task, width in (([], "classification", 2), (["--task", "regression"], "regression", 2)):
+        out = tmp_path / task
+        res = run_cli("train", "--data", str(data), "--config", str(cfg), *flag,
+                      "--hidden", "8", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        ckpt = load_checkpoint(out / "checkpoint.bin")
+        assert (ckpt.config.task, ckpt.specs[-1].n_out) == (task, width)
+
 def test_unknown_config_key_is_usage_error(csv_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epohcs": 3}))
@@ -594,6 +616,37 @@ def test_feature_too_large_to_standardize_is_data_error(tmp_path):
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "o").exists()
 
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_feature_too_large_for_the_first_layer_is_data_error(tmp_path, task):
+    # a value whose square overflows reached the first layer's h * h: numpy
+    # warned, and the layer's non-finite check made it a numerical failure
+    # (exit 3); a classification CSV is not standardized, and a regression
+    # test row is scaled by the train rows' std, so neither refused it
+    from bedl.data import SplitPlan, make_splits
+
+    r = np.random.default_rng(9)
+    rows = r.normal(size=(80, 4))
+    if task == "regression":
+        rows[make_splits(80, SplitPlan(0))[1][0], 0] = 1e300
+    else:
+        rows[:, 0] *= 1e200
+        rows[:, -1] = r.integers(0, 2, size=80)
+    data = tmp_path / "huge.csv"
+    data.write_text("".join(",".join(f"{v:.8g}" for v in row) + "\n" for row in rows))
+    out = tmp_path / "o"
+    res = run_cli("train", "--data", str(data), "--task", task, "--n-classes", "2",
+                  "--epochs", "1", "--hidden", "4", "--out", str(out))
+    if task == "regression":
+        assert res.returncode == 0, res.stderr
+        res = run_cli("eval", "--data", str(data), "--checkpoint", str(out / "checkpoint.bin"))
+    else:
+        assert not out.exists()
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(
+        "data error: feature columns [0] are too large for the first layer"), res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
 
 def test_version_1_checkpoint_is_data_error(csv_file, tmp_path, monkeypatch, capsys):
     # the version 1 header had task and standardize keys and no config;

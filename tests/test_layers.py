@@ -30,7 +30,7 @@ def test_dense_moments_closed_form():
     w = _weights(3, 2)
     hm = rng.normal(size=(4, 3))
     hv = rng.uniform(0.1, 1.0, size=(4, 3))
-    out = L.dense_moments(w, T.Tensor(hm), T.Tensor(hv))
+    out = L.dense_moments(w, T.Tensor(hm), T.Tensor(hv), L.WeightMoments.of(w, True))
     wm, wv = w.mean.data, np.exp(w.log_var.data)
     np.testing.assert_allclose(out.mean.data, hm @ wm + w.bias_mean.data, rtol=1e-12)
     np.testing.assert_allclose(
@@ -43,7 +43,7 @@ def test_dense_moments_closed_form():
 def test_input_moments_zero_input_variance():
     w = _weights(3, 2)
     x = rng.normal(size=(5, 3))
-    out = L.dense_moments(w, T.Tensor(x), None)
+    out = L.dense_moments(w, T.Tensor(x), None, L.WeightMoments.of(w, False))
     np.testing.assert_allclose(out.mean.data, x @ w.mean.data + w.bias_mean.data, rtol=1e-12)
     np.testing.assert_allclose(
         out.var.data, x**2 @ np.exp(w.log_var.data) + np.exp(w.bias_log_var.data), rtol=1e-12
@@ -184,7 +184,9 @@ def test_dense_moments_gradcheck(input_var, rows):
     mean = T.Parameter(r.normal(size=(4, *rows)))
     var = T.Parameter(r.uniform(0.1, 1.0, size=(4, *rows))) if input_var else None
     params = w.parameters() + [mean] + ([var] if input_var else [])
-    check_grads(lambda: _weighted_moments(L.dense_moments(w, mean, var)), params, rel_tol=1e-6)
+    check_grads(lambda: _weighted_moments(
+        L.dense_moments(w, mean, var, L.WeightMoments.of(w, var is not None))),
+        params, rel_tol=1e-6)
 
 
 def test_dense_moments_of_image_rows_equal_flattened_rows():
@@ -198,7 +200,7 @@ def test_dense_moments_of_image_rows_equal_flattened_rows():
         inputs = [T.Parameter(a) for a in rows]
         for p in w.parameters():
             p.grad = None
-        out = L.dense_moments(w, *inputs)
+        out = L.dense_moments(w, *inputs, L.WeightMoments.of(w, True))
         _weighted_moments(out).backward()
         runs.append([out.mean.data, out.var.data] + [p.grad for p in w.parameters()]
                     + [p.grad.reshape(mean.shape) for p in inputs])
@@ -258,7 +260,8 @@ def test_conv2d_moments_gradcheck(kernel, stride, size, input_var):
     var = T.Parameter(rng.uniform(0.1, 1.0, size=(2, *size, 2))) if input_var else None
 
     def f():
-        return _weighted_moments(L.conv2d_moments(w, mean, var, kernel=kernel, stride=stride))
+        moments = L.WeightMoments.of(w, var is not None)
+        return _weighted_moments(L.conv2d_moments(w, mean, var, kernel, stride, moments))
 
     _check_grads_fourth_order(f, w.parameters() + [mean] + ([var] if input_var else []),
                               rel_tol=1e-6)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 import zlib
@@ -465,10 +466,29 @@ def test_data_that_does_not_fit_the_checkpoint_is_data_error():
                     (conv, r.normal(size=(10, 11, 11, 1))),  # too wide for the dense layer
                     (conv, r.normal(size=(10, 2, 2, 1))),  # smaller than the kernel
                     (conv, r.normal(size=(10, 81)))):  # not images
-        ds = Dataset(x, np.zeros(len(x), dtype=int), task=ckpt.task)
+        ds = Dataset(x, np.zeros(len(x), dtype=int), task=ckpt.config.task)
         with pytest.raises(DataError):
-            tr.evaluate(ckpt, ds, tr.TrainConfig(task=ckpt.task, n_classes=3))
+            tr.evaluate(ckpt, ds, tr.TrainConfig(task=ckpt.config.task, n_classes=3))
 
+
+
+def test_train_refuses_data_that_does_not_fit_before_the_first_step(monkeypatch):
+    # the forward pass of step 1 raised a ValueError for rows that do not fit,
+    # and a column whose square overflows ended as a numerical failure
+    monkeypatch.setattr(tr, "build_network", lambda *a, **k: pytest.fail("a network was built"))
+    r = np.random.default_rng(0)
+    dense = tr.default_specs("classification", 3, hidden=4, n_classes=3)
+    huge = r.normal(size=(10, 3))
+    huge[:, 1] *= 1e200
+    cfg = tr.TrainConfig(task="classification", n_classes=3, epochs=1)
+    for specs, x, message in ((dense, r.normal(size=(10, 4)), "do not fit layer 0"),
+                              (_CONV_SPECS, r.normal(size=(10, 9, 9, 2)), "do not fit layer 0"),
+                              (_CONV_SPECS, r.normal(size=(10, 11, 11, 1)), "do not fit layer 2"),
+                              (dense, r.normal(size=(0, 3)), "no rows to train on"),
+                              (dense, huge, "feature columns [1] are too large")):
+        ds = Dataset(x, r.integers(0, 3, size=len(x)), task="classification")
+        with pytest.raises(DataError, match=re.escape(message)):
+            tr.train(ds, specs, cfg)
 
 def test_decompose_over_row_chunks_equals_one_call():
     # decompose works on each row alone, so chunks of rows give the numbers
