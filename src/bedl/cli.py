@@ -20,6 +20,7 @@ from .oracle import make_rng, sample_forward, sample_marginal_likelihood
 from .tensor import NumericsError
 from .train import (
     OBJECTIVES,
+    TASKS,
     EvalMetrics,
     TrainConfig,
     TrainingDiverged,
@@ -31,6 +32,7 @@ from .train import (
     save_checkpoint,
     train,
 )
+from .uncertainty import ecdf_auc
 
 
 @click.group()
@@ -38,12 +40,24 @@ def cli():
     """Moment-matched Bayesian neural nets with evidential heads."""
 
 
-def _load_dataset(data, images, labels, task, target_column) -> Dataset:
+def _load_dataset(task, data=None, images=None, labels=None, target_column=-1) -> Dataset:
+    """The CSV table or IDX pair a command reads; IDX files are classification
+    data, so under another task they are a usage error before any file is read."""
     if data is not None:
-        return load_csv(data, target_column=target_column, task=task)
+        return load_csv(data, target_column=target_column)
     if images is not None and labels is not None:
+        if task != "classification":
+            raise click.UsageError(f"IDX images and labels are classification data, "
+                                   f"but the task is {task!r}")
         return load_idx(images, labels)
     raise click.UsageError("provide either --data (CSV) or --images/--labels (IDX)")
+
+
+def _split(ds: Dataset, plan: SplitPlan):
+    """The standardized train rows, test rows and record of a regression split."""
+    tr_idx, te_idx = make_splits(ds.n, plan)
+    ds_std, record = standardize(ds, tr_idx)
+    return ds_std.subset(tr_idx), ds_std.subset(te_idx), record
 
 
 def _build_config(config_path, **overrides) -> TrainConfig:
@@ -72,7 +86,7 @@ def _data_options(fn):
 @_data_options
 @click.option("--target-column", type=int, default=-1, show_default=True)
 # not given: the config file's task, else TrainConfig's default
-@click.option("--task", type=click.Choice(["regression", "classification"]))
+@click.option("--task", type=click.Choice(TASKS))
 @click.option("--config", "config_path", type=_FILE, help="JSON config file")
 @click.option("--objective", type=click.Choice(OBJECTIVES))
 @click.option("--epochs", type=int)
@@ -96,16 +110,12 @@ def train_cmd(
     """Train a model and write metrics CSV plus a checkpoint; a run that
     diverges writes those of its last finite epoch, if any, and exits 3."""
     cfg = _build_config(config_path, **overrides)
-    ds = _load_dataset(data, images, labels, cfg.task, target_column)
+    train_ds = _load_dataset(cfg.task, data, images, labels, target_column)
 
     record = split = None
     if cfg.task == "regression":
         split = SplitPlan(split_index, seed=split_seed)
-        tr_idx, _ = make_splits(ds.n, split)
-        ds_std, record = standardize(ds, tr_idx)
-        train_ds = ds_std.subset(tr_idx)
-    else:
-        train_ds = ds
+        train_ds, _, record = _split(train_ds, split)
     if limit is not None:
         train_ds = train_ds.subset(np.arange(min(limit, train_ds.n)))
 
@@ -138,12 +148,9 @@ def eval_cmd(data, images, labels, checkpoint):
     trained on, the last one when the checkpoint records none."""
     ckpt = load_checkpoint(checkpoint)
     column = -1 if ckpt.target_column is None else ckpt.target_column
-    ds = _load_dataset(data, images, labels, ckpt.config.task, column)
+    ds = _load_dataset(ckpt.config.task, data, images, labels, column)
     if ckpt.config.task == "regression":
-        split = ckpt.split if ckpt.split is not None else SplitPlan(0)
-        tr_idx, te_idx = make_splits(ds.n, split)
-        ds_std, _ = standardize(ds, tr_idx)
-        ds = ds_std.subset(te_idx)
+        _, ds, _ = _split(ds, ckpt.split or SplitPlan(0))
     metrics = evaluate(ckpt, ds, ckpt.config)
     click.echo(metrics.csv(), nl=False)
 
@@ -157,14 +164,9 @@ def eval_cmd(data, images, labels, checkpoint):
 def ood_eval_cmd(checkpoint, in_images, in_labels, ood_images, ood_labels):
     """In-domain test metrics plus out-of-domain entropy metrics, under the
     checkpoint's own config."""
-    from .uncertainty import ecdf_auc
-
     ckpt = load_checkpoint(checkpoint)
-    if ckpt.config.task != "classification":
-        raise click.UsageError(
-            f"ood-eval needs a classification checkpoint, not {ckpt.config.task!r}")
-    in_ds = load_idx(in_images, in_labels)
-    ood_ds = load_idx(ood_images, ood_labels)
+    in_ds = _load_dataset(ckpt.config.task, images=in_images, labels=in_labels)
+    ood_ds = _load_dataset(ckpt.config.task, images=ood_images, labels=ood_labels)
     in_metrics = evaluate(ckpt, in_ds, ckpt.config)
     ood_entropy = evaluate_entropies(ckpt, ood_ds, ckpt.config)
     values = {f"in_{k}": v for k, v in in_metrics.values.items()}

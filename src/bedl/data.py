@@ -30,8 +30,7 @@ class DataError(Exception):
 @dataclass
 class Dataset:
     features: np.ndarray  # (N, d) or (N, H, W, C)
-    targets: np.ndarray  # (N,) regression floats or integer labels
-    task: str  # "regression" | "classification"
+    targets: np.ndarray  # (N,) regression floats or class labels
     target_column: int | None = None  # the CSV column the targets came from
 
     def __post_init__(self):
@@ -61,14 +60,14 @@ class SplitPlan:
                                  f"not {value!r}")
 
 
-def load_csv(path: str | Path, target_column: int = -1, task: str = "regression") -> Dataset:
+def load_csv(path: str | Path, target_column: int = -1) -> Dataset:
     """Parse a comma-separated numeric CSV with an optional (auto-detected)
     header row.
 
-    Every other column than the target is a feature, constant or not; a cell
-    that does not parse raises DataError with its row and column, and so do
-    a header with no rows, a target column outside the rows, no column
-    besides the target and a class label that is not an integer.
+    Every other column than the target is a feature, constant or not, and
+    the targets stay floats; a cell that does not parse raises DataError
+    with its row and column, and so do a header with no rows, a target
+    column outside the rows and no column besides the target.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
@@ -108,12 +107,7 @@ def load_csv(path: str | Path, target_column: int = -1, task: str = "regression"
     x = np.delete(mat, tcol, axis=1)
     if x.shape[1] == 0:
         raise DataError(f"{path}: no feature column besides the target")
-    if task == "classification":
-        fractional = np.flatnonzero(y != np.trunc(y))
-        if fractional.size:
-            raise DataError(f"{path}: class label {y[fractional[0]]:g} is not an integer")
-        y = y.astype(np.int64)
-    return Dataset(x, y, task=task, target_column=int(tcol))
+    return Dataset(x, y, target_column=int(tcol))
 
 
 def _read_maybe_gzip(path: Path) -> bytes:
@@ -149,7 +143,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     if images.shape[0] != labels.shape[0]:
         raise DataError("image/label count mismatch")
     x = images.astype(np.float64) / 255.0
-    return Dataset(x[..., None], labels.astype(np.int64), task="classification")
+    return Dataset(x[..., None], labels.astype(np.int64))
 
 
 def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -165,11 +159,12 @@ def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class StandardizeRecord:
-    target_std: float | None  # of the train split's regression targets
+    target_std: float  # of the train split's regression targets
 
 
 def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, StandardizeRecord]:
-    """Z-score features (and regression targets) by train-split statistics.
+    """Z-score the features and targets of a regression table by
+    train-split statistics.
 
     The one place that drops feature columns, with a warning that names
     them: those constant (max == min) on the train split, since the float std
@@ -193,31 +188,27 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
         raise DataError(f"feature columns {huge.tolist()} are too large to standardize")
     xs = (x[:, keep] - mu[keep]) / sd[keep]
 
-    if ds.task == "regression":
-        y = ds.targets.astype(np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ym, ys = float(y[train_idx].mean()), float(y[train_idx].std())
-        if np.ptp(y[train_idx]) == 0.0:
-            raise DataError("constant regression target on train split")
-        if not np.isfinite(ys):
-            raise DataError("the regression targets are too large to standardize")
-        y_out = (y - ym) / ys
-        rec = StandardizeRecord(ys)
-    else:
-        y_out = ds.targets
-        rec = StandardizeRecord(None)
-
-    return replace(ds, features=xs, targets=y_out), rec
+    y = ds.targets.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ym, ys = float(y[train_idx].mean()), float(y[train_idx].std())
+    if np.ptp(y[train_idx]) == 0.0:
+        raise DataError("constant regression target on train split")
+    if not np.isfinite(ys):
+        raise DataError("the regression targets are too large to standardize")
+    return replace(ds, features=xs, targets=(y - ym) / ys), StandardizeRecord(ys)
 
 
 def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Class labels as a flat integer array; one outside [0, n_classes) is a
-    DataError."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    """Class labels as a flat integer array; a label that is not a finite
+    integer, or one outside [0, n_classes), is a DataError."""
+    labels = np.asarray(labels).reshape(-1)
+    fractional = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+    if fractional.size:
+        raise DataError(f"class label {labels[fractional[0]]:g} is not an integer")
     if labels.size and not 0 <= labels.min() <= labels.max() < n_classes:
-        raise DataError(f"labels run from {labels.min()} to {labels.max()}, outside the "
+        raise DataError(f"labels run from {labels.min():g} to {labels.max():g}, outside the "
                         f"{n_classes} classes 0 to {n_classes - 1}")
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -120,7 +120,6 @@ def sample_forward(
     n = float(n_samples)
     mean = s1 / n
     var = s2 / n - mean**2
-    m3 = s3 / n - 3 * mean * s2 / n + 2 * mean**3
     m4 = s4 / n - 4 * mean * s3 / n + 6 * mean**2 * s2 / n - 3 * mean**4
     var = np.maximum(var, 0.0)
     mean_se = np.sqrt(var / n)

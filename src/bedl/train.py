@@ -21,6 +21,7 @@ from .tensor import NumericsError, Tensor
 from .uncertainty import decompose, ecdf_auc, test_error
 
 OBJECTIVES = ("bedl", "bedl+reg", "bedl-hyper", "edl")
+TASKS = ("regression", "classification")
 
 # Rows per forward pass in evaluation, so that the memory of a conv net's
 # activations does not grow with the dataset.
@@ -64,7 +65,7 @@ class TrainConfig:
         _check_types(self)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.task not in ("regression", "classification"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.objective == "edl" and self.task != "classification":
             raise ValueError("edl objective requires classification")
@@ -367,17 +368,17 @@ def train(
     """Seeded, single-threaded, deterministic training run; the checkpoint
     records ``split``, the split of a regression table that ``dataset`` is
     the train part of, so that evaluation scores its test part, and the
-    dataset's CSV target column. A dataset of another task than ``cfg``, or
-    an output layer that is not as wide as the head, is a ValueError before
-    the first step, and data that _check_data refuses a DataError. A run
-    that diverges raises TrainingDiverged."""
-    if dataset.task != cfg.task:
-        raise ValueError(f"a {dataset.task} dataset cannot train a {cfg.task} config")
+    dataset's CSV target column. Before the first step, an output layer not
+    as wide as the head is a ValueError, and data that _check_data refuses
+    or, for classification, check_labels a DataError. A run that diverges
+    raises TrainingDiverged."""
     width = 2 if cfg.task == "regression" else cfg.n_classes
     if specs[-1].n_out != width:
         raise ValueError(f"the output layer has {specs[-1].n_out} units but the {cfg.task} "
                          f"head reads {width}")
     _check_data(specs, dataset, "train on")
+    if cfg.task == "classification":
+        check_labels(dataset.targets, cfg.n_classes)
     rng = np.random.default_rng(cfg.seed)
     net = build_network(specs, rng, log_var_mean=cfg.init_log_var_mean,
                         log_var_var=cfg.init_log_var_var)
@@ -468,8 +469,11 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
     Classification: test error, the ECDF-AUC of predictive entropies over
     [0, log C], with C the width of the output layer, and the epistemic and
     aleatoric parts of the predictive variance, each a mean over points and
-    classes; a label outside the C classes is a DataError.
+    classes; a label not among the C classes is a DataError before any row runs.
     """
+    n_classes = ckpt.specs[-1].n_out
+    classes = ckpt.config.task == "classification"
+    labels = check_labels(dataset.targets, n_classes) if classes else None
     moments, rep = _predict(ckpt, dataset, cfg)
     if rep is None:
         lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.beta)
@@ -482,9 +486,8 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
         }
         return EvalMetrics(values)
 
-    n_classes = ckpt.specs[-1].n_out
     values = {
-        "test_error_pct": test_error(rep.predictive_mean, check_labels(dataset.targets, n_classes)),
+        "test_error_pct": test_error(rep.predictive_mean, labels),
         "ecdf_auc": ecdf_auc(rep.entropy, n_classes),
         "mean_entropy": float(rep.entropy.mean()),
         "epistemic_mean": float(rep.epistemic.mean()),

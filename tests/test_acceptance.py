@@ -326,7 +326,7 @@ def test_criterion_09_determinism():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(50, 3))
     y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=50)
-    ds = Dataset(x, y, task="regression")
+    ds = Dataset(x, y)
     cfg = TrainConfig(objective="bedl+reg", epochs=5, batch_size=16, seed=13)
     specs = default_specs("regression", 3, hidden=8)
     csv1 = train(ds, specs, cfg).metrics_csv()

@@ -314,6 +314,7 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/nan.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/flipped-byte.bin"],
     ["train", "--data", "{d}/label-1.7.csv", "--task", "classification", "--n-classes", "3"],
+    ["eval", "--data", "{d}/label-1.7.csv", "--checkpoint", "{d}/cls/checkpoint.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-minus-1.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/alpha-nan.bin"],
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-bias.bin"],
@@ -327,9 +328,10 @@ def bad_data(trained_checkpoint, tmp_path_factory):
     ["eval", "--data", "{csv}", "--checkpoint", "{d}/no-target-column.bin"],
 ], ids=["train-no-rows", "train-no-feature-column", "train-target-column-9",
         "eval-label-minus-1", "eval-label-3", "eval-nan-checkpoint", "eval-flipped-byte",
-        "train-label-1.7", "eval-alpha-minus-1", "eval-alpha-nan", "eval-no-bias",
-        "eval-kernel-float", "eval-stride-float", "eval-fan-out-bool", "eval-version-2",
-        "eval-version-3", "eval-no-crc32", "eval-no-split", "eval-no-target-column"])
+        "train-label-1.7", "eval-label-1.7", "eval-alpha-minus-1", "eval-alpha-nan",
+        "eval-no-bias", "eval-kernel-float", "eval-stride-float", "eval-fan-out-bool",
+        "eval-version-2", "eval-version-3", "eval-no-crc32", "eval-no-split",
+        "eval-no-target-column"])
 def test_bad_data_exits_2_without_traceback(bad_data, csv_file, tmp_path, cmd, monkeypatch,
                                             capsys):
     # cli.main runs in this process, so an unmapped exception fails the test
@@ -597,8 +599,8 @@ def test_classification_eval_reads_csv_columns_by_position(tmp_path):
     assert ev.returncode == 0, ev.stderr
     table = np.loadtxt(tmp_path / "test.csv", delimiter=",")
     ckpt = load_checkpoint(out / "checkpoint.bin")
-    expected = evaluate(ckpt, Dataset(table[:, :-1], table[:, -1].astype(np.int64),
-                                      "classification"), ckpt.config)
+    expected = evaluate(ckpt, Dataset(table[:, :-1], table[:, -1].astype(np.int64)),
+                        ckpt.config)
     assert ev.stdout == expected.csv()
 
 
@@ -794,6 +796,25 @@ def test_ood_eval_subcommand(idx_run):
                       *extra)
         assert res.returncode == code, res.stderr
         assert res.stderr.startswith(prefix) and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("cmd", ["train", "eval"])
+def test_idx_files_under_the_regression_task_are_a_usage_error(idx_run, trained_checkpoint,
+                                                               tmp_path, cmd):
+    # IDX files are classification data: train without --task took the
+    # default regression task, and eval the regression checkpoint's, and
+    # both exited 2 in standardize; now the task is named before any file
+    # is read, and train writes nothing
+    tmp, _ = idx_run
+    out = tmp_path / "o"
+    extra = (["--epochs", "1", "--out", str(out)] if cmd == "train"
+             else ["--checkpoint", str(trained_checkpoint)])
+    res = run_cli(cmd, "--images", str(tmp / "tr-img.idx"), "--labels", str(tmp / "tr-lab.idx"),
+                  *extra)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error:") and "'regression'" in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_eval_reports_the_epistemic_and_aleatoric_parts(idx_run):

@@ -8,6 +8,7 @@ import pytest
 from bedl.data import (
     DataError,
     SplitPlan,
+    check_labels,
     load_csv,
     load_idx,
     make_splits,
@@ -63,12 +64,20 @@ def test_load_csv_ragged_and_empty(tmp_path):
 
 
 def test_load_csv_class_labels_must_be_integers(tmp_path):
+    # a CSV's targets stay floats; check_labels, which train and evaluate
+    # call for a classification config, refuses one that is not an integer
     p = tmp_path / "c.csv"
     p.write_text("0.5,0.0\n1.5,1.0\n2.5,2.0\n")
-    np.testing.assert_array_equal(load_csv(p, task="classification").targets, [0, 1, 2])
+    labels = check_labels(load_csv(p).targets, 3)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [0, 1, 2])
     p.write_text("0.5,0.0\n1.5,1.7\n2.5,2.9\n")
+    np.testing.assert_array_equal(load_csv(p).targets, [0.0, 1.7, 2.9])
     with pytest.raises(DataError, match="label 1.7 is not an integer"):
-        load_csv(p, task="classification")
+        check_labels(load_csv(p).targets, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="is not an integer"):
+            check_labels(np.array([0.0, bad]), 3)
 
 
 def test_load_csv_nonfinite_rejected(tmp_path):
@@ -83,13 +92,12 @@ def test_load_csv_keeps_constant_columns(tmp_path):
     # split, so every file is read by column position
     p = tmp_path / "d.csv"
     p.write_text("1,7,2\n3,7,1\n5,7,0\n")
-    for task in ("regression", "classification"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ds = load_csv(p, task=task)
-        np.testing.assert_array_equal(ds.features, [[1.0, 7.0], [3.0, 7.0], [5.0, 7.0]])
-        np.testing.assert_array_equal(ds.targets, [2, 1, 0])
-        assert ds.target_column == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_csv(p)
+    np.testing.assert_array_equal(ds.features, [[1.0, 7.0], [3.0, 7.0], [5.0, 7.0]])
+    np.testing.assert_array_equal(ds.targets, [2, 1, 0])
+    assert ds.target_column == 2
     p.write_text("1\n2\n3\n")
     with pytest.raises(DataError, match="no feature column besides the target"):
         load_csv(p)
@@ -123,7 +131,6 @@ def test_load_idx_roundtrip(tmp_path, gz):
     assert ds.features.shape == (4, 5, 5, 1)
     np.testing.assert_allclose(ds.features[..., 0], pixels / 255.0)
     np.testing.assert_array_equal(ds.targets, labels)
-    assert ds.task == "classification"
 
 
 def test_load_idx_bad_magic_and_truncation(tmp_path):
@@ -174,7 +181,7 @@ def test_standardize_uses_train_stats_only():
     y = rng.normal(-2.0, 4.0, size=50)
     from bedl.data import Dataset
 
-    ds = Dataset(x, y, task="regression")
+    ds = Dataset(x, y)
     tr = np.arange(40)
     out, rec = standardize(ds, tr)
     np.testing.assert_allclose(out.features[tr].mean(axis=0), 0.0, atol=1e-12)
@@ -192,7 +199,7 @@ def test_standardize_drops_zero_variance_columns():
     x = rng.normal(size=(20, 3))
     x[:10, 1] = 2.0  # constant on the train half; the warning names it
     x[10:, 1] = 3.0
-    ds = Dataset(x, rng.normal(size=20), task="regression")
+    ds = Dataset(x, rng.normal(size=20))
     with pytest.warns(UserWarning, match=r"dropping 1 zero-variance train columns \[1\]"):
         out, _ = standardize(ds, np.arange(10))
     mean, std = (stat(x[:10], axis=0)[[0, 2]] for stat in (np.mean, np.std))
@@ -201,7 +208,7 @@ def test_standardize_drops_zero_variance_columns():
     # it is dropped all the same, so the 7.78 of a test row is not put at 1e12
     x = np.column_stack([rng.normal(size=456), np.full(456, 7.77)])
     x[455, 1] = 7.78
-    ds = Dataset(x, rng.normal(size=456), task="regression")
+    ds = Dataset(x, rng.normal(size=456))
     with pytest.warns(UserWarning, match=r"dropping 1 zero-variance train columns \[1\]"):
         out, _ = standardize(ds, np.arange(455))
     assert out.features.shape == (456, 1) and np.abs(out.features).max() < 10.0
@@ -215,11 +222,11 @@ def test_standardize_values_too_large_to_scale_are_data_errors():
     x = rng.normal(size=(20, 3))
     x[:, 1] *= 1e200
     x[:, 2] = 1e200
-    ds = Dataset(x, rng.normal(size=20), task="regression")
+    ds = Dataset(x, rng.normal(size=20))
     with (pytest.warns(UserWarning, match=r"columns \[2\]"),
           pytest.raises(DataError, match=r"feature columns \[1\] are too large to standardize")):
         standardize(ds, np.arange(10))
-    ds = Dataset(x[:, :1], rng.normal(size=20) * 1e200, task="regression")
+    ds = Dataset(x[:, :1], rng.normal(size=20) * 1e200)
     with pytest.raises(DataError, match="regression targets are too large to standardize"):
         standardize(ds, np.arange(10))
 
@@ -228,7 +235,7 @@ def test_standardize_constant_target_rejected():
     from bedl.data import Dataset
 
     for y in (np.ones(10), np.full(455, 7.77)):  # the float std of the second is 2.7e-15
-        ds = Dataset(rng.normal(size=(len(y), 2)), y, task="regression")
+        ds = Dataset(rng.normal(size=(len(y), 2)), y)
         with pytest.raises(DataError, match="constant regression target"):
             standardize(ds, np.arange(len(y)))
 

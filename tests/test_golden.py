@@ -33,14 +33,14 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 def _regression():
     r = np.random.default_rng(0)
     x = r.normal(size=(60, 3))
-    return Dataset(x, np.sin(x[:, 0]) + 0.1 * r.normal(size=60), task="regression")
+    return Dataset(x, np.sin(x[:, 0]) + 0.1 * r.normal(size=60))
 
 
 def _blobs():
     r = np.random.default_rng(1)
     y = np.repeat(np.arange(3), 30)
     x = r.normal(size=(90, 2)) * 0.7 + np.array([[-2.0, 0.0], [2.0, 0.0], [0.0, 2.5]])[y]
-    return Dataset(x, y, task="classification")
+    return Dataset(x, y)
 
 
 def _images():
@@ -49,7 +49,7 @@ def _images():
     x = r.uniform(size=(48, 9, 9, 1)) * 0.5
     for k in range(3):
         x[y == k, 3 * k : 3 * k + 3] += 0.5  # a bright band of rows per class
-    return Dataset(x, y, task="classification")
+    return Dataset(x, y)
 
 
 _ELU_DEPTH_3 = [LayerSpec("dense", fan_in=3, fan_out=8, activation="elu"),
@@ -62,15 +62,15 @@ _CONV = [LayerSpec("conv2d", in_channels=1, out_channels=4, kernel=3, activation
 _DENSE_REG = default_specs("regression", 3, hidden=8)
 _DENSE_CLS = default_specs("classification", 2, hidden=8, n_classes=3)
 
-# name: (dataset, layer specs, objective)
+# name: (dataset, layer specs, task, objective)
 RUNS = {
-    "regression-bedl": (_regression, _DENSE_REG, "bedl"),
-    "regression-bedl+reg": (_regression, _DENSE_REG, "bedl+reg"),
-    "regression-bedl-hyper": (_regression, _DENSE_REG, "bedl-hyper"),
-    "regression-elu-depth-3-bedl+reg": (_regression, _ELU_DEPTH_3, "bedl+reg"),
-    "dense-classification-bedl+reg": (_blobs, _DENSE_CLS, "bedl+reg"),
-    "dense-classification-edl": (_blobs, _DENSE_CLS, "edl"),
-    "conv-classification-bedl+reg": (_images, _CONV, "bedl+reg"),
+    "regression-bedl": (_regression, _DENSE_REG, "regression", "bedl"),
+    "regression-bedl+reg": (_regression, _DENSE_REG, "regression", "bedl+reg"),
+    "regression-bedl-hyper": (_regression, _DENSE_REG, "regression", "bedl-hyper"),
+    "regression-elu-depth-3-bedl+reg": (_regression, _ELU_DEPTH_3, "regression", "bedl+reg"),
+    "dense-classification-bedl+reg": (_blobs, _DENSE_CLS, "classification", "bedl+reg"),
+    "dense-classification-edl": (_blobs, _DENSE_CLS, "classification", "edl"),
+    "conv-classification-bedl+reg": (_images, _CONV, "classification", "bedl+reg"),
 }
 
 
@@ -84,11 +84,11 @@ def build() -> dict:
 
 
 def digest(name: str) -> dict:
-    data, specs, objective = RUNS[name]
+    data, specs, task, objective = RUNS[name]
     ds = data()
     # weight variances far above the default init's, so that the activation
     # moments' variance terms reach the outputs
-    cfg = TrainConfig(objective=objective, task=ds.task, epochs=20, learning_rate=0.01,
+    cfg = TrainConfig(objective=objective, task=task, epochs=20, learning_rate=0.01,
                       batch_size=16, n_classes=3, seed=5, init_log_var_mean=-3.0)
     result = train(ds, specs, cfg)
     values = evaluate(result.checkpoint, ds, cfg).values

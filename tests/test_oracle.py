@@ -45,6 +45,39 @@ def test_sample_forward_on_linear_net_matches_exact_moments():
     assert np.all(np.abs(est.var - mm.var.data) < 4 * est.var_se)
 
 
+def _conv(c_in, c_out, kernel, stride=1, activation="identity"):
+    return L.LayerSpec("conv2d", in_channels=c_in, out_channels=c_out, kernel=kernel,
+                       stride=stride, activation=activation)
+
+
+# Conv nets whose diagonal propagation is exact: one conv layer on fixed
+# inputs, and 1x1 convs, whose second layer sums the channels of one pixel,
+# which have independent kernels. A conv into a dense layer is not exact:
+# the pixels of one channel share that channel's kernel, so they are
+# correlated and the dense layer's sum drops their covariances.
+_EXACT_CONV_NETS = {
+    "conv3x3-stride2": ([_conv(1, 4, 3, stride=2)], (7, 7, 1)),
+    "conv1x1-relu-conv1x1": ([_conv(2, 6, 1, activation="relu"), _conv(6, 3, 1)], (3, 3, 2)),
+    "conv1x1-elu-conv1x1": ([_conv(2, 6, 1, activation="elu"), _conv(6, 3, 1)], (3, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CONV_NETS))
+def test_conv_moments_match_the_oracle_where_the_diagonal_is_exact(name):
+    # criterion 1's tolerances: every output mean within 5 standard errors
+    # and every variance within 10% of 10^5 weight draws, at criterion 1's
+    # log-variances and on two N(0, 1) inputs
+    specs, shape = _EXACT_CONV_NETS[name]
+    r = np.random.default_rng(sorted(_EXACT_CONV_NETS).index(name))
+    net = L.build_network(specs, r, log_var_mean=-4.0, log_var_var=0.25)
+    x = r.normal(size=(2, *shape))
+    mm = net.forward(x)
+    est = oracle.sample_forward(net, x, oracle.make_rng(9100, 0), 100_000)
+    z = np.abs(mm.mean.data - est.mean) / est.mean_se
+    rel_var_err = np.abs(mm.var.data - est.var) / est.var
+    assert z.max() < 5.0 and rel_var_err.max() < 0.10, (z.max(), rel_var_err.max())
+
+
 def test_sample_forward_rejects_tiny_sample_counts():
     net = _linear_net()
     with pytest.raises(ValueError):

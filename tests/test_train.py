@@ -25,7 +25,7 @@ def _regression_ds(n=60, d=3, seed=0):
     r = np.random.default_rng(seed)
     x = r.normal(size=(n, d))
     y = np.sin(x[:, 0]) + 0.1 * r.normal(size=n)
-    return Dataset(x, y, task="regression")
+    return Dataset(x, y)
 
 
 def _blob_ds(n=100, seed=0):
@@ -33,7 +33,7 @@ def _blob_ds(n=100, seed=0):
     half = n // 2
     x = np.concatenate([r.normal(-2.0, 0.5, size=(half, 2)), r.normal(2.0, 0.5, size=(half, 2))])
     y = np.concatenate([np.zeros(half, dtype=int), np.ones(half, dtype=int)])
-    return Dataset(x, y, task="classification")
+    return Dataset(x, y)
 
 
 # -- config ------------------------------------------------------------------
@@ -200,14 +200,14 @@ class _ReferenceAdam:
 @pytest.mark.parametrize("net", ["regression", "dense-classifier", "conv-classifier"])
 def test_training_equals_the_reference_adam_bit_for_bit(monkeypatch, net):
     r = np.random.default_rng(17)
+    task = "regression" if net == "regression" else "classification"
     if net == "conv-classifier":
-        ds = Dataset(r.normal(size=(40, 9, 9, 1)), r.integers(0, 3, size=40),
-                     task="classification")
+        ds = Dataset(r.normal(size=(40, 9, 9, 1)), r.integers(0, 3, size=40))
         specs = _CONV_SPECS
     else:
         ds = _regression_ds() if net == "regression" else _blob_ds()
-        specs = tr.default_specs(ds.task, ds.features.shape[1], hidden=8, n_classes=2)
-    cfg = tr.TrainConfig(task=ds.task, n_classes=specs[-1].n_out, epochs=3, batch_size=16)
+        specs = tr.default_specs(task, ds.features.shape[1], hidden=8, n_classes=2)
+    cfg = tr.TrainConfig(task=task, n_classes=specs[-1].n_out, epochs=3, batch_size=16)
     flat = tr.train(ds, specs, cfg)
     monkeypatch.setattr(tr, "Adam", _ReferenceAdam)
     reference = tr.train(ds, specs, cfg)
@@ -410,6 +410,17 @@ def test_evaluate_task_mismatch():
         tr.evaluate(result.checkpoint, _regression_ds(), tr.TrainConfig(beta=10.0))
 
 
+def test_evaluate_checks_labels_before_the_forward_pass(monkeypatch):
+    # a CSV's targets stay floats until they meet the classification head
+    result, ds, cfg = _train_small(task="classification", epochs=1)
+    monkeypatch.setattr(tr, "_predict", lambda *a: pytest.fail("the forward pass ran"))
+    for targets, message in ((np.where(np.arange(ds.n) == 3, 0.5, ds.targets), "0.5 is not"),
+                             (np.full(ds.n, np.nan), "nan is not"),
+                             (ds.targets + 2, "outside the 2 classes")):
+        with pytest.raises(DataError, match=message):
+            tr.evaluate(result.checkpoint, Dataset(ds.features, targets), cfg)
+
+
 def test_evaluation_builds_no_tape():
     for task in ("regression", "classification"):
         result, ds, cfg = _train_small(task=task, epochs=1)
@@ -466,7 +477,7 @@ def test_data_that_does_not_fit_the_checkpoint_is_data_error():
                     (conv, r.normal(size=(10, 11, 11, 1))),  # too wide for the dense layer
                     (conv, r.normal(size=(10, 2, 2, 1))),  # smaller than the kernel
                     (conv, r.normal(size=(10, 81)))):  # not images
-        ds = Dataset(x, np.zeros(len(x), dtype=int), task=ckpt.config.task)
+        ds = Dataset(x, np.zeros(len(x), dtype=int))
         with pytest.raises(DataError):
             tr.evaluate(ckpt, ds, tr.TrainConfig(task=ckpt.config.task, n_classes=3))
 
@@ -486,7 +497,7 @@ def test_train_refuses_data_that_does_not_fit_before_the_first_step(monkeypatch)
                               (_CONV_SPECS, r.normal(size=(10, 11, 11, 1)), "do not fit layer 2"),
                               (dense, r.normal(size=(0, 3)), "no rows to train on"),
                               (dense, huge, "feature columns [1] are too large")):
-        ds = Dataset(x, r.integers(0, 3, size=len(x)), task="classification")
+        ds = Dataset(x, r.integers(0, 3, size=len(x)))
         with pytest.raises(DataError, match=re.escape(message)):
             tr.train(ds, specs, cfg)
 
@@ -533,7 +544,7 @@ def test_evaluation_does_not_depend_on_the_chunk_size(monkeypatch, net):
         cfg = tr.TrainConfig(task="classification", n_classes=3)
         net_ = build_network(_CONV_SPECS, r, log_var_mean=-3.0, log_var_var=0.1)
         ckpt = tr._snapshot(net_, cfg, None)
-        ds = Dataset(r.normal(size=(50, 9, 9, 1)), r.integers(0, 3, size=50), "classification")
+        ds = Dataset(r.normal(size=(50, 9, 9, 1)), r.integers(0, 3, size=50))
     runs = []
     for chunk in (1, 7, ds.n):
         monkeypatch.setattr(tr, "EVAL_CHUNK", chunk)
@@ -556,7 +567,7 @@ def test_evaluation_computes_weight_moments_once_per_layer(monkeypatch, net):
     else:
         cfg = tr.TrainConfig(task="classification", n_classes=3)
         ckpt = tr._snapshot(build_network(_CONV_SPECS, r), cfg, None)
-        ds = Dataset(r.normal(size=(12, 9, 9, 1)), r.integers(0, 3, size=12), "classification")
+        ds = Dataset(r.normal(size=(12, 9, 9, 1)), r.integers(0, 3, size=12))
     calls = []
     of = WeightMoments.of.__func__
     monkeypatch.setattr(WeightMoments, "of",
@@ -584,7 +595,7 @@ def test_evaluation_memory_does_not_grow_with_the_dataset():
     cfg = tr.TrainConfig(task="classification")
     ckpt = tr._snapshot(build_network(specs, np.random.default_rng(0)), cfg, None)
     r = np.random.default_rng(1)
-    ds = Dataset(r.normal(size=(4096, 784)), r.integers(0, 10, size=4096), "classification")
+    ds = Dataset(r.normal(size=(4096, 784)), r.integers(0, 10, size=4096))
     tracemalloc.start()
     try:
         tr.evaluate(ckpt, ds, cfg)
@@ -708,15 +719,21 @@ def test_edl_requires_classification():
         _train_small(objective="edl", task="regression")
 
 
-def test_train_checks_task_and_head_width_before_the_first_step():
+def test_train_checks_task_and_head_width_before_the_first_step(monkeypatch):
+    # regression targets under a classification config were refused by a
+    # check of the dataset's own task; now their labels are, before step 1
     r = np.random.default_rng(2)
-    ds = Dataset(r.normal(size=(30, 2)), r.integers(0, 3, size=30), task="classification")
+    ds = Dataset(r.normal(size=(30, 2)), r.integers(0, 3, size=30))
     specs = tr.default_specs("classification", 2, hidden=4, n_classes=3)
-    with pytest.raises(ValueError, match="classification dataset .* regression config"):
-        tr.train(ds, specs, tr.TrainConfig(epochs=1))
+    cfg = tr.TrainConfig(task="classification", n_classes=3, epochs=1)
+    monkeypatch.setattr(tr.Adam, "step", lambda adam: pytest.fail("Adam.step was called"))
+    with pytest.raises(DataError, match="is not an integer"):
+        tr.train(Dataset(ds.features, r.normal(size=30)), specs, cfg)
+    with pytest.raises(DataError, match="outside the 3 classes"):
+        tr.train(Dataset(ds.features, ds.targets + 1), specs, cfg)
     wide = specs[:1] + [LayerSpec("dense", fan_in=4, fan_out=5)]
     with pytest.raises(ValueError, match="5 units .* reads 3"):
-        tr.train(ds, wide, tr.TrainConfig(task="classification", n_classes=3, epochs=1))
+        tr.train(ds, wide, cfg)
     with pytest.raises(ValueError, match="3 units .* reads 2"):
         tr.train(_regression_ds(), specs, tr.TrainConfig(epochs=1))
 
@@ -744,7 +761,7 @@ def test_diverged_run_keeps_the_last_finite_checkpoint(monkeypatch):
 def test_one_datum_linear_fit_approaches_beta_floor():
     # single datum, linear net: NLL can be driven to the beta=100 floor
     # -0.5*log(2*pi/beta) = -1.38364 as the latent variance vanishes
-    ds = Dataset(np.array([[1.0]]), np.array([0.3]), task="regression")
+    ds = Dataset(np.array([[1.0]]), np.array([0.3]))
     specs = [LayerSpec("dense", fan_in=1, fan_out=2, activation="identity")]
     cfg = tr.TrainConfig(objective="bedl", epochs=600, learning_rate=0.05, seed=1)
     result = tr.train(ds, specs, cfg)
