@@ -209,7 +209,3 @@ def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
         raise DataError(f"labels run from {labels.min():g} to {labels.max():g}, outside the "
                         f"{n_classes} classes 0 to {n_classes - 1}")
     return labels.astype(np.int64, copy=False)
-
-
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.eye(n_classes)[check_labels(labels, n_classes)]

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special
 
 from . import tensor as T
+from .data import check_labels
 from .layers import GaussianActivation, WeightDistribution
 from .tensor import Tensor
 
@@ -69,8 +70,10 @@ def regression_log_marginal(moments: GaussianActivation, y: np.ndarray, beta: fl
     precision. Sampling-free; one tape node."""
     if moments.mean.shape[1] != 2:
         raise ValueError("regression head expects 2 output units")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
     mean, var = moments.mean.data, moments.var.data
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != mean.shape[:1]:
+        raise ValueError(f"need one target per datum, not targets of shape {y.shape}")
     latent, d_latent = _latent_var(mean, var)
     v = 1.0 / beta + var[:, 0] + latent
     if np.any(v <= 0.0):
@@ -82,13 +85,12 @@ def regression_log_marginal(moments: GaussianActivation, y: np.ndarray, beta: fl
                       "regression_log_marginal")
 
 
-def _check_onehot(y_onehot: np.ndarray, n_classes: int) -> np.ndarray:
-    y = np.asarray(y_onehot, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != n_classes:
-        raise ValueError("targets must be one-hot with one row per datum")
-    if not (np.all((y == 0) | (y == 1)) and np.all(y.sum(axis=1) == 1)):
-        raise ValueError("targets must be one-hot")
-    return y
+def _label_mask(labels, shape: tuple[int, int]) -> np.ndarray:
+    """The (N, C) class mask of a head of output ``shape`` for (N,) labels that
+    check_labels admits; f * True is f and f * False is 0, as with one-hot rows."""
+    if np.shape(labels) != shape[:1]:
+        raise ValueError(f"need one class label per datum, not labels of shape {np.shape(labels)}")
+    return check_labels(labels, shape[1])[:, None] == np.arange(shape[1])
 
 
 def _clamped_draws(moments: GaussianActivation, eps: np.ndarray):
@@ -109,10 +111,10 @@ def _clamped_draws(moments: GaussianActivation, eps: np.ndarray):
 
 
 def classification_log_marginal(
-    moments: GaussianActivation, y_onehot: np.ndarray, *, eps: np.ndarray
+    moments: GaussianActivation, labels: np.ndarray, *, eps: np.ndarray
 ) -> Tensor:
     """Per-datum log marginal likelihood of the Dirichlet-categorical head
-    over the C classes of the output width.
+    over the C classes of the output width, for (N,) integer labels.
 
     Takes S reparameterized output samples f = m + s*eps, for eps of shape
     (S, N, C), maps them to Dirichlet strengths alpha = exp(f), and averages
@@ -120,7 +122,7 @@ def classification_log_marginal(
     logsumexp. One tape node: with w_s the softmax over S of log p_s, the
     gradient in f_s is w_s (y - softmax(f_s)), chained through both m and s.
     """
-    y = _check_onehot(y_onehot, moments.mean.shape[1])
+    y = _label_mask(labels, moments.mean.shape)
     f, chain = _clamped_draws(moments, eps)
     top = f.max(axis=-1, keepdims=True)
     shifted = np.exp(f - top)
@@ -289,14 +291,14 @@ def evidential_alpha(f: Tensor) -> Tensor:
                    "evidential_alpha")
 
 
-def edl_loss(alpha: Tensor, y_onehot: np.ndarray) -> ObjectiveReport:
-    """Deterministic evidential baseline: EDL_WEIGHT/2 times the expected
-    sum of squares between the one-hot target and the Dirichlet-distributed
-    class probabilities, plus KL against the uniform Dirichlet. Batch mean;
-    one tape node."""
+def edl_loss(alpha: Tensor, labels: np.ndarray) -> ObjectiveReport:
+    """Deterministic evidential baseline for (N,) integer labels:
+    EDL_WEIGHT/2 times the expected sum of squares between the one-hot
+    label and the Dirichlet-distributed class probabilities, plus KL against
+    the uniform Dirichlet. Batch mean; one tape node."""
     a = alpha.data
     kl, kl_grad = _kl_dirichlet(a)
-    y = _check_onehot(y_onehot, alpha.shape[1])
+    y = _label_mask(labels, a.shape)
     a0 = a.sum(axis=1, keepdims=True)
     p = a / a0
     spread = p * (1.0 - p) / (a0 + 1.0)

@@ -20,8 +20,9 @@ from scipy import special
 from .layers import LayerSpec, MomentNetwork
 
 
-# Weight draws per deterministic forward pass: bounds the sampler's memory.
+# Weight draws per deterministic forward pass, and the bytes they may take.
 SAMPLE_CHUNK = 20000
+SAMPLE_BYTES = 1 << 28
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -93,11 +94,13 @@ def draw_weights(net: MomentNetwork, rng: np.random.Generator, n: int) -> list[t
 
 
 def _sampled_outputs(net: MomentNetwork, x: np.ndarray, rng: np.random.Generator, n_samples: int):
-    """Final pre-activations (m, N, n_out) for n_samples weight draws,
-    drawn and run at most SAMPLE_CHUNK at a time."""
+    """Final pre-activations (m, N, n_out) for n_samples weight draws, run in
+    chunks whose draws take at most SAMPLE_BYTES: 8 per weight, or 4 per
+    entry of net.data, which holds a mean and a log-variance per weight."""
     x = np.asarray(x, dtype=np.float64)
-    for done in range(0, n_samples, SAMPLE_CHUNK):
-        draws = draw_weights(net, rng, min(SAMPLE_CHUNK, n_samples - done))
+    chunk = min(SAMPLE_CHUNK, max(1, SAMPLE_BYTES // (4 * net.data.size)))
+    for done in range(0, n_samples, chunk):
+        draws = draw_weights(net, rng, min(chunk, n_samples - done))
         yield deterministic_forward(net, x, draws)
 
 
@@ -141,7 +144,7 @@ def _per_draw_loglik(f: np.ndarray, y: np.ndarray, beta: float | None) -> np.nda
         v = 1.0 / beta + np.exp(f[..., 1])
         return -0.5 * (np.log(2 * np.pi * v) + (yv - f[..., 0]) ** 2 / v)
     logp = f - special.logsumexp(f, axis=-1, keepdims=True)
-    return (logp * y).sum(axis=-1)
+    return logp[:, np.arange(len(y)), y]
 
 
 def sample_marginal_likelihood(
@@ -154,7 +157,7 @@ def sample_marginal_likelihood(
 ) -> LogMarginalEstimate:
     """MC estimate of the per-datum log marginal likelihood: of the
     Gaussian head with observation precision beta, or of the categorical
-    head on one-hot y when beta is None.
+    head on (N,) integer labels y when beta is None.
 
     Computed as logsumexp of per-draw log-likelihoods minus log n. If all
     draws underflow to zero likelihood, reports the failure instead of

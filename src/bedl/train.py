@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import objectives as obj
-from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels, one_hot
+from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels
 from .layers import (INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR, GaussianActivation, LayerSpec,
                      MomentNetwork, build_network, check_rows)
 from .tensor import NumericsError, Tensor
@@ -302,15 +302,15 @@ def _batch_objective(
     if cfg.objective == "edl":
         # ReLU evidence + 1 on the mean output: the baseline ignores weight variances
         alpha = obj.evidential_alpha(net.forward(x).mean)
-        return obj.edl_loss(alpha, one_hot(y, cfg.n_classes))
+        return obj.edl_loss(alpha, y)
 
     moments = net.forward(x)
     if cfg.task == "regression":
         lm = obj.regression_log_marginal(moments, y, cfg.beta)
         kl = obj.regression_kl(moments) if cfg.objective == "bedl+reg" else None
     else:
-        eps = rng.standard_normal((cfg.mc_samples, len(x), cfg.n_classes))
-        lm = obj.classification_log_marginal(moments, one_hot(y, cfg.n_classes), eps=eps)
+        eps = rng.standard_normal((cfg.mc_samples,) + moments.mean.shape)
+        lm = obj.classification_log_marginal(moments, y, eps=eps)
         kl = obj.classification_kl(moments, eps=eps) if cfg.objective == "bedl+reg" else None
     if kl is not None:
         return obj.pac_objective(lm, kl, n_data, cfg.delta, cfg.likelihood_bound)
@@ -378,7 +378,7 @@ def train(
                          f"head reads {width}")
     _check_data(specs, dataset, "train on")
     if cfg.task == "classification":
-        check_labels(dataset.targets, cfg.n_classes)
+        check_labels(dataset.targets, width)
     rng = np.random.default_rng(cfg.seed)
     net = build_network(specs, rng, log_var_mean=cfg.init_log_var_mean,
                         log_var_var=cfg.init_log_var_var)
@@ -435,8 +435,7 @@ class EvalMetrics:
 
 
 def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig):
-    """The checkpoint's output moments on the dataset and, for
-    classification, their closed-form predictive decomposition.
+    """The means and variances of the checkpoint's outputs on the dataset.
 
     Rows go through the forward pass EVAL_CHUNK at a time, so memory does
     not grow with the dataset; the weight moments are computed once,
@@ -453,9 +452,7 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig):
     for start in range(0, len(x), EVAL_CHUNK):
         m = net.forward(x[start : start + EVAL_CHUNK], weight_moments)
         parts.append((m.mean.data, m.var.data))
-    mean, var = (np.concatenate(a) for a in zip(*parts))
-    moments = GaussianActivation(Tensor(mean), Tensor(var))
-    return moments, decompose(mean, var) if cfg.task == "classification" else None
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 # eval_samples is unread (evaluation draws nothing); perfbench/workloads.py still passes it
@@ -471,29 +468,26 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
     aleatoric parts of the predictive variance, each a mean over points and
     classes; a label not among the C classes is a DataError before any row runs.
     """
-    n_classes = ckpt.specs[-1].n_out
-    classes = ckpt.config.task == "classification"
-    labels = check_labels(dataset.targets, n_classes) if classes else None
-    moments, rep = _predict(ckpt, dataset, cfg)
-    if rep is None:
+    if ckpt.config.task == "regression":
+        mean, var = _predict(ckpt, dataset, cfg)
+        moments = GaussianActivation(Tensor(mean), Tensor(var))
         lm = obj.regression_log_marginal(moments, dataset.targets, ckpt.config.beta)
         correction = 0.0 if ckpt.target_std is None else -math.log(ckpt.target_std)
-        values = {
+        return EvalMetrics({
             "test_loglik": float(lm.data.mean() + correction),
-            "test_rmse": float(
-                np.sqrt(np.mean((moments.mean.data[:, 0] - dataset.targets) ** 2))
-            ),
-        }
-        return EvalMetrics(values)
+            "test_rmse": float(np.sqrt(np.mean((mean[:, 0] - dataset.targets) ** 2))),
+        })
 
-    values = {
+    n_classes = ckpt.specs[-1].n_out
+    labels = check_labels(dataset.targets, n_classes)
+    rep = decompose(*_predict(ckpt, dataset, cfg))
+    return EvalMetrics({
         "test_error_pct": test_error(rep.predictive_mean, labels),
         "ecdf_auc": ecdf_auc(rep.entropy, n_classes),
         "mean_entropy": float(rep.entropy.mean()),
         "epistemic_mean": float(rep.epistemic.mean()),
         "aleatoric_mean": float(rep.aleatoric.mean()),
-    }
-    return EvalMetrics(values)
+    })
 
 
 # eval_samples is unread (evaluation draws nothing); perfbench/workloads.py still passes it
@@ -502,4 +496,4 @@ def evaluate_entropies(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig,
     """Predictive entropies of a classification checkpoint, one per datum."""
     if cfg.task != "classification":
         raise ValueError(f"predictive entropies need task 'classification', not {cfg.task!r}")
-    return _predict(ckpt, dataset, cfg)[1].entropy
+    return decompose(*_predict(ckpt, dataset, cfg)).entropy

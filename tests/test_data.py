@@ -12,7 +12,6 @@ from bedl.data import (
     load_csv,
     load_idx,
     make_splits,
-    one_hot,
     standardize,
 )
 
@@ -240,8 +239,8 @@ def test_standardize_constant_target_rejected():
             standardize(ds, np.arange(len(y)))
 
 
-def test_one_hot():
-    out = one_hot(np.array([0, 2, 1]), 3)
-    np.testing.assert_array_equal(out, np.eye(3)[[0, 2, 1]])
-    with pytest.raises(DataError):
-        one_hot(np.array([3]), 3)
+def test_check_labels_refuses_labels_outside_the_classes():
+    np.testing.assert_array_equal(check_labels(np.array([0, 2, 1]), 3), [0, 2, 1])
+    for bad in ([3], [0, -1]):
+        with pytest.raises(DataError, match="outside the 3 classes 0 to 2"):
+            check_labels(np.array(bad), 3)

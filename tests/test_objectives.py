@@ -7,6 +7,7 @@ from scipy import stats
 from bedl import layers as L
 from bedl import objectives as O
 from bedl import tensor as T
+from bedl.data import DataError
 
 from conftest import check_grads, elementwise, gauss_hermite_class_marginal, weighted_sum
 
@@ -51,15 +52,15 @@ def test_regression_floor_at_perfect_fit():
 
 def test_classification_marginal_zero_variance_is_log_softmax():
     m = rng.normal(size=(5, 3))
-    y = np.eye(3)[rng.integers(0, 3, size=5)]
+    y = rng.integers(0, 3, size=5)
     eps = rng.standard_normal((4, 5, 3))
     out = O.classification_log_marginal(_moments(m, np.zeros_like(m)), y, eps=eps)
     logp = m - np.log(np.exp(m).sum(axis=1, keepdims=True))
-    np.testing.assert_allclose(out.data, (logp * y).sum(axis=1), rtol=1e-10)
+    np.testing.assert_allclose(out.data, logp[np.arange(5), y], rtol=1e-10)
 
 
 def test_classification_marginal_saturated_and_uniform():
-    y = np.array([[1.0, 0.0]])
+    y = np.array([0])
     sat = O.classification_log_marginal(_moments([[50.0, -50.0]], [[0.0, 0.0]]), y,
                                         eps=rng.standard_normal((3, 1, 2)))
     assert sat.data[0] > -1e-12  # prob -> 1 under the logit clamp
@@ -72,7 +73,7 @@ def test_classification_marginal_vs_gauss_hermite():
     n_samples = 4000
     m = np.array([[0.4, -0.2, 1.1]])
     s2 = np.array([[0.5, 0.8, 0.3]])
-    y = np.array([[0.0, 0.0, 1.0]])
+    y = np.array([2])
     eps = np.random.default_rng(5).standard_normal((n_samples, 1, 3))
     est = O.classification_log_marginal(_moments(m, s2), y, eps=eps).data[0]
     # same-eps per-sample probabilities for the standard error
@@ -85,10 +86,28 @@ def test_classification_marginal_vs_gauss_hermite():
 
 
 def test_onehot_validation():
-    # the one-hot check fails before the draws are read
-    with pytest.raises(ValueError):
-        O.classification_log_marginal(_moments(np.zeros((1, 3)), np.zeros((1, 3))),
-                                      np.array([[0.5, 0.5, 0.0]]), eps=np.zeros((2, 1, 3)))
+    # both classification heads take one integer label per datum: a one-hot
+    # row or matrix is a ValueError (one row for 4 data used to broadcast),
+    # and a label that check_labels refuses is a DataError
+    heads = (lambda y: O.classification_log_marginal(_moments(np.zeros((4, 3)), np.zeros((4, 3))),
+                                                     y, eps=np.zeros((2, 4, 3))),
+             lambda y: O.edl_loss(T.Tensor(np.ones((4, 3))), y))
+    for head in heads:
+        assert head(np.array([0, 1, 2, 0])) is not None
+        with pytest.raises(DataError, match="label 1.5 is not an integer"):
+            head(np.array([0, 1.5, 2, 0]))
+        with pytest.raises(DataError, match="outside the 3 classes"):
+            head(np.array([0, 3, 1, 2]))
+        for onehot in (np.array([[1.0, 0.0, 0.0]]), np.eye(3)[[0, 1, 2, 0]]):
+            with pytest.raises(ValueError, match="one class label per datum"):
+                head(onehot)
+
+
+def test_regression_head_refuses_targets_that_are_not_one_per_datum():
+    moments = _moments(np.zeros((4, 2)), np.ones((4, 2)))
+    for y in (np.array([0.5]), np.zeros((4, 1)), np.zeros(5)):
+        with pytest.raises(ValueError, match="one target per datum"):
+            O.regression_log_marginal(moments, y, 100.0)
 
 
 # -- divergences -------------------------------------------------------------
@@ -219,17 +238,16 @@ def test_bedl_objective_is_mean_nll():
 
 def test_edl_loss_hand_computed():
     alpha = T.Tensor(np.array([[3.0, 1.0]]))
-    y = np.array([[1.0, 0.0]])
-    rep = O.edl_loss(alpha, y)
+    rep = O.edl_loss(alpha, np.array([0]))
     p = np.array([0.75, 0.25])
     var = p * (1 - p) / 5.0
-    fit = 0.5 * 100.0 * (((y[0] - p) ** 2) + var).sum()
+    fit = 0.5 * 100.0 * (((np.array([1.0, 0.0]) - p) ** 2) + var).sum()
     kl = O.kl_dirichlet_uniform(T.Tensor(np.array([[3.0, 1.0]]))).data[0]
     np.testing.assert_allclose(rep.total.item(), fit + kl, rtol=1e-12)
 
 
 def test_edl_loss_decreases_with_evidence_for_true_class():
-    y = np.array([[1.0, 0.0, 0.0]])
+    y = np.array([0])
     fits = []
     for a in (1.5, 3.0, 10.0, 40.0):
         rep = O.edl_loss(T.Tensor(np.array([[a, 1.0, 1.0]])), y)
@@ -276,7 +294,7 @@ def test_regression_objective_gradcheck():
 def test_classification_objective_gradcheck():
     net = _small_net((2, 4, 3), ("elu", "identity"), 5)
     x = rng.normal(size=(4, 2))
-    y = np.eye(3)[rng.integers(0, 3, size=4)]
+    y = rng.integers(0, 3, size=4)
     eps = np.random.default_rng(6).standard_normal((3, 4, 3))
 
     def f():
@@ -336,7 +354,7 @@ def test_batched_classification_head_and_kl_gradcheck():
     mean = np.vstack([[40.0, 0.1, -0.2], rng.normal(size=(4, 3))])
     log_var = np.vstack([[-6.0, -1.0, -1.0], rng.uniform(-2.0, 0.0, size=(4, 3))])
     params = [T.Parameter(a) for a in (mean[:1], log_var[:1], mean[1:], log_var[1:])]
-    y = np.eye(3)[[0, 1, 2, 0, 1]]
+    y = np.array([0, 1, 2, 0, 1])
     eps = np.random.default_rng(8).standard_normal((4, 5, 3))
     weights = np.linspace(-1.0, 1.0, 5)
 

@@ -101,9 +101,33 @@ def test_regression_marginal_on_deterministic_net_is_exact():
 def test_classification_marginal_on_deterministic_net_is_log_softmax():
     net = _linear_net(fan_out=3, log_var=-60.0)
     x = rng.normal(size=(2, 3))
-    y = np.eye(3)[[0, 2]]
+    y = np.array([0, 2])
     est = oracle.sample_marginal_likelihood(net, x, y, None, oracle.make_rng(0, 2), 200)
     f = x @ net.weights[0].mean.data + net.weights[0].bias_mean.data
     logp = f - np.log(np.exp(f).sum(axis=1, keepdims=True))
-    np.testing.assert_allclose(est.value, (logp * y).sum(axis=1), atol=1e-6)
+    np.testing.assert_allclose(est.value, logp[[0, 1], y], atol=1e-6)
 
+
+
+def test_sampler_draws_at_most_sample_bytes_of_weights_per_pass(monkeypatch):
+    # a 5x5x16 conv into dense(10) on 28x28 images has 92,160 dense weights:
+    # 20,000 draws of them at once would take 14.7 GB. The patched
+    # draw_weights records how many draws it is asked for and raises
+    # before allocating any
+    asked = []
+
+    def record(net, rng, n):
+        asked.append(n)
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(oracle, "draw_weights", record)
+    wide = L.build_network([_conv(1, 16, 5, activation="relu"),
+                            L.LayerSpec("dense", fan_in=24 * 24 * 16, fan_out=10)],
+                           np.random.default_rng(0))
+    for net, x in ((_linear_net(), np.zeros((1, 3))), (wide, np.zeros((1, 28, 28, 1)))):
+        with pytest.raises(RuntimeError, match="recorded"):
+            oracle.sample_forward(net, x, oracle.make_rng(0, 0), 20_000)
+    small, big = asked
+    assert small == oracle.SAMPLE_CHUNK  # a net the size of criterion 1's draws as before
+    assert 8 * big * (wide.data.size // 2) <= oracle.SAMPLE_BYTES
+    assert big == 362

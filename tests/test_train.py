@@ -421,11 +421,20 @@ def test_evaluate_checks_labels_before_the_forward_pass(monkeypatch):
             tr.evaluate(result.checkpoint, Dataset(ds.features, targets), cfg)
 
 
-def test_evaluation_builds_no_tape():
-    for task in ("regression", "classification"):
-        result, ds, cfg = _train_small(task=task, epochs=1)
-        moments, _ = tr._predict(result.checkpoint, ds, cfg)
-        for t in (moments.mean, moments.var):
+def test_evaluation_builds_no_tape(monkeypatch):
+    runs = [_train_small(task=task, epochs=1) for task in ("regression", "classification")]
+    outputs, forward = [], MomentNetwork.forward
+
+    def recording_forward(net, *args, **kwargs):
+        outputs.append(forward(net, *args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(MomentNetwork, "forward", recording_forward)
+    for result, ds, cfg in runs:
+        outputs.clear()
+        tr.evaluate(result.checkpoint, ds, cfg)
+        assert outputs
+        for t in (t for m in outputs for t in (m.mean, m.var)):
             assert t._parents == () and t._backward_fn is None and not t.requires_grad
 
 
