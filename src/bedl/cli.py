@@ -54,10 +54,10 @@ def _load_dataset(task, data=None, images=None, labels=None, target_column=-1) -
 
 
 def _split(ds: Dataset, plan: SplitPlan):
-    """The standardized train rows, test rows and record of a regression split."""
+    """The standardized train rows, test rows and target std of a regression split."""
     tr_idx, te_idx = make_splits(ds.n, plan)
-    ds_std, record = standardize(ds, tr_idx)
-    return ds_std.subset(tr_idx), ds_std.subset(te_idx), record
+    ds_std, target_std = standardize(ds, tr_idx)
+    return ds_std.subset(tr_idx), ds_std.subset(te_idx), target_std
 
 
 def _build_config(config_path, **overrides) -> TrainConfig:
@@ -73,6 +73,16 @@ def _build_config(config_path, **overrides) -> TrainConfig:
 
 # an existing file: a directory is a usage error, not an IsADirectoryError traceback
 _FILE = click.Path(exists=True, dir_okay=False)
+
+
+def _out_dir(ctx, param, value) -> Path:
+    """The --out directory; a file at it or above it is a usage error
+    before any data is read, not an OSError once training is done."""
+    out = Path(value)
+    file = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if file is not None:
+        raise click.BadParameter(f"{file} is a file, not a directory")
+    return out
 
 
 def _data_options(fn):
@@ -101,11 +111,11 @@ def _data_options(fn):
 # which rows of a regression CSV train; eval scores the rest
 @click.option("--split-index", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--split-seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--limit", type=click.IntRange(min=1), help="Use only the first N training points")
-@click.option("--out", type=click.Path(), required=True, help="Results directory")
+@click.option("--out", type=click.Path(), callback=_out_dir, required=True,
+              help="Results directory")
 def train_cmd(
     data, images, labels, target_column, config_path, hidden,
-    split_index, split_seed, limit, out, **overrides
+    split_index, split_seed, out, **overrides
 ):
     """Train a model and write metrics CSV plus a checkpoint; a run that
     diverges writes those of its last finite epoch, if any, and exits 3."""
@@ -116,8 +126,6 @@ def train_cmd(
     if cfg.task == "regression":
         split = SplitPlan(split_index, seed=split_seed)
         train_ds, _, record = _split(train_ds, split)
-    if limit is not None:
-        train_ds = train_ds.subset(np.arange(min(limit, train_ds.n)))
 
     d_in = int(np.prod(train_ds.features.shape[1:]))
     specs = default_specs(cfg.task, d_in, hidden=hidden, n_classes=cfg.n_classes)
@@ -125,15 +133,19 @@ def train_cmd(
         result = train(train_ds, specs, cfg, record=record, split=split)
     except TrainingDiverged as exc:
         if exc.checkpoint is not None:
-            _write_run(Path(out), TrainResult(exc.checkpoint, exc.metrics))
+            _write_run(out, TrainResult(exc.checkpoint, exc.metrics))
         raise
-    _write_run(Path(out), result)
+    _write_run(out, result)
 
 
 def _write_run(out_dir: Path, result: TrainResult) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_text(result.metrics_csv())
-    save_checkpoint(result.checkpoint, out_dir / "checkpoint.bin")
+    """Write metrics.csv and checkpoint.bin; an OSError is a usage error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "metrics.csv").write_text(result.metrics_csv())
+        save_checkpoint(result.checkpoint, out_dir / "checkpoint.bin")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write the run to {out_dir}: {exc}") from exc
     click.echo(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'checkpoint.bin'}")
 
 

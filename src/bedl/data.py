@@ -157,14 +157,9 @@ def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     return perm[:n_train], perm[n_train:]
 
 
-@dataclass
-class StandardizeRecord:
-    target_std: float  # of the train split's regression targets
-
-
-def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, StandardizeRecord]:
-    """Z-score the features and targets of a regression table by
-    train-split statistics.
+def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, float]:
+    """Z-score the features and targets of a regression table by train-split
+    statistics; returns the table and the train-split std of its targets.
 
     The one place that drops feature columns, with a warning that names
     them: those constant (max == min) on the train split, since the float std
@@ -195,7 +190,7 @@ def standardize(ds: Dataset, train_idx: np.ndarray) -> tuple[Dataset, Standardiz
         raise DataError("constant regression target on train split")
     if not np.isfinite(ys):
         raise DataError("the regression targets are too large to standardize")
-    return replace(ds, features=xs, targets=(y - ym) / ys), StandardizeRecord(ys)
+    return replace(ds, features=xs, targets=(y - ym) / ys), ys
 
 
 def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .data import check_labels
 from .layers import LayerSpec, MomentNetwork
 
 
@@ -138,11 +139,10 @@ class LogMarginalEstimate:
 
 def _per_draw_loglik(f: np.ndarray, y: np.ndarray, beta: float | None) -> np.ndarray:
     """Log-likelihood per weight draw with the latent head variable
-    marginalized analytically. f: (S, N, out)."""
+    marginalized analytically. f: (S, N, out), y: (N,)."""
     if beta is not None:
-        yv = np.asarray(y, dtype=np.float64).reshape(-1)
         v = 1.0 / beta + np.exp(f[..., 1])
-        return -0.5 * (np.log(2 * np.pi * v) + (yv - f[..., 0]) ** 2 / v)
+        return -0.5 * (np.log(2 * np.pi * v) + (y - f[..., 0]) ** 2 / v)
     logp = f - special.logsumexp(f, axis=-1, keepdims=True)
     return logp[:, np.arange(len(y)), y]
 
@@ -157,12 +157,18 @@ def sample_marginal_likelihood(
 ) -> LogMarginalEstimate:
     """MC estimate of the per-datum log marginal likelihood: of the
     Gaussian head with observation precision beta, or of the categorical
-    head on (N,) integer labels y when beta is None.
+    head on (N,) integer labels y when beta is None. Targets that are not
+    one per datum are a ValueError, and labels that check_labels refuses
+    for the head's width a DataError.
 
     Computed as logsumexp of per-draw log-likelihoods minus log n. If all
     draws underflow to zero likelihood, reports the failure instead of
     clipping silently.
     """
+    if np.shape(y) != np.shape(x)[:1]:
+        raise ValueError(f"need one target per datum, not targets of shape {np.shape(y)}")
+    if beta is None:
+        y = check_labels(y, net.specs[-1].n_out)
     ll = np.concatenate([_per_draw_loglik(f, y, beta)
                          for f in _sampled_outputs(net, x, rng, n_samples)])  # (n, N)
     if not np.all(np.isfinite(ll)):

@@ -46,12 +46,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_spent")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
+    def __init__(self, data, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = bool(_parents)  # fused passes only live parents; a Parameter sets it
         self.grad: np.ndarray | None = None
-        self._parents = _parents if self.requires_grad else ()
-        self._backward_fn = _backward_fn if self.requires_grad else None
+        self._parents = _parents
+        self._backward_fn = _backward_fn
         self._spent = False
 
     # -- construction helpers ------------------------------------------------
@@ -98,9 +98,7 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
+            stack.extend((p, False) for p in node._parents if id(p) not in visited)
 
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
@@ -116,8 +114,8 @@ class Parameter(Tensor):
     __slots__ = ()
 
     def __init__(self, data, grad: np.ndarray | None = None):
-        super().__init__(data, requires_grad=True)
-        self.grad = grad
+        super().__init__(data)
+        self.requires_grad, self.grad = True, grad
 
 
 def fused(data: np.ndarray, parents: tuple, vjp, op: str) -> Tensor:

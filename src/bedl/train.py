@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import objectives as obj
-from .data import DataError, Dataset, SplitPlan, StandardizeRecord, check_labels
+from .data import DataError, Dataset, SplitPlan, check_labels
 from .layers import (INIT_LOG_VAR_MEAN, INIT_LOG_VAR_VAR, GaussianActivation, LayerSpec,
                      MomentNetwork, build_network, check_rows)
 from .tensor import NumericsError, Tensor
@@ -267,10 +267,9 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
                       split, column)
 
 
-def _snapshot(net: MomentNetwork, cfg: TrainConfig, record: StandardizeRecord | None,
+def _snapshot(net: MomentNetwork, cfg: TrainConfig, target_std: float | None,
               split: SplitPlan | None = None, target_column: int | None = None) -> Checkpoint:
-    return Checkpoint(cfg, net.specs, net.data.copy(),
-                      None if record is None else record.target_std, split, target_column)
+    return Checkpoint(cfg, net.specs, net.data.copy(), target_std, split, target_column)
 
 
 # -- training ----------------------------------------------------------------
@@ -331,9 +330,10 @@ def _evaluable(net: MomentNetwork) -> bool:
 
 def _check_data(specs: list[LayerSpec], dataset: Dataset, doing: str) -> None:
     """The one check that admits data to a network of ``specs``: no rows,
-    rows that do not fit its layers, or a feature column whose square would
-    overflow in the first layer (found by column max and min, so with no
-    data-sized copy) is a DataError that names it."""
+    rows that do not fit its layers, or a feature column that holds a NaN or
+    a value whose square would overflow in the first layer (found by column
+    max and min, through which a NaN carries, so with no data-sized copy) is
+    a DataError that names it."""
     x, big = dataset.features, math.sqrt(np.finfo(float).max)
     if len(x) == 0:
         raise DataError(f"no rows to {doing}")
@@ -341,7 +341,11 @@ def _check_data(specs: list[LayerSpec], dataset: Dataset, doing: str) -> None:
         check_rows(specs, x.shape[1:])
     except ValueError as exc:
         raise DataError(f"the data does not fit the network: {exc}") from exc
-    huge = np.flatnonzero((x.max(axis=0) > big) | (x.min(axis=0) < -big))
+    hi, lo = x.max(axis=0), x.min(axis=0)
+    nan = np.flatnonzero(np.isnan(hi))
+    if nan.size:
+        raise DataError(f"feature columns {nan.tolist()} hold NaN")
+    huge = np.flatnonzero((hi > big) | (lo < -big))
     if huge.size:
         raise DataError(f"feature columns {huge.tolist()} are too large for the first layer")
 
@@ -362,16 +366,16 @@ def train(
     dataset: Dataset,
     specs: list[LayerSpec],
     cfg: TrainConfig,
-    record: StandardizeRecord | None = None,
+    record: float | None = None,
     split: SplitPlan | None = None,
 ) -> TrainResult:
     """Seeded, single-threaded, deterministic training run; the checkpoint
-    records ``split``, the split of a regression table that ``dataset`` is
-    the train part of, so that evaluation scores its test part, and the
-    dataset's CSV target column. Before the first step, an output layer not
-    as wide as the head is a ValueError, and data that _check_data refuses
-    or, for classification, check_labels a DataError. A run that diverges
-    raises TrainingDiverged."""
+    records ``record``, the target std from ``standardize``, ``split``, the
+    split of a regression table that ``dataset`` is the train part of, so
+    that evaluation scores its test part, and the dataset's CSV target
+    column. Before the first step, an output layer not as wide as the head is
+    a ValueError, and data that _check_data refuses or, for classification,
+    check_labels a DataError. A run that diverges raises TrainingDiverged."""
     width = 2 if cfg.task == "regression" else cfg.n_classes
     if specs[-1].n_out != width:
         raise ValueError(f"the output layer has {specs[-1].n_out} units but the {cfg.task} "

@@ -173,8 +173,6 @@ def trained_checkpoint(csv_file, tmp_path_factory):
     pytest.param([], {"hyper": {"b0": float("nan")}}, 1, id="hyper-b0-nan"),
     pytest.param([], {"init": {"log_var_mean": -8}}, 1, id="init-dict"),
     pytest.param([], {"init": 5}, 1, id="init-int"),
-    pytest.param(["--limit", "0"], None, 1, id="limit-0"),
-    pytest.param(["--limit", "-3"], None, 1, id="limit-negative"),
     pytest.param(["verify", "--n-samples", "50"], None, 1, id="verify-n-samples-50"),
     pytest.param(["verify", "--seed", "-1"], None, 1, id="verify-seed-negative"),
     pytest.param(["verify", "--n-architectures", "0"], None, 1, id="verify-n-architectures-0"),
@@ -244,6 +242,42 @@ def test_directory_for_a_file_is_usage_error(csv_file, trained_checkpoint, tmp_p
     err = capsys.readouterr().err
     assert info.value.code == 1 and err.startswith("error:") and "directory" in err, err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["F", "F/sub"], ids=["file", "below-a-file"])
+def test_out_at_or_below_a_file_is_usage_error_before_any_data_is_read(tmp_path, out,
+                                                                       monkeypatch, capsys):
+    # training ran to the end, then mkdir raised FileExistsError or
+    # NotADirectoryError as a traceback; this data does not parse, so exit 1
+    # shows that the --out check comes first
+    from bedl import cli
+
+    data = tmp_path / "bad.csv"
+    data.write_text("1,2\nx,3\n")
+    (tmp_path / "F").write_text("kept")
+    monkeypatch.setattr(sys, "argv", ["bedl", "train", "--data", str(data), "--epochs", "1",
+                                      "--out", str(tmp_path / out)])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert info.value.code == 1 and err.startswith("error:"), err
+    assert f"{tmp_path / 'F'} is a file, not a directory" in err
+    assert (tmp_path / "F").read_text() == "kept"
+
+
+def test_run_that_cannot_be_written_is_usage_error(csv_file, tmp_path, monkeypatch, capsys):
+    # a directory where metrics.csv goes: the write raised IsADirectoryError
+    from bedl import cli
+
+    out = tmp_path / "run"
+    (out / "metrics.csv").mkdir(parents=True)
+    monkeypatch.setattr(sys, "argv", ["bedl", "train", "--data", str(csv_file), "--epochs", "1",
+                                      "--hidden", "4", "--out", str(out)])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    err = capsys.readouterr().err
+    assert info.value.code == 1 and err.startswith(f"error: cannot write the run to {out}"), err
+    assert not (out / "checkpoint.bin").exists()
 
 
 @pytest.fixture(scope="module")

@@ -182,14 +182,14 @@ def test_standardize_uses_train_stats_only():
 
     ds = Dataset(x, y)
     tr = np.arange(40)
-    out, rec = standardize(ds, tr)
+    out, target_std = standardize(ds, tr)
     np.testing.assert_allclose(out.features[tr].mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.features[tr].std(axis=0), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.targets[tr].mean(), 0.0, atol=1e-12)
     # test rows use the same transform, so they are generally not centered
     assert abs(out.features[40:].mean()) > 1e-6
     np.testing.assert_array_equal(out.targets, (y - y[tr].mean()) / y[tr].std())
-    np.testing.assert_allclose(rec.target_std, y[tr].std(), rtol=1e-12)
+    np.testing.assert_allclose(target_std, y[tr].std(), rtol=1e-12)
 
 
 def test_standardize_drops_zero_variance_columns():

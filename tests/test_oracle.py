@@ -109,6 +109,21 @@ def test_classification_marginal_on_deterministic_net_is_log_softmax():
 
 
 
+def test_marginal_likelihood_needs_one_admissible_target_per_datum():
+    # one regression target for 4 rows was broadcast to 4 values, and label
+    # -1 read the last class; the heads refuse both
+    from bedl.data import DataError
+
+    x = np.zeros((4, 3))
+    cases = [(_linear_net(), np.array([0.5]), 100.0, ValueError, "one target per datum"),
+             (_linear_net(fan_out=3), np.array([0, 2]), None, ValueError, "one target per datum"),
+             (_linear_net(fan_out=3), np.array([0, -1, 2, 1]), None, DataError, "outside the 3"),
+             (_linear_net(fan_out=3), np.array([0, 1.5, 2, 1]), None, DataError, "not an integer")]
+    for net, y, beta, error, message in cases:
+        with pytest.raises(error, match=message):
+            oracle.sample_marginal_likelihood(net, x, y, beta, oracle.make_rng(0, 3), 200)
+
+
 def test_sampler_draws_at_most_sample_bytes_of_weights_per_pass(monkeypatch):
     # a 5x5x16 conv into dense(10) on 28x28 images has 92,160 dense weights:
     # 20,000 draws of them at once would take 14.7 GB. The patched

@@ -480,7 +480,10 @@ def test_data_that_does_not_fit_the_checkpoint_is_data_error():
     conv = tr._snapshot(build_network(_CONV_SPECS, np.random.default_rng(0)),
                         tr.TrainConfig(task="classification"), None)
     r = np.random.default_rng(0)
+    nan = r.normal(size=(10, 3))
+    nan[4, 1] = np.nan  # it passed the column max and min and raised NumericsError
     for ckpt, x in ((dense, r.normal(size=(10, 4))),  # one feature too many
+                    (dense, nan),
                     (dense, r.normal(size=(0, 3))),  # no rows
                     (conv, r.normal(size=(10, 9, 9, 2))),  # one channel too many
                     (conv, r.normal(size=(10, 11, 11, 1))),  # too wide for the dense layer
@@ -500,12 +503,15 @@ def test_train_refuses_data_that_does_not_fit_before_the_first_step(monkeypatch)
     dense = tr.default_specs("classification", 3, hidden=4, n_classes=3)
     huge = r.normal(size=(10, 3))
     huge[:, 1] *= 1e200
+    nan = r.normal(size=(10, 3))
+    nan[4, 1] = np.nan  # it ended as a numerical failure in step 1's dense_moments
     cfg = tr.TrainConfig(task="classification", n_classes=3, epochs=1)
     for specs, x, message in ((dense, r.normal(size=(10, 4)), "do not fit layer 0"),
                               (_CONV_SPECS, r.normal(size=(10, 9, 9, 2)), "do not fit layer 0"),
                               (_CONV_SPECS, r.normal(size=(10, 11, 11, 1)), "do not fit layer 2"),
                               (dense, r.normal(size=(0, 3)), "no rows to train on"),
-                              (dense, huge, "feature columns [1] are too large")):
+                              (dense, huge, "feature columns [1] are too large"),
+                              (dense, nan, "feature columns [1] hold NaN")):
         ds = Dataset(x, r.integers(0, 3, size=len(x)))
         with pytest.raises(DataError, match=re.escape(message)):
             tr.train(ds, specs, cfg)
