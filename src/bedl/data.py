@@ -29,6 +29,8 @@ class DataError(Exception):
 
 @dataclass
 class Dataset:
+    """Features and targets; uint8 features are 8-bit pixels, one byte each until ``rows``."""
+
     features: np.ndarray  # (N, d) or (N, H, W, C)
     targets: np.ndarray  # (N,) regression floats or class labels
     target_column: int | None = None  # the CSV column the targets came from
@@ -40,6 +42,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.features)
+
+    def rows(self, idx: np.ndarray | slice) -> np.ndarray:
+        """The float64 features of rows ``idx``, uint8 pixels divided by 255."""
+        x = self.features[idx]
+        return x / 255.0 if x.dtype == np.uint8 else x
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return replace(self, features=self.features[idx], targets=self.targets[idx])
@@ -135,15 +142,14 @@ def _parse_idx(raw: bytes, expect_magic: int, path: Path) -> np.ndarray:
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Load an IDX image/label pair (MNIST-style, optionally gzipped);
-    pixels scaled to [0, 1]."""
+    """Load an IDX image/label pair (MNIST-style, optionally gzipped); the
+    pixels stay uint8, one byte each, until ``Dataset.rows`` scales them."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     images = _parse_idx(_read_maybe_gzip(images_path), IDX_IMAGES_MAGIC, images_path)
     labels = _parse_idx(_read_maybe_gzip(labels_path), IDX_LABELS_MAGIC, labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DataError("image/label count mismatch")
-    x = images.astype(np.float64) / 255.0
-    return Dataset(x[..., None], labels.astype(np.int64))
+    return Dataset(images[..., None], labels.astype(np.int64))
 
 
 def make_splits(n: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:

@@ -398,7 +398,7 @@ def train(
         n_batches = 0
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            x = dataset.features[idx]
+            x = dataset.rows(idx)
             y = dataset.targets[idx]
             try:
                 report = _batch_objective(net, x, y, cfg, n, rng)
@@ -449,12 +449,11 @@ def _predict(ckpt: Checkpoint, dataset: Dataset, cfg: TrainConfig):
     if cfg.task == "regression" and cfg.beta != ckpt.config.beta:
         raise ValueError(f"beta {cfg.beta} does not match the checkpoint's {ckpt.config.beta}")
     _check_data(ckpt.specs, dataset, "evaluate")
-    x = dataset.features
     net = ckpt.build_network()
     weight_moments = net.weight_moments()
     parts = []
-    for start in range(0, len(x), EVAL_CHUNK):
-        m = net.forward(x[start : start + EVAL_CHUNK], weight_moments)
+    for start in range(0, dataset.n, EVAL_CHUNK):
+        m = net.forward(dataset.rows(slice(start, start + EVAL_CHUNK)), weight_moments)
         parts.append((m.mean.data, m.var.data))
     return tuple(np.concatenate(a) for a in zip(*parts))
 

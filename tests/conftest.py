@@ -1,9 +1,11 @@
 """Shared test utilities: two tape nodes for building scalars, finite
-differences, quadrature oracles, and dataset-file gating for the
-benchmark-scale tests."""
+differences, quadrature oracles, dataset-file gating for the
+benchmark-scale tests, and the one-BLAS-thread pin of the digest tests."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
 from pathlib import Path
 
@@ -26,6 +28,42 @@ def require_data(*names: str) -> list[Path]:
             f"(place files under {DATA_DIR} to enable)"
         )
     return paths
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread inside the block, and at its old
+    count after. The golden and workload digests were recorded at one thread;
+    at two, OpenBLAS may sum a long product in another order, which moves the
+    last bits. Without /proc/self/maps or an OpenBLAS thread setter, the block
+    runs as it is."""
+    maps = Path("/proc/self/maps")
+    text = maps.read_text() if maps.exists() else ""
+    pins = []
+    for path in sorted({ln.split()[-1] for ln in text.splitlines() if "openblas" in ln.lower()}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pins.append((set_, get()))
+                set_(1)
+                break
+    try:
+        yield
+    finally:
+        for set_, old in pins:
+            set_(old)
+
+
+@pytest.fixture
+def pinned_blas():
+    """One BLAS thread for the test (see ``one_blas_thread``)."""
+    with one_blas_thread():
+        yield
 
 
 def elementwise(x, f, df):

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bedl.data import (
     DataError,
+    Dataset,
     SplitPlan,
     check_labels,
     load_csv,
@@ -14,6 +16,8 @@ from bedl.data import (
     make_splits,
     standardize,
 )
+from bedl.train import TrainConfig, default_specs, evaluate, train
+from test_golden import _CONV
 
 rng = np.random.default_rng(51)
 
@@ -110,10 +114,10 @@ def _idx_bytes(magic, dims, payload):
     return head + payload
 
 
-def _write_pair(tmp_path, n=4, gz=False):
-    pixels = rng.integers(0, 256, size=(n, 5, 5), dtype=np.uint8)
+def _write_pair(tmp_path, n=4, gz=False, side=5):
+    pixels = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
     labels = rng.integers(0, 3, size=n, dtype=np.uint8)
-    img = _idx_bytes(0x00000803, (n, 5, 5), pixels.tobytes())
+    img = _idx_bytes(0x00000803, (n, side, side), pixels.tobytes())
     lab = _idx_bytes(0x00000801, (n,), labels.tobytes())
     if gz:
         img, lab = gzip.compress(img), gzip.compress(lab)
@@ -127,9 +131,38 @@ def _write_pair(tmp_path, n=4, gz=False):
 def test_load_idx_roundtrip(tmp_path, gz):
     ip, lp, pixels, labels = _write_pair(tmp_path, gz=gz)
     ds = load_idx(ip, lp)
-    assert ds.features.shape == (4, 5, 5, 1)
-    np.testing.assert_allclose(ds.features[..., 0], pixels / 255.0)
+    assert ds.features.shape == (4, 5, 5, 1) and ds.features.dtype == np.uint8
+    np.testing.assert_array_equal(ds.features[..., 0], pixels)
+    np.testing.assert_array_equal(ds.rows(slice(None))[..., 0], pixels / 255.0)
     np.testing.assert_array_equal(ds.targets, labels)
+
+
+def test_load_idx_holds_one_byte_per_pixel(tmp_path):
+    # 2,000 28x28 images: 1.57 MB as bytes, 12.5 MB as float64 (only the
+    # current size is bounded: gzip.decompress alone peaks at ~5x its output)
+    ip, lp, _, _ = _write_pair(tmp_path, n=2000, gz=True, side=28)
+    tracemalloc.start()
+    try:
+        ds = load_idx(ip, lp)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 2000 and current < 2e6, current
+
+
+@pytest.mark.parametrize("specs", [_CONV, default_specs("classification", 81, hidden=8,
+                                                        n_classes=3)], ids=["conv", "dense"])
+def test_idx_bytes_train_and_evaluate_as_float_pixels_do(tmp_path, specs):
+    # the uint8 features and a float64 copy scaled by 1/255 give the same
+    # bits; an init of -3 lets the variance terms reach the outputs
+    ip, lp, pixels, labels = _write_pair(tmp_path, n=48, gz=True, side=9)
+    cfg = TrainConfig(task="classification", n_classes=3, epochs=3, batch_size=16, seed=5,
+                      learning_rate=0.01, init_log_var_mean=-3.0)
+    runs = []
+    for ds in (load_idx(ip, lp), Dataset(pixels[..., None] / 255.0, labels.astype(np.int64))):
+        ckpt = train(ds, specs, cfg).checkpoint
+        runs.append((ckpt.data.tobytes(), evaluate(ckpt, ds, cfg).values))
+    assert runs[0] == runs[1]
 
 
 def test_load_idx_bad_magic_and_truncation(tmp_path):

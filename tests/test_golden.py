@@ -6,7 +6,9 @@ its ``metrics_csv()`` and the ``repr`` of each value ``evaluate`` returns.
 ``golden_digests.json`` also records the numpy, scipy, BLAS and CPU (SIMD)
 build the digests were taken on. On any other build the runs are skipped,
 because those libraries may round differently; to check a change there,
-record the digests on that build at the parent commit first:
+record the digests on that build at the parent commit first. The runs, and
+the recording, pin OpenBLAS to one thread (``conftest.one_blas_thread``),
+the count the digests hold:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,7 +28,9 @@ import scipy
 from bedl.data import Dataset
 from bedl.layers import LayerSpec
 from bedl.train import TrainConfig, default_specs, evaluate, train
+from conftest import one_blas_thread
 
+pytestmark = pytest.mark.usefixtures("pinned_blas")
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 
@@ -105,7 +109,8 @@ def test_golden_digest(name):
 
 
 if __name__ == "__main__":
-    runs = {name: digest(name) for name in sorted(RUNS)}
+    with one_blas_thread():
+        runs = {name: digest(name) for name in sorted(RUNS)}
     DIGESTS.write_text(json.dumps({"build": build(), "runs": runs}, indent=1, sort_keys=True)
                        + "\n")
     print(f"wrote {DIGESTS}")

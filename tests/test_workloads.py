@@ -8,7 +8,8 @@ and the ``repr`` of each quality value are compared exactly with
 ``workload_digests.json``. As with ``golden_digests.json``, the comparison
 runs only on the build the digests were recorded on (``test_golden.build()``)
 and is skipped on any other; to check a change there, record the digests at
-the parent commit first:
+the parent commit first. Both tests, and the recording, pin OpenBLAS to one
+thread, since the jobs they share run under whichever test asks first:
 
     PYTHONPATH=src python tests/test_workloads.py
 
@@ -21,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import one_blas_thread
 from test_golden import build
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,6 +33,7 @@ import workloads as W  # noqa: E402
 GATE_SEED = 21
 TOLERANCES = json.loads((PERFBENCH / "tolerances.json").read_text())
 DIGESTS = Path(__file__).with_name("workload_digests.json")
+pytestmark = pytest.mark.usefixtures("pinned_blas")
 # uci-reg trains on split job_no % 20, so its 20 jobs cover every split
 N_JOBS = {"uci-reg": W.N_UCI_SPLITS, "mnist-cls": 1, "conv-cls": 1}
 
@@ -72,7 +75,7 @@ def test_full_size_jobs_at_the_gate_seed_keep_their_bits(work_root, name):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, one_blas_thread():
         runs = {name: [r.digest() for r in jobs(name, Path(tmp) / name)] for name in N_JOBS}
     DIGESTS.write_text(json.dumps({"build": build(), "runs": runs}, indent=1, sort_keys=True)
                        + "\n")
